@@ -3,7 +3,7 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all lint test bench-smoke determinism golden calibrate serve-smoke clean
+.PHONY: all lint test bench-smoke determinism golden calibrate serve-smoke perf perf-test clean
 
 all: lint test
 
@@ -54,6 +54,18 @@ calibrate:
 # repeated job, and a clean SIGTERM drain.
 serve-smoke:
 	BIN=$(GOBIN) bash scripts/serve_smoke.sh
+
+# perf runs the standing benchmark (perfbench/README.md), passing ARGS
+# through to perfbench/run.sh, e.g.
+#   make perf ARGS="--workload sweep-quick --seed 1 --seconds 25 --trace 0"
+perf:
+	bash perfbench/run.sh $(ARGS)
+
+# perf-test vets and tests the benchmark module. It is its own Go module,
+# so `go test ./...` at the root never compiles it: a harness API change
+# that breaks the benchmark fails here instead.
+perf-test:
+	cd perfbench && go vet ./... && go test -race ./...
 
 clean:
 	rm -rf $(GOBIN)

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -174,7 +173,10 @@ func main() {
 			trace.WriteSummary(w, rec, labels[i])
 		}
 	}
-	writeTraces(*traceFile, *traceNDJSON, recs, labels)
+	if err := prof.WriteTraces(*traceFile, *traceNDJSON, recs, labels); err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		os.Exit(1)
+	}
 }
 
 // runTwinSearch performs a twin-guided knob search for one app: the
@@ -208,34 +210,4 @@ func runTwinSearch(cfg harness.Config, target string, jsonOut bool) {
 		return
 	}
 	harness.PrintSearch(os.Stdout, fmt.Sprintf("%s/%s/n%d", app, v, cfg.Nodes), res)
-}
-
-// writeTraces renders the collected recorders to the requested files.
-func writeTraces(chromePath, ndjsonPath string, recs []*trace.Recorder, labels []string) {
-	write := func(path string, render func(w io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
-		}
-		bw := bufio.NewWriter(f)
-		if err := render(bw); err == nil {
-			err = bw.Flush()
-		} else {
-			bw.Flush()
-		}
-		if err2 := f.Close(); err == nil {
-			err = err2
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-	}
-	if chromePath != "" {
-		write(chromePath, func(w io.Writer) error { return trace.WriteChrome(w, recs, labels) })
-	}
-	if ndjsonPath != "" {
-		write(ndjsonPath, func(w io.Writer) error { return trace.WriteNDJSON(w, recs, labels) })
-	}
 }

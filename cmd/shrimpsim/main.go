@@ -39,7 +39,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -103,16 +102,6 @@ func main() {
 		traceOpts = &trace.Options{Filter: mask, MaxEvents: *traceMax}
 	}
 
-	var apps []harness.App
-	for _, name := range strings.Split(*appNames, ",") {
-		app, err := harness.ParseApp(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-			os.Exit(2)
-		}
-		apps = append(apps, app)
-	}
-
 	// Flags become Knobs rather than a build-time Mutate so the harness
 	// can defer them to the post-warmup phase boundary, which is what
 	// makes -share-prefix runs byte-identical to cold ones.
@@ -136,22 +125,13 @@ func main() {
 	}
 
 	var cells []harness.Spec
-	for _, app := range apps {
-		spec := harness.Spec{App: app, Nodes: *nodes, Variant: harness.DefaultVariant(app)}
-		if v, ok, err := harness.ParseVariant(*variant); err != nil {
+	for _, name := range strings.Split(*appNames, ",") {
+		spec, err := harness.CellSpec{App: name, Nodes: *nodes, Variant: *variant,
+			Protocol: *protocol, Knobs: knobs}.Compile()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 			os.Exit(2)
-		} else if ok {
-			spec.Variant = v
 		}
-		if p, ok, err := harness.ParseProtocol(*protocol); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-			os.Exit(2)
-		} else if ok {
-			p := p
-			spec.Protocol = &p
-		}
-		spec.Knobs = knobs
 		spec.Trace = traceOpts
 		cells = append(cells, spec)
 	}
@@ -171,17 +151,14 @@ func main() {
 		}
 		return
 	}
-	run := harness.RunCells
-	if *sharePrefix {
-		run = harness.RunCellsShared
-	}
-	results := run(context.Background(), cells, *parallel, &wl)
+	results := harness.RunCells(context.Background(), cells, &wl,
+		harness.CellRunOpts{Workers: *parallel, SharePrefix: *sharePrefix})
 
-	for i, app := range apps {
+	for i, spec := range cells {
 		if i > 0 {
 			fmt.Println()
 		}
-		report(app, *nodes, &wl, results[i])
+		report(spec.App, *nodes, &wl, results[i])
 		if *metrics && results[i].Trace != nil {
 			fmt.Println()
 			trace.WriteSummary(os.Stdout, results[i].Trace, cells[i].Label())
@@ -197,37 +174,10 @@ func main() {
 				labels = append(labels, cells[i].Label())
 			}
 		}
-		writeTraces(*traceFile, *traceNDJSON, recs, labels)
-	}
-}
-
-// writeTraces renders the collected recorders to the requested files.
-func writeTraces(chromePath, ndjsonPath string, recs []*trace.Recorder, labels []string) {
-	write := func(path string, render func(w io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
+		if err := prof.WriteTraces(*traceFile, *traceNDJSON, recs, labels); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 			os.Exit(1)
 		}
-		bw := bufio.NewWriter(f)
-		if err := render(bw); err == nil {
-			err = bw.Flush()
-		} else {
-			bw.Flush()
-		}
-		if err2 := f.Close(); err == nil {
-			err = err2
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-	}
-	if chromePath != "" {
-		write(chromePath, func(w io.Writer) error { return trace.WriteChrome(w, recs, labels) })
-	}
-	if ndjsonPath != "" {
-		write(ndjsonPath, func(w io.Writer) error { return trace.WriteNDJSON(w, recs, labels) })
 	}
 }
 

@@ -40,8 +40,7 @@ import (
 // simulator.
 var allowedFiles = []string{
 	"internal/sim/engine.go",       // ownership-token scheduler
-	"internal/harness/parallel.go", // experiment-cell worker pool
-	"internal/harness/prefix.go",   // prefix-sharing unit pool: same shape as parallel.go, units instead of cells
+	"internal/harness/parallel.go", // the harness's one worker pool: app cells, prefix groups, load cells
 }
 
 // simPkgPath is the package whose Engine type owns Spawn/SpawnAt.

@@ -1,15 +1,14 @@
-// Package snapshotcover defines an Analyzer that statically mirrors
-// internal/checkpoint's reflection-based coverage inventory: in every
-// package that has a snapshot.go, each field of a snapshotted struct
-// must either be referenced by both sides of the Snapshot/Restore pair
-// or carry an explicit //shrimp:nostate annotation saying why rewind
-// may skip it.
+// Package snapshotcover defines an Analyzer that is the checkpoint
+// state inventory: in every package that has a snapshot.go, each field
+// of a snapshotted struct must either be referenced by both sides of
+// the Snapshot/Restore pair or carry an explicit //shrimp:nostate
+// annotation saying why rewind may skip it.
 //
-// The runtime inventory (checkpoint.Covered) catches a forgotten field
-// only when its completeness test runs; this analyzer catches it at
-// vet time, and — unlike reflection — it also catches the dual bug
-// where the field still exists in the table but its capture or restore
-// line was deleted from snapshot.go.
+// It fails on a field added without a classification, and on the dual
+// bug where a field's capture or restore line is deleted from
+// snapshot.go. internal/checkpoint's TestStaticCoverageMatches pins the
+// set of snapshotted types Inventory reports, so a type cannot drop out
+// of the inventory unnoticed either.
 //
 // # What counts as a snapshotted struct
 //
@@ -39,10 +38,8 @@
 //	//shrimp:nostate <class>: <why>
 //
 // where <class> is one of internal/checkpoint's classification tokens
-// (captured, asserted, wiring) — the analyzer and the runtime
-// inventory share one vocabulary, and checkpoint's coverage test pins
-// the per-field agreement between the two. A malformed annotation
-// (unknown class, missing justification) is itself a diagnostic.
+// (captured, asserted, wiring). A malformed annotation (unknown class,
+// missing justification) is itself a diagnostic.
 package snapshotcover
 
 import (
@@ -135,8 +132,8 @@ type FieldClass struct {
 // snapshotted struct in pkg: the annotated class when a valid
 // //shrimp:nostate annotation is present, "captured" for fields
 // referenced on both sides of the snapshot.go pair, "uncovered"
-// otherwise. internal/checkpoint's coverage test compares this against
-// its runtime tables so the two inventories cannot drift apart.
+// otherwise. internal/checkpoint's coverage test pins the set of types
+// it reports.
 func Inventory(pkg *analysis.Package) []FieldClass {
 	c := &checker{fset: pkg.Fset, files: pkg.Files, pkg: pkg.Types, info: pkg.Info}
 	var out []FieldClass

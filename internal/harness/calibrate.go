@@ -135,14 +135,7 @@ func calibrateCells(tp *Predictor, cfg Config, e Experiment) []CalibPair {
 // calibrateLoad pairs every load cell's per-class mean sojourn.
 func calibrateLoad(tp *Predictor, cfg Config) []CalibPair {
 	cells := LoadCells(cfg)
-	perCell := make([][]LoadRow, len(cells))
-	forEachCell(cfg.context(), len(cells), cfg.Workers, func(i int) {
-		rows, err := RunLoadCell(cells[i])
-		if err != nil {
-			panic("harness: invalid load cell: " + err.Error())
-		}
-		perCell[i] = rows
-	})
+	perCell := cfg.runLoadCells(cells)
 	var pairs []CalibPair
 	for i, c := range cells {
 		pred, err := tp.PredictLoad(c)

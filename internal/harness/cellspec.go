@@ -220,35 +220,33 @@ func (c CellSpec) Canonical(w *Workloads) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := machine.DefaultConfig(spec.Nodes)
-	spec.Knobs.apply(&cfg)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
+	return spec.canonical(w)
+}
+
+// canonical is the encoding behind CellSpec.Canonical, which RunCells
+// uses to key compiled specs. It covers the compiled fields only: a
+// build-time Mutate (or a tracer) has no encoding, so RunCells never
+// caches such a spec.
+func (s Spec) canonical(w *Workloads) ([]byte, error) {
+	cfg := machine.DefaultConfig(s.Nodes)
+	s.Knobs.apply(&cfg)
 	cc := canonicalCell{
 		Version: cellEncodingVersion,
-		App:     spec.App.String(),
-		Nodes:   spec.Nodes,
+		App:     s.App.String(),
+		Nodes:   s.Nodes,
 		Machine: cfg,
 	}
-	switch spec.App {
+	switch s.App {
 	case BarnesSVM, OceanSVM, RadixSVM:
 		// SVM cells are fully described by their protocol: the variant
 		// only selects one (AU -> AURC, DU -> HLRC), and an explicit
 		// Protocol overrides it. Encoding the resolved protocol makes
 		// {variant: AU} and {protocol: AURC} the same cell.
-		proto := svm.AURC
-		if spec.Variant == VariantDU {
-			proto = svm.HLRC
-		}
-		if spec.Protocol != nil {
-			proto = *spec.Protocol
-		}
-		cc.Protocol = proto.String()
+		cc.Protocol = resolveProto(s).String()
 	default:
-		cc.Variant = spec.Variant.String()
+		cc.Variant = s.Variant.String()
 	}
-	switch spec.App {
+	switch s.App {
 	case BarnesSVM:
 		cc.Workload = w.BarnesSVM
 	case OceanSVM:

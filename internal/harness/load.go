@@ -296,20 +296,26 @@ func LoadCells(cfg Config) []LoadCell {
 // -share-prefix (which only affects checkpointable app cells) is a
 // no-op here by construction.
 func LoadSweep(cfg Config) []LoadRow {
-	cells := LoadCells(cfg)
+	var out []LoadRow
+	for _, rows := range cfg.runLoadCells(LoadCells(cfg)) {
+		out = append(out, rows...)
+	}
+	return out
+}
+
+// runLoadCells runs load cells on the sweep's worker pool and returns
+// each cell's rows by cell index. Cancelling cfg.Ctx stops at the next
+// cell boundary; cells that never start keep nil rows.
+func (cfg *Config) runLoadCells(cells []LoadCell) [][]LoadRow {
 	perCell := make([][]LoadRow, len(cells))
-	forEachCell(cfg.context(), len(cells), cfg.Workers, func(i int) {
+	forEachCell(cfg.Ctx, len(cells), cfg.Workers, func(i int) {
 		rows, err := RunLoadCell(cells[i])
 		if err != nil {
 			panic("harness: invalid load cell: " + err.Error())
 		}
 		perCell[i] = rows
 	})
-	var out []LoadRow
-	for _, rows := range perCell {
-		out = append(out, rows...)
-	}
-	return out
+	return perCell
 }
 
 // PrintLoad renders the goodput-vs-offered-load report.

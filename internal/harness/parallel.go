@@ -7,94 +7,15 @@ import (
 	"sync/atomic"
 )
 
-// RunCells executes independent simulation cells on a pool of workers
-// and returns their results indexed exactly like cells. Each cell builds
-// its own sim.Engine and machine and shares no mutable state with any
-// other, so the grid is embarrassingly parallel; results are written by
-// cell index, which makes the output deterministic and byte-identical to
-// a serial run regardless of worker count or completion order.
-//
-// workers <= 0 selects GOMAXPROCS. A single worker degenerates to the
-// plain serial loop (no goroutines), which doubles as the baseline for
-// the parallel-equals-serial determinism tests.
-//
-// Cancelling ctx stops the run at the next cell boundary: cells already
-// simulated keep their results, unstarted cells are left as zero values,
-// and the caller distinguishes the two via ctx.Err(). A nil ctx runs to
-// completion (shrimpsim and shrimpbench pass context.Background(), so
-// batch output is byte-identical to the pre-context harness).
-func RunCells(ctx context.Context, cells []Spec, workers int, w *Workloads) []Result {
-	return runCells(ctx, cells, workers, w, nil)
-}
-
-// RunCellsShared is RunCells with sweep prefix sharing: cells whose
-// warmup prefixes coincide run from one checkpointed machine instead of
-// each starting cold (see prefix.go). Results are byte-identical to
-// RunCells at any worker count.
-func RunCellsShared(ctx context.Context, cells []Spec, workers int, w *Workloads) []Result {
-	return runCellsShared(ctx, cells, workers, w, nil)
-}
-
-// runCells is the shared worker-pool body: RunCells plus an optional
-// per-cell completion callback. onDone is invoked once per finished cell
-// — concurrently, from pool goroutines, in completion order — so callers
-// that stream results must do their own locking and ordering.
-func runCells(ctx context.Context, cells []Spec, workers int, w *Workloads, onDone func(i int, r Result)) []Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]Result, len(cells))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i := range cells {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = Run(cells[i], w)
-			if onDone != nil {
-				onDone(i, results[i])
-			}
-		}
-		return results
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := next.Add(1)
-				if i >= int64(len(cells)) {
-					return
-				}
-				results[i] = Run(cells[i], w)
-				if onDone != nil {
-					onDone(int(i), results[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
 // forEachCell runs fn(i) for every index in [0, n) on a pool of
-// workers, the same shape as runCells: workers <= 0 selects GOMAXPROCS,
-// one worker degenerates to a serial loop, and cancelling ctx stops
-// picking up new indexes at the next boundary. Callers write results by
-// index, so output is deterministic at any width. It exists for grids
-// that are not app cells (the open-loop load sweep) — this file is the
-// concurrency allowlist, so the pool lives here.
+// workers. workers <= 0 selects GOMAXPROCS; a single worker degenerates
+// to the plain serial loop (no goroutines), which doubles as the
+// baseline for the parallel-equals-serial determinism tests. Cancelling
+// ctx stops picking up new indexes at the next boundary; a nil ctx runs
+// to completion. Callers write results by index, so output is
+// deterministic at any width. This is the harness's only worker pool —
+// app cells, prefix groups and load cells all run on it — and this
+// file is the concurrency allowlist, so the pool lives here.
 func forEachCell(ctx context.Context, n, workers int, fn func(i int)) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -147,16 +68,20 @@ type CellCache interface {
 	Put(canonical []byte, r Result)
 }
 
-// CellRunOpts configures RunCellSpecs.
+// CellRunOpts configures RunCells and RunCellSpecs.
 type CellRunOpts struct {
 	// Workers is the simulation worker-pool width (0 = GOMAXPROCS).
 	Workers int
 	// Cache, when non-nil, is consulted before simulating each cell and
-	// populated after; hits skip the simulator entirely. Traced runs
-	// bypass the cache (a Result's recorder is not cacheable).
+	// populated after; hits skip the simulator entirely. Traced cells
+	// bypass the cache (a Result's recorder is not cacheable), and so
+	// do cells with a build-time Mutate, which has no canonical
+	// encoding.
 	Cache CellCache
 	// OnDone is invoked once per completed cell (hit or simulated),
-	// concurrently and in completion order; see runCells.
+	// concurrently from pool goroutines and in completion order, so
+	// callers that stream results must do their own locking and
+	// ordering.
 	OnDone func(i int, r Result)
 	// SharePrefix groups checkpointable cells by their warmup prefix and
 	// runs each shared prefix once, forking a branch per cell from a
@@ -165,15 +90,73 @@ type CellRunOpts struct {
 	SharePrefix bool
 }
 
-// RunCellSpecs compiles serializable cell specs and executes them like
-// RunCells, consulting opts.Cache before simulating. It returns results
-// indexed like cells; an error is returned only for invalid specs
-// (unknown app, bad variant/protocol, non-positive nodes). Cancellation
-// behaves as in RunCells: partial results plus ctx.Err() at the caller.
-func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts CellRunOpts) ([]Result, error) {
+// RunCells executes independent simulation cells and returns their
+// results indexed exactly like cells. It is the harness's one cell
+// executor, and runs in four steps:
+//
+//  1. every cell is looked up in opts.Cache, all Gets before any cell
+//     simulates (hits call OnDone straight away);
+//  2. the misses are planned into units: prefix groups when
+//     opts.SharePrefix is set (see planUnits), singletons otherwise;
+//  3. the units run on the worker pool (forEachCell);
+//  4. each simulated result is Put into the cache and then passed to
+//     OnDone.
+//
+// Each cell builds its own sim.Engine and machine and shares no mutable
+// state with any other, and results are written by cell index, so the
+// output is byte-identical to a serial run regardless of worker count,
+// sharing or completion order. At one worker, Puts arrive in cell
+// order.
+//
+// Cancelling ctx stops the run at the next cell boundary — including
+// between the branches of a prefix group: cells already simulated keep
+// their results, unstarted cells are left as zero values, and the
+// caller distinguishes the two via ctx.Err(). A nil ctx runs to
+// completion.
+func RunCells(ctx context.Context, cells []Spec, w *Workloads, opts CellRunOpts) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	results := make([]Result, len(cells))
+	keys := make([][]byte, len(cells))
+	todo := make([]int, 0, len(cells))
+	for i, s := range cells {
+		if opts.Cache != nil && s.Trace == nil && s.Mutate == nil {
+			if key, err := s.canonical(w); err == nil {
+				if r, ok := opts.Cache.Get(key); ok {
+					results[i] = r
+					if opts.OnDone != nil {
+						opts.OnDone(i, r)
+					}
+					continue
+				}
+				keys[i] = key
+			}
+		}
+		todo = append(todo, i)
+	}
+	done := func(i int, r Result) {
+		results[i] = r
+		if keys[i] != nil {
+			opts.Cache.Put(keys[i], r)
+		}
+		if opts.OnDone != nil {
+			opts.OnDone(i, r)
+		}
+	}
+	units := planUnits(cells, todo, opts.SharePrefix)
+	forEachCell(ctx, len(units), opts.Workers, func(u int) {
+		if idxs := units[u]; len(idxs) > 1 {
+			runSharedGroup(ctx, idxs, cells, w, done)
+		} else {
+			done(idxs[0], Run(cells[idxs[0]], w))
+		}
+	})
+	return results
+}
+
+// compileCells resolves a grid of serializable cell specs.
+func compileCells(cells []CellSpec) ([]Spec, error) {
 	specs := make([]Spec, len(cells))
 	for i, c := range cells {
 		s, err := c.Compile()
@@ -182,88 +165,45 @@ func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts Cell
 		}
 		specs[i] = s
 	}
-	exec := runCells
-	if opts.SharePrefix {
-		exec = runCellsShared
-	}
-	if opts.Cache == nil {
-		return exec(ctx, specs, opts.Workers, w, opts.OnDone), nil
-	}
-
-	results := make([]Result, len(cells))
-	keys := make([][]byte, len(cells))
-	missSpecs := make([]Spec, 0, len(cells))
-	missIdx := make([]int, 0, len(cells))
-	for i := range cells {
-		key, err := cells[i].Canonical(w)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = key
-		if r, ok := opts.Cache.Get(key); ok {
-			results[i] = r
-			if opts.OnDone != nil {
-				opts.OnDone(i, r)
-			}
-			continue
-		}
-		missSpecs = append(missSpecs, specs[i])
-		missIdx = append(missIdx, i)
-	}
-	exec(ctx, missSpecs, opts.Workers, w, func(j int, r Result) {
-		i := missIdx[j]
-		results[i] = r
-		opts.Cache.Put(keys[i], r)
-		if opts.OnDone != nil {
-			opts.OnDone(i, r)
-		}
-	})
-	return results, nil
+	return specs, nil
 }
 
-// context returns the sweep's cancellation context (Background when the
-// config does not carry one).
-func (cfg *Config) context() context.Context {
-	if cfg.Ctx != nil {
-		return cfg.Ctx
+// RunCellSpecs compiles serializable cell specs and executes them with
+// RunCells. An error is returned only for invalid specs (unknown app,
+// bad variant/protocol, non-positive nodes), before anything runs.
+func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts CellRunOpts) ([]Result, error) {
+	specs, err := compileCells(cells)
+	if err != nil {
+		return nil, err
 	}
-	return context.Background()
+	return RunCells(ctx, specs, w, opts), nil
 }
 
 // runCells runs a grid of serializable cell specs under the sweep's
-// configured worker count, cache and context, attaching trace recorders
-// and draining them to the sink (in cell order, so trace output is
-// independent of the worker count). Traced sweeps bypass the cache: a
-// cached Result carries no recorder, and the observability contract is
-// that every traced cell really ran.
+// configured worker count, cache, prefix sharing and context, attaching
+// trace recorders and draining them to the sink in cell order, so trace
+// output is independent of the worker count. Traced cells bypass the
+// cache and prefix sharing: a cached Result carries no recorder, and
+// the observability contract is that every traced cell really ran.
 func (cfg *Config) runCells(cells []CellSpec) []Result {
-	if cfg.Trace != nil {
-		specs := make([]Spec, len(cells))
-		for i, c := range cells {
-			s, err := c.Compile()
-			if err != nil {
-				panic("harness: invalid experiment cell: " + err.Error())
-			}
-			s.Trace = cfg.Trace
-			specs[i] = s
-		}
-		results := runCells(cfg.context(), specs, cfg.Workers, &cfg.Workloads, nil)
-		if cfg.TraceSink != nil {
-			for i := range results {
-				if results[i].Trace != nil {
-					cfg.TraceSink(specs[i], results[i].Trace)
-				}
-			}
-		}
-		return results
+	specs, err := compileCells(cells)
+	if err != nil {
+		panic("harness: invalid experiment cell: " + err.Error())
 	}
-	results, err := RunCellSpecs(cfg.context(), cells, &cfg.Workloads, CellRunOpts{
+	for i := range specs {
+		specs[i].Trace = cfg.Trace
+	}
+	results := RunCells(cfg.Ctx, specs, &cfg.Workloads, CellRunOpts{
 		Workers:     cfg.Workers,
 		Cache:       cfg.Cache,
 		SharePrefix: cfg.SharePrefix,
 	})
-	if err != nil {
-		panic("harness: invalid experiment cell: " + err.Error())
+	if cfg.TraceSink != nil {
+		for i := range results {
+			if results[i].Trace != nil {
+				cfg.TraceSink(specs[i], results[i].Trace)
+			}
+		}
 	}
 	return results
 }

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -44,11 +47,131 @@ func TestRunCellsOrdering(t *testing.T) {
 	for i, app := range apps {
 		cells = append(cells, Spec{App: app, Nodes: 2 + 2*(i%2), Variant: DefaultVariant(app)})
 	}
-	want := RunCells(nil, cells, 1, &wl)
-	got := RunCells(nil, cells, 3, &wl)
+	want := RunCells(nil, cells, &wl, CellRunOpts{Workers: 1})
+	got := RunCells(nil, cells, &wl, CellRunOpts{Workers: 3})
 	for i := range cells {
 		if got[i].Elapsed != want[i].Elapsed || got[i].Counters != want[i].Counters {
 			t.Errorf("cell %d (%v on %d nodes): parallel result diverged", i, cells[i].App, cells[i].Nodes)
+		}
+	}
+}
+
+// TestCancelStopsAtCellBoundary cancels a serial run as soon as the
+// first cell reports: that cell keeps its result and every later cell —
+// including the remaining branches of a shared prefix group — is left a
+// zero value.
+func TestCancelStopsAtCellBoundary(t *testing.T) {
+	wl := QuickWorkloads()
+	cells := knobSweep("radix-vmmc", 2, 3) // one prefix group of three branches
+	first, err := RunCellSpecs(nil, cells[:1], &wl, CellRunOpts{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, share := range []bool{false, true} {
+		name := map[bool]string{false: "cold", true: "shared"}[share]
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			got, err := RunCellSpecs(ctx, cells, &wl, CellRunOpts{Workers: 1, SharePrefix: share,
+				OnDone: func(int, Result) { cancel() }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != first[0] {
+				t.Errorf("finished cell 0 lost its result: got %+v, want %+v", got[0], first[0])
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i] != (Result{}) {
+					t.Errorf("cell %d ran after cancellation: %+v", i, got[i])
+				}
+			}
+		})
+	}
+	t.Run("load", func(t *testing.T) {
+		cfg := Config{Nodes: 4, Workloads: QuickWorkloads(), Workers: 1,
+			Ctx: &cancelAfterFirst{Context: context.Background()}}
+		want, err := RunLoadCell(LoadCells(cfg)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := LoadSweep(cfg); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("cancelled load sweep returned %d rows, want the first cell's %d", len(got), len(want))
+		}
+	})
+}
+
+// cancelAfterFirst is a context that reports cancellation from the
+// second Err call on. The pool checks Err once before starting each
+// cell, so exactly the first cell of a serial run starts.
+type cancelAfterFirst struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfterFirst) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// recordingCache is a CellCache that logs every call by cell index and
+// hits only on the entries it was seeded with.
+type recordingCache struct {
+	index map[string]int // canonical key -> cell index
+	hits  map[string]Result
+	log   []string
+}
+
+func (c *recordingCache) Get(key []byte) (Result, bool) {
+	c.log = append(c.log, fmt.Sprintf("get %d", c.index[string(key)]))
+	r, ok := c.hits[string(key)]
+	return r, ok
+}
+
+func (c *recordingCache) Put(key []byte, r Result) {
+	c.log = append(c.log, fmt.Sprintf("put %d", c.index[string(key)]))
+}
+
+// TestRunCellsCacheProtocol pins the cache calls a serial run makes,
+// which per-cell timing through a never-hitting cache relies on: a Get
+// for every cell before the first Put, one Put per simulated cell in
+// index order, no Put for a hit, and neither call for a traced cell.
+func TestRunCellsCacheProtocol(t *testing.T) {
+	wl := QuickWorkloads()
+	cells := []Spec{
+		{App: RadixVMMC, Nodes: 2, Variant: VariantAU},
+		traceSpec(),
+		{App: OceanNX, Nodes: 2, Variant: VariantAU},
+		{App: RadixVMMC, Nodes: 2, Variant: VariantDU},
+		{App: OceanNX, Nodes: 2, Variant: VariantDU},
+	}
+	c := &recordingCache{index: map[string]int{}, hits: map[string]Result{}}
+	for i, s := range cells {
+		key, err := s.canonical(&wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.index[string(key)] = i
+	}
+	hit := Result{Elapsed: 42}
+	key, _ := cells[2].canonical(&wl)
+	c.hits[string(key)] = hit
+
+	got := RunCells(nil, cells, &wl, CellRunOpts{Workers: 1, Cache: c})
+	want := []string{"get 0", "get 2", "get 3", "get 4", "put 0", "put 3", "put 4"}
+	if !reflect.DeepEqual(c.log, want) {
+		t.Errorf("cache calls %q, want %q", c.log, want)
+	}
+	if got[2] != hit {
+		t.Errorf("hit cell 2 = %+v, want the cached %+v", got[2], hit)
+	}
+	if got[1].Trace == nil {
+		t.Error("traced cell 1 did not run")
+	}
+	for _, i := range []int{0, 3, 4} {
+		if got[i].Elapsed == 0 {
+			t.Errorf("missed cell %d was not simulated", i)
 		}
 	}
 }
@@ -68,7 +191,7 @@ func BenchmarkParallelGrid(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "serial", 2: "workers2", 4: "workers4"}[workers], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunCells(nil, cells, workers, &wl)
+				RunCells(nil, cells, &wl, CellRunOpts{Workers: workers})
 			}
 		})
 	}

@@ -3,10 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"shrimp/internal/checkpoint"
 )
@@ -39,103 +35,36 @@ func (s Spec) prefixKey() string {
 	return ""
 }
 
-// runCellsShared executes cells like runCells but with prefix sharing:
-// shareable cells with the same prefix key form a group that runs its
-// warmup once; everything else runs cold. Units (groups and
-// singletons) run on the worker pool; branches within a group run
-// sequentially on one machine via checkpoint restore. Results are
-// written by original cell index, so output is byte-identical to
-// runCells at any worker count.
-func runCellsShared(ctx context.Context, cells []Spec, workers int, w *Workloads, onDone func(i int, r Result)) []Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]Result, len(cells))
-
-	groups := map[string][]int{}
-	var order []string // group keys in first-occurrence order
-	for i, s := range cells {
-		k := s.prefixKey()
-		if k == "" {
-			continue
+// planUnits groups the cells to simulate (todo, in index order) into
+// worker-pool units, ordered by their first cell. With sharing,
+// shareable cells whose prefix keys coincide form one unit that runs
+// its warmup once; every other cell — and a group of one, which gains
+// nothing from a checkpoint — is a singleton that runs cold.
+func planUnits(cells []Spec, todo []int, share bool) [][]int {
+	units := make([][]int, 0, len(todo))
+	group := map[string]int{} // prefix key -> its unit's index
+	for _, i := range todo {
+		k := ""
+		if share {
+			k = cells[i].prefixKey()
 		}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	var units [][]int
-	shared := make([]bool, len(cells))
-	for _, k := range order {
-		idxs := groups[k]
-		if len(idxs) < 2 {
-			continue // a lone cell gains nothing from a checkpoint
-		}
-		units = append(units, idxs)
-		for _, i := range idxs {
-			shared[i] = true
-		}
-	}
-	for i := range cells {
-		if !shared[i] {
-			units = append(units, []int{i})
-		}
-	}
-	sort.Slice(units, func(a, b int) bool { return units[a][0] < units[b][0] })
-
-	runUnit := func(u []int) {
-		if len(u) == 1 {
-			i := u[0]
-			results[i] = Run(cells[i], w)
-			if onDone != nil {
-				onDone(i, results[i])
+		if k != "" {
+			if u, ok := group[k]; ok {
+				units[u] = append(units[u], i)
+				continue
 			}
-			return
+			group[k] = len(units)
 		}
-		runSharedGroup(u, cells, w, results, onDone)
+		units = append(units, []int{i})
 	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		for _, u := range units {
-			if ctx.Err() != nil {
-				break
-			}
-			runUnit(u)
-		}
-		return results
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := next.Add(1)
-				if i >= int64(len(units)) {
-					return
-				}
-				runUnit(units[int(i)])
-			}
-		}()
-	}
-	wg.Wait()
-	return results
+	return units
 }
 
 // runSharedGroup runs one prefix group: warmup once, checkpoint, then
-// one restore-and-finish branch per cell.
-func runSharedGroup(idxs []int, cells []Spec, w *Workloads, results []Result, onDone func(i int, r Result)) {
+// one restore-and-finish branch per cell, handing each result to done.
+// Cancelling ctx stops the group before its next branch; branches that
+// never start stay zero values, like unstarted cells.
+func runSharedGroup(ctx context.Context, idxs []int, cells []Spec, w *Workloads, done func(i int, r Result)) {
 	ps := startPhased(cells[idxs[0]], w)
 	defer ps.m.Close()
 	ck, err := checkpoint.Take(ps.m, ps.sys, ps.shm)
@@ -143,6 +72,9 @@ func runSharedGroup(idxs []int, cells []Spec, w *Workloads, results []Result, on
 		panic("harness: prefix checkpoint: " + err.Error())
 	}
 	for bi, i := range idxs {
+		if ctx.Err() != nil {
+			return
+		}
 		if bi > 0 {
 			if err := ck.Restore(); err != nil {
 				panic("harness: prefix restore: " + err.Error())
@@ -152,9 +84,6 @@ func runSharedGroup(idxs []int, cells []Spec, w *Workloads, results []Result, on
 			ck.Detach() // last branch: no more restores, so skip CoW capture
 		}
 		ps.applyKnobs(cells[i])
-		results[i] = collectResult(ps.m, ps.finish())
-		if onDone != nil {
-			onDone(i, results[i])
-		}
+		done(i, collectResult(ps.m, ps.finish()))
 	}
 }

@@ -57,7 +57,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	wl := QuickWorkloads()
 	render := func(workers int) string {
 		cells := []Spec{traceSpec(), traceSpec(), traceSpec()}
-		results := RunCells(nil, cells, workers, &wl)
+		results := RunCells(nil, cells, &wl, CellRunOpts{Workers: workers})
 		var recs []*trace.Recorder
 		var labels []string
 		for i := range results {

@@ -1,15 +1,21 @@
-// Package prof wires Go's runtime profilers to command-line flags. Both
-// binaries expose -cpuprofile, -memprofile and -blockprofile through it,
-// so a hot run can be inspected with `go tool pprof` without editing the
-// source or wrapping the workload in a test.
+// Package prof holds the command-line binaries' shared observability
+// output. It wires Go's runtime profilers to command-line flags — both
+// binaries expose -cpuprofile, -memprofile and -blockprofile through
+// it, so a hot run can be inspected with `go tool pprof` without
+// editing the source or wrapping the workload in a test — and writes
+// the simulated-time trace files behind -trace and -trace-ndjson.
 package prof
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"shrimp/internal/trace"
 )
 
 // Flags holds the values of the profiler flags registered by
@@ -93,4 +99,37 @@ func writeProfile(name, path string, gcFirst bool) {
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "prof: write %s profile: %v\n", name, err)
 	}
+}
+
+// WriteTraces renders trace recorders to the requested files: a Chrome
+// trace-event timeline at chromePath and the raw event stream as NDJSON
+// at ndjsonPath. An empty path skips that format. labels[i] names
+// recs[i]'s track.
+func WriteTraces(chromePath, ndjsonPath string, recs []*trace.Recorder, labels []string) error {
+	write := func(path string, render func(w io.Writer) error) error {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		bw := bufio.NewWriter(f)
+		if err = render(bw); err == nil {
+			err = bw.Flush()
+		}
+		if err2 := f.Close(); err == nil {
+			err = err2
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", path, err)
+		}
+		return nil
+	}
+	if chromePath != "" {
+		if err := write(chromePath, func(w io.Writer) error { return trace.WriteChrome(w, recs, labels) }); err != nil {
+			return err
+		}
+	}
+	if ndjsonPath != "" {
+		return write(ndjsonPath, func(w io.Writer) error { return trace.WriteNDJSON(w, recs, labels) })
+	}
+	return nil
 }

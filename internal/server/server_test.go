@@ -138,7 +138,7 @@ func TestCellJobByteIdentity(t *testing.T) {
 		}
 		specs[i] = s
 	}
-	results := harness.RunCells(nil, specs, 2, &wl)
+	results := harness.RunCells(nil, specs, &wl, harness.CellRunOpts{Workers: 2})
 	var want bytes.Buffer
 	for i, r := range results {
 		line, err := json.Marshal(cellRow{Index: i, Cell: cells[i], Result: r})
