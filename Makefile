@@ -3,7 +3,7 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all lint test bench-smoke determinism golden calibrate serve-smoke perf perf-test clean
+.PHONY: all lint test bench-smoke golden calibrate serve-smoke perf perf-test clean
 
 all: lint test
 
@@ -25,19 +25,11 @@ test:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
-# determinism checks that experiment output is byte-identical across
-# worker counts, the repo's core invariant.
-determinism:
-	go build -o $(GOBIN)/shrimpbench ./cmd/shrimpbench
-	$(GOBIN)/shrimpbench -exp table1,figure3 -quick -parallel 1 > $(GOBIN)/serial.txt
-	$(GOBIN)/shrimpbench -exp table1,figure3 -quick -parallel 4 > $(GOBIN)/parallel.txt
-	diff $(GOBIN)/serial.txt $(GOBIN)/parallel.txt
-	@echo "determinism: byte-identical across -parallel 1 and -parallel 4"
-
 # golden hashes the full `shrimpbench -exp all -quick` output (text and
 # JSON, -parallel 1 and 4) against scripts/golden.sha256: any change to
 # the simulation's observable behavior must come with a deliberate
-# `scripts/golden_check.sh -update`.
+# `scripts/golden_check.sh -update`. It is also the worker-count
+# determinism check: both widths must give the same bytes.
 golden:
 	BIN=$(GOBIN) bash scripts/golden_check.sh
 

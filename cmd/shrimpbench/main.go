@@ -12,7 +12,7 @@
 //
 //	shrimpbench [-exp list|all|table1|figure3|figure4svm|figure4audu|table2|
 //	             table3|table4|combining|fifo|duqueue|perpacket|latency|load]
-//	            [-nodes N] [-quick] [-parallel N] [-share-prefix] [-json]
+//	            [-nodes N] [-quick] [-parallel N] [-json]
 //	            [-trace FILE] [-trace-ndjson FILE] [-trace-filter KINDS]
 //	            [-trace-max N] [-metrics]
 package main
@@ -36,8 +36,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use tiny problem sizes (fast smoke run)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"simulation cells to run concurrently (1 = serial; results are identical either way)")
-	sharePrefix := flag.Bool("share-prefix", false,
-		"run sweep cells sharing a warmup prefix from one checkpoint (output is identical)")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per table/figure row instead of text")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline of every cell to this file")
 	traceNDJSON := flag.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file")
@@ -69,7 +67,6 @@ func main() {
 	cfg := harness.DefaultExperimentConfig()
 	cfg.Nodes = *nodes
 	cfg.Workers = *parallel
-	cfg.SharePrefix = *sharePrefix
 	if *quick {
 		cfg.Workloads = harness.QuickWorkloads()
 	}

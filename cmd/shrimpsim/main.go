@@ -13,7 +13,7 @@
 //	               barnes-nx|ocean-nx|dfs|render[,app...]
 //	          [-nodes N] [-variant au|du] [-protocol hlrc|hlrc-au|aurc]
 //	          [-syscall] [-intmsg] [-nocombine] [-fifo bytes] [-duqueue N]
-//	          [-parallel N] [-share-prefix] [-quick] [-twin]
+//	          [-parallel N] [-quick] [-twin]
 //	          [-trace FILE] [-trace-ndjson FILE] [-trace-filter KINDS]
 //	          [-trace-max N] [-metrics]
 //
@@ -62,8 +62,6 @@ func main() {
 	duq := flag.Int("duqueue", 0, "deliberate-update queue depth (0 = default 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"apps to simulate concurrently when several are named")
-	sharePrefix := flag.Bool("share-prefix", false,
-		"run apps sharing a warmup prefix from one checkpoint (output is identical)")
 	quick := flag.Bool("quick", false, "use tiny problem sizes")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
 	traceNDJSON := flag.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file")
@@ -102,9 +100,6 @@ func main() {
 		traceOpts = &trace.Options{Filter: mask, MaxEvents: *traceMax}
 	}
 
-	// Flags become Knobs rather than a build-time Mutate so the harness
-	// can defer them to the post-warmup phase boundary, which is what
-	// makes -share-prefix runs byte-identical to cold ones.
 	var knobs harness.Knobs
 	if *syscall {
 		knobs.SyscallPerSend = ptr(true)
@@ -152,7 +147,7 @@ func main() {
 		return
 	}
 	results := harness.RunCells(context.Background(), cells, &wl,
-		harness.CellRunOpts{Workers: *parallel, SharePrefix: *sharePrefix})
+		harness.CellRunOpts{Workers: *parallel})
 
 	for i, spec := range cells {
 		if i > 0 {

@@ -5,15 +5,14 @@ import (
 	"testing"
 )
 
-// calibrationBytes runs a full calibration with the given worker count
-// and prefix sharing, rendering both the text report and the JSON rows.
-func calibrationBytes(t *testing.T, workers int, share bool) (string, string) {
+// calibrationBytes runs a full calibration with the given worker count,
+// rendering both the text report and the JSON rows.
+func calibrationBytes(t *testing.T, workers int) (string, string) {
 	t.Helper()
 	cfg := DefaultExperimentConfig()
 	cfg.Workloads = QuickWorkloads()
 	cfg.Nodes = 4
 	cfg.Workers = workers
-	cfg.SharePrefix = share
 	rep := Calibrate(cfg)
 	var text, js bytes.Buffer
 	PrintCalibration(&text, rep)
@@ -25,27 +24,20 @@ func calibrationBytes(t *testing.T, workers int, share bool) (string, string) {
 
 // TestCalibrationDeterminism requires the calibration report — the
 // standing CI artifact — to be byte-identical whatever the worker
-// count and whether sweep cells share a warmup prefix. This is the
+// count, and so whatever prefix groups the planner forms. This is the
 // same invariant the golden digests pin for the report tables,
 // extended to the twin-vs-DES comparison.
 func TestCalibrationDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick calibration three times")
+		t.Skip("runs the full quick calibration twice")
 	}
-	baseText, baseJSON := calibrationBytes(t, 1, false)
-	for _, c := range []struct {
-		workers int
-		share   bool
-	}{{8, false}, {8, true}} {
-		text, js := calibrationBytes(t, c.workers, c.share)
-		if text != baseText {
-			t.Errorf("text report differs at workers=%d share=%v from serial run",
-				c.workers, c.share)
-		}
-		if js != baseJSON {
-			t.Errorf("JSON report differs at workers=%d share=%v from serial run",
-				c.workers, c.share)
-		}
+	baseText, baseJSON := calibrationBytes(t, 1)
+	text, js := calibrationBytes(t, 8)
+	if text != baseText {
+		t.Error("text report differs at workers=8 from serial run")
+	}
+	if js != baseJSON {
+		t.Error("JSON report differs at workers=8 from serial run")
 	}
 }
 

@@ -225,8 +225,7 @@ func (c CellSpec) Canonical(w *Workloads) ([]byte, error) {
 
 // canonical is the encoding behind CellSpec.Canonical, which RunCells
 // uses to key compiled specs. It covers the compiled fields only: a
-// build-time Mutate (or a tracer) has no encoding, so RunCells never
-// caches such a spec.
+// tracer has no encoding, so RunCells never caches a traced spec.
 func (s Spec) canonical(w *Workloads) ([]byte, error) {
 	cfg := machine.DefaultConfig(s.Nodes)
 	s.Knobs.apply(&cfg)

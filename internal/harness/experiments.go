@@ -71,10 +71,6 @@ type Config struct {
 	// meaningless — unstarted cells read as zero — so callers must check
 	// Ctx.Err() before using any driver's return value.
 	Ctx context.Context
-	// SharePrefix runs checkpointable cells that share a warmup prefix
-	// from a single warmed-up machine instead of cold (see prefix.go).
-	// Output is byte-identical either way.
-	SharePrefix bool
 }
 
 // DefaultExperimentConfig mirrors the paper's 16-node system.

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"testing"
 
+	"shrimp/internal/apps/radix"
 	"shrimp/internal/machine"
+	"shrimp/internal/vmmc"
 )
 
 // TestFastPathGolden runs one representative cell twice — once as
-// shipped and once with every data-path optimization disabled (mesh
-// route cache and packet freelist off, NIC packet/request pools off) —
+// shipped through Run, and once on a machine built directly with every
+// data-path optimization disabled (mesh route cache and packet
+// freelist off, NIC packet/request pools off) —
 // and requires the rendered report rows to be byte-identical. The
 // pooling and caching layers are pure implementation: if they ever leak
 // into simulated time or counters, this test is the tripwire.
@@ -19,12 +22,12 @@ func TestFastPathGolden(t *testing.T) {
 
 	optimized := Run(spec, &wl)
 
-	slow := spec
-	slow.Mutate = func(c *machine.Config) {
-		c.Mesh.NoFastPath = true
-		c.NIC.NoPool = true
-	}
-	plain := Run(slow, &wl)
+	cfg := machine.DefaultConfig(spec.Nodes)
+	cfg.Mesh.NoFastPath = true
+	cfg.NIC.NoPool = true
+	m := machine.New(cfg)
+	defer m.Close()
+	plain := collectResult(m, radix.RunVMMC(vmmc.NewSystem(m), radix.AU, wl.Radix))
 
 	if optimized != plain {
 		t.Fatalf("results diverge with fast path disabled:\noptimized: %+v\nplain:     %+v",

@@ -186,11 +186,6 @@ type Spec struct {
 	// point of use by the device layers, so the two are equivalent for
 	// non-phased apps.
 	Knobs Knobs
-	// Mutate applies arbitrary machine-configuration edits at build
-	// time. A non-nil Mutate disables phased execution and prefix
-	// sharing for the cell: the harness cannot know whether the edit is
-	// safe to defer past the warmup.
-	Mutate func(*machine.Config)
 	// Trace, when non-nil, attaches a fresh trace.Recorder to the cell's
 	// machine; the populated recorder comes back in Result.Trace.
 	Trace *trace.Options
@@ -234,13 +229,9 @@ func svmRegionBytes(a App, w *Workloads) int {
 
 // phased reports whether a spec runs as warmup + body phases with a
 // checkpointable boundary in between. The four supported applications
-// always run phased (so cold runs and prefix-shared forks follow the
-// exact same event sequence); a build-time Mutate forces the old
-// single-phase path because its edits cannot be deferred.
+// always run phased, so cold runs and prefix-shared forks follow the
+// exact same event sequence.
 func (s Spec) phased() bool {
-	if s.Mutate != nil {
-		return false
-	}
 	switch s.App {
 	case BarnesSVM, OceanSVM, RadixSVM, RadixVMMC:
 		return true
@@ -344,7 +335,10 @@ func collectResult(m *machine.Machine, elapsed sim.Time) Result {
 	return res
 }
 
-// Run executes one spec and collects the account.
+// Run executes one spec cold and collects the account. The
+// checkpointable apps run warmup then body, with the knobs applied at
+// the phase boundary; the NX and sockets apps run in one phase on a
+// machine built with the knobs.
 func Run(spec Spec, w *Workloads) Result {
 	if spec.phased() {
 		ps := startPhased(spec, w)
@@ -355,9 +349,6 @@ func Run(spec Spec, w *Workloads) Result {
 
 	cfg := machine.DefaultConfig(spec.Nodes)
 	spec.Knobs.apply(&cfg)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
 	if spec.Trace != nil {
 		cfg.Trace = trace.NewRecorder(*spec.Trace)
 	}
@@ -367,24 +358,6 @@ func Run(spec Spec, w *Workloads) Result {
 
 	var elapsed sim.Time
 	switch spec.App {
-	case BarnesSVM, OceanSVM, RadixSVM:
-		scfg := svm.DefaultConfig(resolveProto(spec), svmRegionBytes(spec.App, w))
-		scfg.Combine = cfg.NIC.Combining
-		s := svm.New(sys, scfg)
-		switch spec.App {
-		case BarnesSVM:
-			elapsed = barnes.RunSVM(s, w.BarnesSVM)
-		case OceanSVM:
-			elapsed = ocean.RunSVM(s, w.OceanSVM)
-		default:
-			elapsed = radix.RunSVM(s, w.Radix)
-		}
-	case RadixVMMC:
-		mech := radix.AU
-		if spec.Variant == VariantDU {
-			mech = radix.DU
-		}
-		elapsed = radix.RunVMMC(sys, mech, w.Radix)
 	case BarnesNX, OceanNX:
 		mode := ring.AU
 		if spec.Variant == VariantDU {

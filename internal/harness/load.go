@@ -292,9 +292,9 @@ func LoadCells(cfg Config) []LoadCell {
 
 // LoadSweep runs the open-loop grid on the sweep's worker pool. Rows
 // are collected by cell index, so output is byte-identical at any
-// Workers setting; each cell's trace is a pure function of the cell, so
-// -share-prefix (which only affects checkpointable app cells) is a
-// no-op here by construction.
+// Workers setting; each cell's trace is a pure function of the cell.
+// Load cells never share a warmup: prefix sharing covers only the
+// checkpointable app cells.
 func LoadSweep(cfg Config) []LoadRow {
 	var out []LoadRow
 	for _, rows := range cfg.runLoadCells(LoadCells(cfg)) {

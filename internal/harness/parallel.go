@@ -70,24 +70,18 @@ type CellCache interface {
 
 // CellRunOpts configures RunCells and RunCellSpecs.
 type CellRunOpts struct {
-	// Workers is the simulation worker-pool width (0 = GOMAXPROCS).
+	// Workers is the simulation worker-pool width (0 = GOMAXPROCS). It
+	// also bounds how many cells one prefix group takes (see planUnits).
 	Workers int
 	// Cache, when non-nil, is consulted before simulating each cell and
 	// populated after; hits skip the simulator entirely. Traced cells
-	// bypass the cache (a Result's recorder is not cacheable), and so
-	// do cells with a build-time Mutate, which has no canonical
-	// encoding.
+	// bypass the cache (a Result's recorder is not cacheable).
 	Cache CellCache
 	// OnDone is invoked once per completed cell (hit or simulated),
 	// concurrently from pool goroutines and in completion order, so
 	// callers that stream results must do their own locking and
 	// ordering.
 	OnDone func(i int, r Result)
-	// SharePrefix groups checkpointable cells by their warmup prefix and
-	// runs each shared prefix once, forking a branch per cell from a
-	// checkpoint (see prefix.go). Results are byte-identical either way;
-	// this only changes how much simulation work the grid costs.
-	SharePrefix bool
 }
 
 // RunCells executes independent simulation cells and returns their
@@ -96,17 +90,21 @@ type CellRunOpts struct {
 //
 //  1. every cell is looked up in opts.Cache, all Gets before any cell
 //     simulates (hits call OnDone straight away);
-//  2. the misses are planned into units: prefix groups when
-//     opts.SharePrefix is set (see planUnits), singletons otherwise;
-//  3. the units run on the worker pool (forEachCell);
+//  2. the misses are planned into units (see planUnits): cells that
+//     share a warmup prefix form groups, capped so the units still
+//     spread over the workers, and every other cell is a singleton;
+//  3. the units run on the worker pool (forEachCell), a group as one
+//     warmup plus a forked branch per cell (see prefix.go);
 //  4. each simulated result is Put into the cache and then passed to
 //     OnDone.
 //
-// Each cell builds its own sim.Engine and machine and shares no mutable
-// state with any other, and results are written by cell index, so the
-// output is byte-identical to a serial run regardless of worker count,
-// sharing or completion order. At one worker, Puts arrive in cell
-// order.
+// Each unit builds its own sim.Engine and machine and shares no mutable
+// state with any other, a forked branch is byte-identical to a cold
+// run, and results are written by cell index, so the output is
+// byte-identical to a serial cold run regardless of worker count,
+// grouping or completion order. At one worker, Puts arrive in unit
+// order: cell order, except that a group's later branches follow its
+// first cell.
 //
 // Cancelling ctx stops the run at the next cell boundary — including
 // between the branches of a prefix group: cells already simulated keep
@@ -117,11 +115,15 @@ func RunCells(ctx context.Context, cells []Spec, w *Workloads, opts CellRunOpts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	results := make([]Result, len(cells))
 	keys := make([][]byte, len(cells))
 	todo := make([]int, 0, len(cells))
 	for i, s := range cells {
-		if opts.Cache != nil && s.Trace == nil && s.Mutate == nil {
+		if opts.Cache != nil && s.Trace == nil {
 			if key, err := s.canonical(w); err == nil {
 				if r, ok := opts.Cache.Get(key); ok {
 					results[i] = r
@@ -144,8 +146,8 @@ func RunCells(ctx context.Context, cells []Spec, w *Workloads, opts CellRunOpts)
 			opts.OnDone(i, r)
 		}
 	}
-	units := planUnits(cells, todo, opts.SharePrefix)
-	forEachCell(ctx, len(units), opts.Workers, func(u int) {
+	units := planUnits(cells, todo, workers)
+	forEachCell(ctx, len(units), workers, func(u int) {
 		if idxs := units[u]; len(idxs) > 1 {
 			runSharedGroup(ctx, idxs, cells, w, done)
 		} else {
@@ -180,8 +182,8 @@ func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts Cell
 }
 
 // runCells runs a grid of serializable cell specs under the sweep's
-// configured worker count, cache, prefix sharing and context, attaching
-// trace recorders and draining them to the sink in cell order, so trace
+// configured worker count, cache and context, attaching trace
+// recorders and draining them to the sink in cell order, so trace
 // output is independent of the worker count. Traced cells bypass the
 // cache and prefix sharing: a cached Result carries no recorder, and
 // the observability contract is that every traced cell really ran.
@@ -194,9 +196,8 @@ func (cfg *Config) runCells(cells []CellSpec) []Result {
 		specs[i].Trace = cfg.Trace
 	}
 	results := RunCells(cfg.Ctx, specs, &cfg.Workloads, CellRunOpts{
-		Workers:     cfg.Workers,
-		Cache:       cfg.Cache,
-		SharePrefix: cfg.SharePrefix,
+		Workers: cfg.Workers,
+		Cache:   cfg.Cache,
 	})
 	if cfg.TraceSink != nil {
 		for i := range results {

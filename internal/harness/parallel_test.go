@@ -62,17 +62,24 @@ func TestRunCellsOrdering(t *testing.T) {
 // zero value.
 func TestCancelStopsAtCellBoundary(t *testing.T) {
 	wl := QuickWorkloads()
-	cells := knobSweep("radix-vmmc", 2, 3) // one prefix group of three branches
-	first, err := RunCellSpecs(nil, cells[:1], &wl, CellRunOpts{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, share := range []bool{false, true} {
-		name := map[bool]string{false: "cold", true: "shared"}[share]
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells []CellSpec
+	}{
+		// Three machine sizes: no two cells share a warmup.
+		{"cold", []CellSpec{{App: "radix-vmmc", Nodes: 2},
+			{App: "radix-vmmc", Nodes: 3}, {App: "radix-vmmc", Nodes: 4}}},
+		// One prefix group of three branches.
+		{"shared", knobSweep("radix-vmmc", 2, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := RunCellSpecs(nil, tc.cells[:1], &wl, CellRunOpts{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			got, err := RunCellSpecs(ctx, cells, &wl, CellRunOpts{Workers: 1, SharePrefix: share,
+			got, err := RunCellSpecs(ctx, tc.cells, &wl, CellRunOpts{Workers: 1,
 				OnDone: func(int, Result) { cancel() }})
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +143,9 @@ func (c *recordingCache) Put(key []byte, r Result) {
 // TestRunCellsCacheProtocol pins the cache calls a serial run makes,
 // which per-cell timing through a never-hitting cache relies on: a Get
 // for every cell before the first Put, one Put per simulated cell in
-// index order, no Put for a hit, and neither call for a traced cell.
+// unit order, no Put for a hit, and neither call for a traced cell.
+// Cells 0, 5 and 6 share a warmup but are not adjacent, so 5 and 6 Put
+// straight after 0.
 func TestRunCellsCacheProtocol(t *testing.T) {
 	wl := QuickWorkloads()
 	cells := []Spec{
@@ -145,6 +154,8 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 		{App: OceanNX, Nodes: 2, Variant: VariantAU},
 		{App: RadixVMMC, Nodes: 2, Variant: VariantDU},
 		{App: OceanNX, Nodes: 2, Variant: VariantDU},
+		{App: RadixVMMC, Nodes: 2, Variant: VariantAU, Knobs: Knobs{SyscallPerSend: bptr(true)}},
+		{App: RadixVMMC, Nodes: 2, Variant: VariantAU, Knobs: Knobs{Combining: bptr(false)}},
 	}
 	c := &recordingCache{index: map[string]int{}, hits: map[string]Result{}}
 	for i, s := range cells {
@@ -159,7 +170,8 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 	c.hits[string(key)] = hit
 
 	got := RunCells(nil, cells, &wl, CellRunOpts{Workers: 1, Cache: c})
-	want := []string{"get 0", "get 2", "get 3", "get 4", "put 0", "put 3", "put 4"}
+	want := []string{"get 0", "get 2", "get 3", "get 4", "get 5", "get 6",
+		"put 0", "put 5", "put 6", "put 3", "put 4"}
 	if !reflect.DeepEqual(c.log, want) {
 		t.Errorf("cache calls %q, want %q", c.log, want)
 	}
@@ -169,7 +181,7 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 	if got[1].Trace == nil {
 		t.Error("traced cell 1 did not run")
 	}
-	for _, i := range []int{0, 3, 4} {
+	for _, i := range []int{0, 3, 4, 5, 6} {
 		if got[i].Elapsed == 0 {
 			t.Errorf("missed cell %d was not simulated", i)
 		}

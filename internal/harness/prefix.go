@@ -20,8 +20,8 @@ import (
 // invisible to golden checksums and the result cache.
 
 // prefixKey returns the warmup-grouping key for a spec, or "" when the
-// cell cannot share a prefix (non-phased app, build-time Mutate, or an
-// attached tracer, whose recorder must observe the cell's own warmup).
+// cell cannot share a prefix (non-phased app, or an attached tracer,
+// whose recorder must observe the cell's own warmup).
 func (s Spec) prefixKey() string {
 	if !s.phased() || s.Trace != nil {
 		return ""
@@ -36,24 +36,25 @@ func (s Spec) prefixKey() string {
 }
 
 // planUnits groups the cells to simulate (todo, in index order) into
-// worker-pool units, ordered by their first cell. With sharing,
-// shareable cells whose prefix keys coincide form one unit that runs
-// its warmup once; every other cell — and a group of one, which gains
-// nothing from a checkpoint — is a singleton that runs cold.
-func planUnits(cells []Spec, todo []int, share bool) [][]int {
+// worker-pool units, ordered by their first cell. Shareable cells whose
+// prefix keys coincide join one unit that runs its warmup once, up to
+// ceil(len(todo)/workers) cells; the next cell of a full group opens a
+// new unit. Every other cell is a singleton that runs cold. So one
+// worker shares every warmup, workers >= len(todo) gives the cold
+// all-singleton plan, and no unit is longer than a cold run's share of
+// the grid per worker.
+func planUnits(cells []Spec, todo []int, workers int) [][]int {
+	limit := (len(todo) + workers - 1) / workers
 	units := make([][]int, 0, len(todo))
-	group := map[string]int{} // prefix key -> its unit's index
+	open := map[string]int{} // prefix key -> its open unit's index
 	for _, i := range todo {
-		k := ""
-		if share {
-			k = cells[i].prefixKey()
-		}
+		k := cells[i].prefixKey()
 		if k != "" {
-			if u, ok := group[k]; ok {
+			if u, ok := open[k]; ok && len(units[u]) < limit {
 				units[u] = append(units[u], i)
 				continue
 			}
-			group[k] = len(units)
+			open[k] = len(units)
 		}
 		units = append(units, []int{i})
 	}

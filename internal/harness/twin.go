@@ -41,9 +41,6 @@ func NewPredictor(w *Workloads) *Predictor { return &Predictor{w: w} }
 func (tp *Predictor) machineConfig(spec Spec) machine.Config {
 	cfg := machine.DefaultConfig(spec.Nodes)
 	spec.Knobs.apply(&cfg)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
 	if cfg.NIC.InterruptStall <= 0 {
 		cfg.NIC.InterruptStall = cfg.Cost.InterruptCost
 	}

@@ -40,10 +40,10 @@ type JobRequest struct {
 	Nodes int `json:"nodes,omitempty"`
 	// Quick selects the tiny smoke-test workloads.
 	Quick bool `json:"quick,omitempty"`
-	// SharePrefix runs grid cells that share a warmup prefix from one
-	// checkpointed machine (harness prefix sharing). Streamed results
-	// are byte-identical with or without it — cheaper, not different —
-	// so cached rows from cold runs still match.
+	// SharePrefix is kept so older clients' requests still decode.
+	//
+	// Deprecated: accepted and ignored. The harness shares warmup
+	// prefixes on its own whenever that saves work.
 	SharePrefix bool `json:"share_prefix,omitempty"`
 }
 
@@ -233,8 +233,7 @@ func (s *Server) runJob(j *job) {
 func (s *Server) runCellJob(ctx context.Context, j *job) error {
 	wl := s.workloads(j.req.Quick)
 	opts := harness.CellRunOpts{
-		Workers:     s.cfg.SimWorkers,
-		SharePrefix: j.req.SharePrefix,
+		Workers: s.cfg.SimWorkers,
 		OnDone: func(i int, r harness.Result) {
 			s.met.cellsFinished.Add(1)
 			s.recordTwinDrift(&wl, j.req.Cells[i], r)
@@ -266,7 +265,6 @@ func (s *Server) runExperimentJob(ctx context.Context, j *job) error {
 		cfg.Nodes = j.req.Nodes
 	}
 	cfg.Workers = s.cfg.SimWorkers
-	cfg.SharePrefix = j.req.SharePrefix
 	cfg.Workloads = s.workloads(j.req.Quick)
 	if s.cfg.Cache != nil {
 		cfg.Cache = s.cfg.Cache

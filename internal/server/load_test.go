@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -22,15 +21,7 @@ func TestLoadJobMetrics(t *testing.T) {
 		t.Fatalf("results stream missing load rows:\n%.300s", out)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, body := call(t, ts, http.MethodGet, "/metrics", nil)
 	text := string(body)
 	for _, want := range []string{
 		`shrimpd_load_requests_total{class="bulk"}`,
@@ -51,15 +42,7 @@ func TestLoadJobMetrics(t *testing.T) {
 // load job has run (no empty HELP/TYPE stanzas on a fresh daemon).
 func TestMetricsWithoutLoad(t *testing.T) {
 	_, ts := newTestServer(t, Config{Nodes: 4})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, body := call(t, ts, http.MethodGet, "/metrics", nil)
 	if strings.Contains(string(body), "shrimpd_load_") {
 		t.Fatalf("fresh daemon already exposes load metrics:\n%.300s", body)
 	}

@@ -24,6 +24,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -153,6 +154,34 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
+// Request bounds. A body is at most maxBodyBytes, and a machine at most
+// maxNodes nodes: 64x the paper's 16-node system, and past the largest
+// size any front end defaults to. Both keep one request from taking
+// the daemon's memory, and with it every job in flight.
+const (
+	maxBodyBytes = 1 << 20
+	maxNodes     = 1024
+)
+
+// decodeRequest decodes a JSON request body into v, refusing unknown
+// fields and bodies over maxBodyBytes. On failure it writes the error
+// response (413 for an oversized body, 400 otherwise) and returns
+// false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		}
+		return false
+	}
+	return true
+}
+
 type errUnknownExperiment string
 
 func (e errUnknownExperiment) Error() string {
@@ -169,6 +198,8 @@ func validate(req *JobRequest) error {
 		return fmt.Errorf("set one of cells and experiment")
 	case req.Nodes < 0:
 		return fmt.Errorf("nodes must be positive")
+	case req.Nodes > maxNodes:
+		return fmt.Errorf("nodes %d exceeds the limit of %d", req.Nodes, maxNodes)
 	}
 	if req.Experiment != "" {
 		if _, ok := harness.FindExperiment(req.Experiment); !ok {
@@ -180,6 +211,9 @@ func validate(req *JobRequest) error {
 		if _, err := req.Cells[i].Compile(); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}
+		if n := req.Cells[i].Nodes; n > maxNodes {
+			return fmt.Errorf("cell %d: nodes %d exceeds the limit of %d", i, n, maxNodes)
+		}
 	}
 	return nil
 }
@@ -190,10 +224,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if err := validate(&req); err != nil {

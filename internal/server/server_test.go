@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -39,37 +38,63 @@ func submit(t *testing.T, ts *httptest.Server, req JobRequest) jobStatus {
 	return st
 }
 
-func trySubmit(t *testing.T, ts *httptest.Server, req JobRequest) (jobStatus, int) {
+func trySubmit(t *testing.T, ts *httptest.Server, req any) (jobStatus, int) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, out := call(t, ts, http.MethodPost, "/v1/jobs", req)
 	var st jobStatus
 	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		if err := json.Unmarshal(out, &st); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return st, resp.StatusCode
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+// call sends one request to the test server and returns the response
+// with its body read. The request body is req JSON-encoded, req itself
+// when it is a string, or empty when req is nil.
+func call(t *testing.T, ts *httptest.Server, method, path string, req any) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	var body io.Reader
+	switch v := req.(type) {
+	case nil:
+	case string:
+		body = strings.NewReader(v)
+	default:
+		js, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.NewReader(js)
+	}
+	hreq, err := http.NewRequest(method, ts.URL+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return resp, out
+}
+
+// getJSON decodes the JSON body of a GET into v.
+func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
+	t.Helper()
+	if _, out := call(t, ts, http.MethodGet, path, nil); json.Unmarshal(out, v) != nil {
+		t.Fatalf("GET %s: undecodable body %.200s", path, out)
+	}
+}
+
+func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+	t.Helper()
+	var st jobStatus
+	getJSON(t, ts, "/v1/jobs/"+id, &st)
 	return st
 }
 
@@ -90,22 +115,35 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, what string, cond fun
 
 func streamResults(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, data := call(t, ts, http.MethodGet, "/v1/jobs/"+id+"/results", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("results: status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("results content type %q", ct)
 	}
-	data, err := io.ReadAll(resp.Body)
+	return data
+}
+
+// directRows runs cells with the harness directly, at the given worker
+// count and quick sizes, and encodes the results as a cell job streams
+// them: the reference every job stream must equal byte for byte.
+func directRows(t *testing.T, cells []harness.CellSpec, workers int) []byte {
+	t.Helper()
+	wl := harness.QuickWorkloads()
+	results, err := harness.RunCellSpecs(nil, cells, &wl, harness.CellRunOpts{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	var rows bytes.Buffer
+	for i, r := range results {
+		line, err := json.Marshal(cellRow{Index: i, Cell: cells[i], Result: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows.Write(append(line, '\n'))
+	}
+	return rows.Bytes()
 }
 
 func quickCells() []harness.CellSpec {
@@ -118,8 +156,8 @@ func quickCells() []harness.CellSpec {
 
 // TestCellJobByteIdentity is the headline e2e check: the NDJSON a job
 // streams over the API is byte-identical to what a direct
-// harness.RunCells of the same compiled cells produces, encoded the
-// same way. The daemon adds serving, not noise.
+// harness.RunCellSpecs of the same cells produces, encoded the same
+// way. The daemon adds serving, not noise.
 func TestCellJobByteIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{SimWorkers: 2})
 	cells := quickCells()
@@ -127,29 +165,8 @@ func TestCellJobByteIdentity(t *testing.T) {
 	st := submit(t, ts, JobRequest{Cells: cells, Quick: true})
 	waitFor(t, ts, st.ID, "done", func(s jobStatus) bool { return s.State == StateDone })
 	got := streamResults(t, ts, st.ID)
-
-	// The reference: compile the same specs and run them directly.
-	wl := harness.QuickWorkloads()
-	specs := make([]harness.Spec, len(cells))
-	for i, c := range cells {
-		s, err := c.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = s
-	}
-	results := harness.RunCells(nil, specs, &wl, harness.CellRunOpts{Workers: 2})
-	var want bytes.Buffer
-	for i, r := range results {
-		line, err := json.Marshal(cellRow{Index: i, Cell: cells[i], Result: r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Write(line)
-		want.WriteByte('\n')
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("API results differ from direct RunCells:\napi:    %s\ndirect: %s", got, want.Bytes())
+	if want := directRows(t, cells, 2); !bytes.Equal(got, want) {
+		t.Fatalf("API results differ from direct RunCellSpecs:\napi:    %s\ndirect: %s", got, want)
 	}
 
 	final := waitFor(t, ts, st.ID, "counts", func(s jobStatus) bool { return s.CellsDone == len(cells) })
@@ -215,15 +232,9 @@ func TestRepeatJobServedFromCache(t *testing.T) {
 		t.Fatalf("repeat job re-simulated: puts %d -> %d", putsAfterFirst, st.Puts)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, met := call(t, ts, http.MethodGet, "/metrics", nil)
 	var hits int64 = -1
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(string(met), "\n") {
 		if strings.HasPrefix(line, "shrimpd_cache_hits_total ") {
 			fmt.Sscanf(line, "shrimpd_cache_hits_total %d", &hits)
 		}
@@ -254,13 +265,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	queued := submit(t, ts, JobRequest{Cells: quickCells(), Quick: true}) // fills the queue
 
-	body, _ := json.Marshal(JobRequest{Cells: quickCells(), Quick: true})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, _ := call(t, ts, http.MethodPost, "/v1/jobs", JobRequest{Cells: quickCells(), Quick: true})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: status %d, want 429", resp.StatusCode)
 	}
@@ -270,13 +275,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	// Unwind: cancel both jobs and wait for terminal states.
 	for _, id := range []string{running.ID, queued.ID} {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		call(t, ts, http.MethodDelete, "/v1/jobs/"+id, nil)
 		waitFor(t, ts, id, "terminal", func(s jobStatus) bool { return s.State.terminal() })
 	}
 }
@@ -290,13 +289,7 @@ func TestCancelMidJob(t *testing.T) {
 	st := submit(t, ts, JobRequest{Cells: manyQuickCells(400), Quick: true})
 	waitFor(t, ts, st.ID, "progress", func(s jobStatus) bool { return s.CellsDone >= 1 })
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	call(t, ts, http.MethodDelete, "/v1/jobs/"+st.ID, nil)
 
 	final := waitFor(t, ts, st.ID, "canceled", func(s jobStatus) bool { return s.State.terminal() })
 	if final.State != StateCanceled {
@@ -344,28 +337,14 @@ func TestListAndRegistry(t *testing.T) {
 	a := submit(t, ts, JobRequest{Cells: quickCells()[:1], Quick: true})
 	b := submit(t, ts, JobRequest{Cells: quickCells()[:1], Quick: true})
 
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var list []jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts, "/v1/jobs", &list)
 	if len(list) != 2 || list[0].ID != a.ID || list[1].ID != b.ID {
 		t.Fatalf("job listing %+v, want [%s %s] in order", list, a.ID, b.ID)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/experiments")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var exps []struct{ Name, Desc string }
-	if err := json.NewDecoder(resp.Body).Decode(&exps); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts, "/v1/experiments", &exps)
 	if len(exps) != len(harness.Experiments()) {
 		t.Fatalf("experiments endpoint lists %d, registry has %d", len(exps), len(harness.Experiments()))
 	}
@@ -393,16 +372,70 @@ func TestDrain(t *testing.T) {
 	if _, code := trySubmit(t, ts, JobRequest{Cells: quickCells()}); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d, want 503", code)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ := call(t, ts, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: status %d, want 503", resp.StatusCode)
 	}
 	if got := getStatus(t, ts, st.ID); got.State != StateCanceled {
 		t.Fatalf("job after drain: state %q, want canceled", got.State)
+	}
+}
+
+// TestRequestBounds checks the daemon refuses requests that would take
+// its memory: an oversized body gets 413 on both POST endpoints, and a
+// machine of 1<<20 nodes gets 400 as a cell, an experiment and a twin
+// question, before anything is queued or built. The daemon stays up.
+func TestRequestBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{SimWorkers: 1})
+	huge := `{"experiment":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	cell := `{"cells":[{"app":"radix-vmmc","nodes":1048576}]}`
+	exp := `{"experiment":"table1","nodes":1048576}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/jobs", huge, http.StatusRequestEntityTooLarge},
+		{"/v1/twin", huge, http.StatusRequestEntityTooLarge},
+		{"/v1/jobs", cell, http.StatusBadRequest},
+		{"/v1/jobs", exp, http.StatusBadRequest},
+		{"/v1/twin", cell, http.StatusBadRequest},
+		{"/v1/twin", exp, http.StatusBadRequest},
+	} {
+		if resp, out := call(t, ts, http.MethodPost, tc.path, tc.body); resp.StatusCode != tc.want {
+			t.Errorf("POST %s %.60s: status %d (%.80s), want %d", tc.path, tc.body, resp.StatusCode, out, tc.want)
+		}
+	}
+	if resp, _ := call(t, ts, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after refused requests: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSharePrefixIgnored pins the compatibility promise for the
+// deprecated share_prefix field: jobs that set it true, set it false
+// or omit it are all accepted and stream the bytes of a cold run (a
+// worker per cell). Cells 0, 2 and 3 share a warmup, so the one-worker
+// server forks them from one checkpoint.
+func TestSharePrefixIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{SimWorkers: 1})
+	yes := true
+	cells := []harness.CellSpec{
+		{App: "radix-vmmc", Nodes: 2},
+		{App: "ocean-nx", Nodes: 2},
+		{App: "radix-vmmc", Nodes: 2, Knobs: harness.Knobs{SyscallPerSend: &yes}},
+		{App: "radix-vmmc", Nodes: 2, Knobs: harness.Knobs{InterruptPerMessage: &yes}},
+	}
+	want := directRows(t, cells, len(cells))
+	for _, share := range []any{true, false, nil} {
+		req := map[string]any{"cells": cells, "quick": true, "share_prefix": share}
+		if share == nil {
+			delete(req, "share_prefix")
+		}
+		st, code := trySubmit(t, ts, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("share_prefix %v: status %d, want 202", share, code)
+		}
+		waitFor(t, ts, st.ID, "done", func(s jobStatus) bool { return s.State == StateDone })
+		if got := streamResults(t, ts, st.ID); !bytes.Equal(got, want) {
+			t.Errorf("share_prefix %v: stream differs from a cold run:\napi:  %s\ncold: %s", share, got, want)
+		}
 	}
 }

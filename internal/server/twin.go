@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"shrimp/internal/harness"
@@ -37,10 +36,7 @@ func (s *Server) handleTwin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TwinRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	jreq := JobRequest{Cells: req.Cells, Experiment: req.Experiment, Nodes: req.Nodes}

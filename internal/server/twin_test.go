@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,19 +12,7 @@ import (
 
 func postTwin(t *testing.T, ts *httptest.Server, req TwinRequest) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/twin", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, out := call(t, ts, http.MethodPost, "/v1/twin", req)
 	return resp.StatusCode, out
 }
 
@@ -72,31 +58,15 @@ func TestTwinEndpoint(t *testing.T) {
 	}
 
 	// Twin answers never enter the job queue.
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var jobs []jobStatus
-	err = json.NewDecoder(resp.Body).Decode(&jobs)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts, "/v1/jobs", &jobs)
 	if len(jobs) != 0 {
 		t.Fatalf("twin answers created %d jobs, want 0", len(jobs))
 	}
 
 	// Both answers are counted; the drift gauges are present even
 	// before any simulation ran.
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, met := call(t, ts, http.MethodGet, "/metrics", nil)
 	for _, want := range []string{
 		"shrimpd_twin_answers_total 2",
 		"shrimpd_twin_drift_last_pct",
@@ -127,15 +97,7 @@ func TestTwinDriftGauge(t *testing.T) {
 	})
 	waitFor(t, ts, st.ID, "done", func(s jobStatus) bool { return s.State == StateDone })
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, met := call(t, ts, http.MethodGet, "/metrics", nil)
 	if !strings.Contains(string(met), "shrimpd_twin_drift_bp_count 1") {
 		t.Errorf("drift histogram did not record the simulated cell:\n%s", met)
 	}

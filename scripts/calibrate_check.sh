@@ -18,8 +18,8 @@ BIN=${BIN:-bin}
 mkdir -p "$BIN"
 
 go build -o "$BIN/shrimpbench" ./cmd/shrimpbench
-"$BIN/shrimpbench" -quick -calibrate -parallel 4 -share-prefix >"$BIN/calibration.txt"
-"$BIN/shrimpbench" -quick -calibrate -parallel 4 -share-prefix -json >"$BIN/calibration.json"
+"$BIN/shrimpbench" -quick -calibrate -parallel 4 >"$BIN/calibration.txt"
+"$BIN/shrimpbench" -quick -calibrate -parallel 4 -json >"$BIN/calibration.json"
 
 # Per-experiment gates: max MAPE (percent) and min Spearman rank
 # correlation of twin-predicted vs simulated ordering. "overall" gates

@@ -12,8 +12,11 @@
 #
 # The sweep runs at -parallel 1 and -parallel 4 and requires both to
 # match the same digest, so the check also covers the cross-worker
-# determinism invariant. Used by `make golden` and the CI
-# "Golden output" step.
+# determinism invariant. The committed digests were taken from cold
+# runs, before sweeps shared warmup prefixes, so they also pin that a
+# branch forked from a shared warmup (every prefix group at -parallel
+# 1, capped groups at 4) is byte-identical to a cold run. Used by
+# `make golden` and the CI "Golden output" step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,36 +30,21 @@ go build -o "$BIN/shrimpbench" ./cmd/shrimpbench
 for p in 1 4; do
     "$BIN/shrimpbench" -exp all -quick -parallel "$p" >"$WORK/text.$p"
     "$BIN/shrimpbench" -exp all -quick -parallel "$p" -json >"$WORK/json.$p"
-    "$BIN/shrimpbench" -exp all -quick -parallel "$p" -share-prefix >"$WORK/text.share.$p"
-    "$BIN/shrimpbench" -exp all -quick -parallel "$p" -share-prefix -json >"$WORK/json.share.$p"
     # The open-loop load family is hidden from "-exp all" (it measures
     # services, not batch apps) but pinned under its own digests.
     "$BIN/shrimpbench" -exp load -quick -parallel "$p" >"$WORK/loadtext.$p"
     "$BIN/shrimpbench" -exp load -quick -parallel "$p" -json >"$WORK/loadjson.$p"
-    "$BIN/shrimpbench" -exp load -quick -parallel "$p" -share-prefix >"$WORK/loadtext.share.$p"
-    "$BIN/shrimpbench" -exp load -quick -parallel "$p" -share-prefix -json >"$WORK/loadjson.share.$p"
     # The twin calibration report is a CI artifact with the same
-    # contract: byte-identical whatever the worker count or prefix
-    # sharing, pinned under its own digests.
+    # contract: byte-identical whatever the worker count, pinned under
+    # its own digests.
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" >"$WORK/calibtext.$p"
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" -json >"$WORK/calibjson.$p"
-    "$BIN/shrimpbench" -quick -calibrate -parallel "$p" -share-prefix >"$WORK/calibtext.share.$p"
-    "$BIN/shrimpbench" -quick -calibrate -parallel "$p" -share-prefix -json >"$WORK/calibjson.share.$p"
 done
 for kind in text json loadtext loadjson calibtext calibjson; do
     if ! cmp -s "$WORK/$kind.1" "$WORK/$kind.4"; then
         echo "golden: $kind output differs between -parallel 1 and -parallel 4" >&2
         exit 1
     fi
-    # Sweep prefix sharing must be invisible: a branch forked from a
-    # shared warmup checkpoint is byte-identical to a cold run.
-    for p in 1 4; do
-        if ! cmp -s "$WORK/$kind.1" "$WORK/$kind.share.$p"; then
-            echo "golden: $kind output differs with -share-prefix -parallel $p" >&2
-            diff "$WORK/$kind.1" "$WORK/$kind.share.$p" | head -20 >&2
-            exit 1
-        fi
-    done
 done
 
 digest() { sha256sum "$1" | cut -d' ' -f1; }
@@ -86,4 +74,4 @@ if [ "$NEW" != "$(cat "$GOLDEN")" ]; then
     echo "together with an explanation of the behavioral change." >&2
     exit 1
 fi
-echo "golden: output matches $GOLDEN (text+json+load+calib, -parallel 1 and 4, -share-prefix on/off)"
+echo "golden: output matches $GOLDEN (text+json+load+calib, -parallel 1 and 4, shared warmups vs cold digests)"
