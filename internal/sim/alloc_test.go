@@ -3,10 +3,11 @@ package sim
 import "testing"
 
 // TestEngineTickAllocationFree asserts the engine's event hot path —
-// scheduling callbacks, firing timers, canceling and re-arming — runs
-// without heap allocation once the freelist is warm. AllocsPerRun's
-// warmup call populates the freelist; any steady-state allocation after
-// that is a regression in the zero-allocation data path.
+// scheduling callbacks, firing timers, canceling (the heap's last leaf
+// and a mid-heap event) and re-arming — runs without heap allocation
+// once the freelist is warm. AllocsPerRun's warmup call populates the
+// freelist; any steady-state allocation after that is a regression in
+// the zero-allocation data path.
 func TestEngineTickAllocationFree(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
@@ -22,6 +23,12 @@ func TestEngineTickAllocationFree(t *testing.T) {
 		tm.Cancel()
 		tm = e.NewTimer(20, tick)
 		_ = tm
+		// Cancel a timer that is not the last heap leaf, so removal
+		// moves another event into its slot.
+		mid := e.NewTimer(30, tick)
+		e.After(40, tick)
+		e.After(50, tick)
+		mid.Cancel()
 		e.Run()
 	})
 	if avg != 0 {

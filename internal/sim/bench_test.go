@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// BenchmarkProcSwitch measures the goroutine-handoff cost of the
-// process style: two processes ping-pong through a pair of Conds, so
-// every round is two park/wake cycles — four channel operations and two
-// OS-thread handoffs in the worst case. This is the per-packet overhead
-// the continuation engines eliminate.
+// BenchmarkProcSwitch measures the switch cost of the process style:
+// two processes ping-pong through a pair of Conds, so every round is
+// two park/wake cycles, each a yield to the run loop and a resume of
+// the other coroutine — four coroutine switches per round. This is the
+// per-packet overhead the continuation engines eliminate.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	ping := NewCond(e)
@@ -34,7 +34,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 
 // BenchmarkFnEventDispatch measures the same ping-pong expressed as
 // continuation callbacks: each round is two fn events dispatched inline
-// by the scheduler, with no goroutine handoffs. The ratio against
+// by the scheduler, with no process switches. The ratio against
 // BenchmarkProcSwitch is the per-wakeup saving of the continuation
 // engines (tentpole of PR 6).
 func BenchmarkFnEventDispatch(b *testing.B) {

@@ -7,12 +7,14 @@ import (
 )
 
 // event is a single entry in the engine's calendar. Exactly one of fn and
-// proc is set: fn events run inline in whatever goroutine owns the engine
-// (no scheduler round-trip); proc events transfer control to a parked
-// process.
+// proc is set: fn events run inline wherever the event loop is running
+// (no switch); proc events resume a parked process.
 type event struct {
-	t        Time
-	seq      uint64
+	t   Time
+	seq uint64
+	// idx is the event's position in the heap while it is heap-resident,
+	// and -1 while it waits in the same-instant FIFO.
+	idx      int
 	fn       func()
 	proc     *Proc
 	canceled bool
@@ -47,16 +49,20 @@ func less(a, b *event) bool {
 //     cannot change any simulation outcome.
 //
 //   - Fired and canceled events are recycled through a freelist, so a
-//     steady-state simulation allocates no event structures.
+//     steady-state simulation allocates no event structures. A canceled
+//     timer leaves the heap at once instead of waiting to be popped, so
+//     the re-armed combining timeout (one cancel per snooped store) does
+//     not grow the heap that every later push and pop sifts through.
 //
-//   - There is no dedicated scheduler goroutine at run time. Engine
-//     ownership is a token: the goroutine that yields (a parking process,
-//     or the Run caller) runs the event loop itself and hands control
-//     directly to the next process. A process-to-process switch costs one
-//     channel handoff instead of two, and a process that pops its own
-//     wakeup (or any fn event) continues with no handoff at all. Exactly
-//     one goroutine owns the engine at any instant, so the simulation
-//     stays logically single-threaded and bit-for-bit deterministic.
+//   - Processes run on runtime coroutines (iter.Pull, pooled and reused
+//     across processes), not free-running goroutines. A parking process
+//     runs the event loop inline, so an fn event or its own wakeup costs
+//     no switch at all; when another process's event pops, it names that
+//     process in handoff and yields to the run loop on Run's caller
+//     goroutine, which resumes it. A switch is two direct coroutine
+//     switches with no trip through the goroutine scheduler. Exactly one
+//     coroutine runs at any instant, so the simulation stays
+//     single-threaded and bit-for-bit deterministic.
 //
 //   - High-frequency actors avoid processes entirely. The blocking
 //     primitives have continuation counterparts — Cond.WaitFn,
@@ -64,7 +70,7 @@ func less(a, b *event) bool {
 //     schedule plain fn events at exactly the (t, seq) calendar positions
 //     where the corresponding process wakeups would sit. Device engines
 //     (internal/nic) run this way: their per-packet work dispatches
-//     inline in the engine-owning goroutine with zero channel handoffs,
+//     inline in whatever runs the event loop, with no process switch,
 //     while app code (internal/machine) keeps the expressive blocking
 //     style for its rare wakeups. Mixing the two styles on one Cond,
 //     Resource, or Queue is legal; waiters of either kind are granted in
@@ -83,12 +89,10 @@ type Engine struct {
 	limit   Time //shrimp:nostate wiring: set afresh by every RunUntil call
 	limited bool //shrimp:nostate wiring: set afresh by every RunUntil call
 
-	// mainResume wakes the Run/RunUntil caller when the calendar drains
-	// or Stop takes effect while a process owns the engine.
-	mainResume chan struct{} //shrimp:nostate wiring: host-side handshake channel, identical across branches
-	// killAck is the Shutdown handshake: each killed process signals it
-	// as its goroutine unwinds.
-	killAck chan struct{} //shrimp:nostate wiring: host-side handshake channel, identical across branches
+	// handoff names the process a parking process found next on the
+	// calendar; the run loop resumes it. It is nil when the parked
+	// process yielded because the calendar drained or Stop took effect.
+	handoff *Proc //shrimp:nostate asserted: only set inside a Run, and Quiescent requires no Run in progress
 
 	live    int     //shrimp:nostate asserted: Quiescent requires zero live processes
 	blocked int     //shrimp:nostate asserted: Quiescent requires zero blocked processes
@@ -103,16 +107,8 @@ type Engine struct {
 	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration, not rewindable state
 }
 
-// killSignal unwinds a process goroutine during Shutdown.
-type killSignal struct{}
-
 // NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		mainResume: make(chan struct{}),
-		killAck:    make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -169,41 +165,44 @@ func (e *Engine) push(ev *event) {
 	ev.seq = e.seq
 	e.seq++
 	if ev.t == e.now {
+		ev.idx = -1
 		e.nowq = append(e.nowq, ev)
 		return
 	}
-	e.heapPush(ev)
+	ev.idx = len(e.events)
+	e.events = append(e.events, ev)
+	e.siftUp(ev.idx)
 }
 
-// heapPush inserts ev into the binary heap (sift up).
+// siftUp moves the heap event at i towards the root until its parent
+// precedes it, keeping every moved event's idx current.
 //
 //shrimp:hotpath
-func (e *Engine) heapPush(ev *event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
+func (e *Engine) siftUp(i int) {
+	h := e.events
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
+		p := h[parent]
+		if !less(ev, p) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = p
+		p.idx = i
 		i = parent
 	}
-	e.events = h
+	h[i] = ev
+	ev.idx = i
 }
 
-// heapPop removes and returns the earliest heap event (sift down).
+// siftDown moves the heap event at i towards the leaves until it
+// precedes both children, keeping every moved event's idx current.
 //
 //shrimp:hotpath
-func (e *Engine) heapPop() *event {
+func (e *Engine) siftDown(i int) {
 	h := e.events
-	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	i := 0
+	n := len(h)
+	ev := h[i]
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -213,13 +212,40 @@ func (e *Engine) heapPop() *event {
 		if right := left + 1; right < n && less(h[right], h[left]) {
 			min = right
 		}
-		if !less(h[min], h[i]) {
+		c := h[min]
+		if !less(c, ev) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = c
+		c.idx = i
 		i = min
 	}
-	return top
+	h[i] = ev
+	ev.idx = i
+}
+
+// heapRemove takes the event at heap index i out of the heap: the last
+// leaf fills the hole and sifts to its place. Every (t, seq) key is
+// distinct, so the order of the remaining events does not depend on
+// which removals happened before.
+//
+//shrimp:hotpath
+func (e *Engine) heapRemove(i int) {
+	h := e.events
+	n := len(h) - 1
+	h[i].idx = -1
+	last := h[n]
+	h[n] = nil
+	e.events = h[:n]
+	if i == n {
+		return
+	}
+	h[i] = last
+	last.idx = i
+	e.siftDown(i)
+	if last.idx == i {
+		e.siftUp(i)
+	}
 }
 
 // next removes and returns the next live event, merging the same-instant
@@ -256,7 +282,7 @@ func (e *Engine) next() *event {
 				e.nowqAt = 0
 			}
 		} else {
-			e.heapPop()
+			e.heapRemove(0)
 		}
 		if ev.canceled {
 			e.recycle(ev)
@@ -264,66 +290,6 @@ func (e *Engine) next() *event {
 		}
 		return ev
 	}
-}
-
-// schedule runs the event loop in the calling process's goroutine, which
-// must own the engine. It returns when an event resumes self — either
-// popped directly (no handoff) or, after ownership was transferred away,
-// when another owner signals self's resume channel. On drain or stop it
-// wakes the Run caller first.
-func (e *Engine) schedule(self *Proc) {
-	for !e.stopped {
-		ev := e.next()
-		if ev == nil {
-			break
-		}
-		e.now = ev.t
-		if ev.fn != nil {
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			continue
-		}
-		q := ev.proc
-		e.recycle(ev)
-		if q == self {
-			// Self-wakeup: continue without any goroutine switch.
-			return
-		}
-		// Hand the engine to q, then sleep until self's next event pops.
-		q.resume <- struct{}{}
-		<-self.resume
-		return
-	}
-	// Calendar drained (or Stop): hand control back to the Run caller,
-	// then sleep like any parked process.
-	e.mainResume <- struct{}{}
-	<-self.resume
-}
-
-// scheduleExit keeps the event loop alive as a process goroutine dies:
-// it transfers engine ownership to the next runnable process (running any
-// intervening fn events inline) or, if the calendar is done, to the Run
-// caller. Unlike schedule it never waits — the caller is exiting.
-func (e *Engine) scheduleExit() {
-	for !e.stopped {
-		ev := e.next()
-		if ev == nil {
-			break
-		}
-		e.now = ev.t
-		if ev.fn != nil {
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			continue
-		}
-		q := ev.proc
-		e.recycle(ev)
-		q.resume <- struct{}{}
-		return
-	}
-	e.mainResume <- struct{}{}
 }
 
 // At schedules fn to run in engine context at time t. Scheduling in the
@@ -352,75 +318,6 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Spawn creates a new simulation process that begins executing body at
-// the current virtual time (after the caller yields). The name is used
-// in diagnostics only.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, body)
-}
-
-// SpawnAt creates a new simulation process that begins executing at time t.
-func (e *Engine) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
-	e.live++
-	e.all = append(e.all, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					panic(r) // real failure: crash loudly
-				}
-			}
-			p.finished = true
-			e.live--
-			if p.killed {
-				// Shutdown handshake: the killer is waiting, not the
-				// event loop.
-				e.killAck <- struct{}{}
-				return
-			}
-			// Normal completion: this goroutine owns the engine. Keep the
-			// loop going as it unwinds.
-			e.scheduleExit()
-		}()
-		if p.killed {
-			panic(killSignal{})
-		}
-		body(p)
-	}()
-	ev := e.alloc()
-	ev.t = t
-	ev.proc = p
-	e.push(ev)
-	if e.tr != nil {
-		e.tr.Record(int64(t), trace.KProcSpawn, -1, int64(e.live), 0)
-	}
-	return p
-}
-
-// Shutdown terminates every unfinished process (device engines that
-// loop forever, deadlocked waiters) so their goroutines exit. Call only
-// after Run has returned; the engine is unusable afterwards.
-func (e *Engine) Shutdown() {
-	if e.running {
-		panic("sim: Shutdown during Run")
-	}
-	for _, p := range e.all {
-		if p.finished {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.killAck
-	}
-	e.all = nil
-	e.events = nil
-	e.nowq = nil
-	e.nowqAt = 0
-	e.free = nil
-}
-
 // wake schedules p to resume at time t. p must be parked.
 func (e *Engine) wake(p *Proc, t Time) {
 	if t < e.now {
@@ -432,9 +329,11 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.push(ev)
 }
 
-// run is the shared Run/RunUntil body: the caller's goroutine owns the
-// engine until it transfers to a process, after which ownership wanders
-// from process to process and returns via mainResume on drain or stop.
+// run is the shared Run/RunUntil body, on the caller's goroutine. It is
+// the only place a process is resumed: it pops events like a parked
+// process does, and when a process's event pops it resumes that process,
+// then whichever process the parked one handed off to, until one yields
+// with no handoff (drain or Stop) or returns from its body.
 func (e *Engine) run() {
 	for !e.stopped {
 		ev := e.next()
@@ -450,10 +349,11 @@ func (e *Engine) run() {
 		}
 		q := ev.proc
 		e.recycle(ev)
-		q.resume <- struct{}{}
-		<-e.mainResume
-		// Control only returns here when the simulation stopped or
-		// drained; re-checking the loop condition re-derives which.
+		for q != nil {
+			e.handoff = nil
+			q.resume()
+			q = e.handoff
+		}
 	}
 }
 
@@ -504,6 +404,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // this once per snooped store) performs no heap allocation; the zero
 // Timer is valid and Cancel on it is a no-op.
 type Timer struct {
+	e   *Engine
 	ev  *event
 	seq uint64
 }
@@ -517,19 +418,30 @@ func (e *Engine) NewTimer(d Time, fn func()) Timer {
 	ev.t = e.now + d
 	ev.fn = fn
 	e.push(ev)
-	return Timer{ev: ev, seq: ev.seq}
+	return Timer{e: e, ev: ev, seq: ev.seq}
 }
 
 // Cancel prevents the timer from firing. Canceling an already-fired or
 // already-canceled timer is a no-op. It reports whether the cancellation
-// took effect. The callback is released immediately, so anything its
-// closure captures does not stay live until the dead event is popped.
+// took effect. A heap-resident event leaves the heap at once and is
+// recycled; one already in the same-instant FIFO is flagged and skipped
+// when it is reached. Either way the callback is released immediately, so
+// anything its closure captures does not stay live. Removal assigns no
+// seq and moves no live event, so the firing order cannot change.
+//
+//shrimp:hotpath
 func (t *Timer) Cancel() bool {
-	if t.ev == nil || t.ev.seq != t.seq || t.ev.canceled {
+	ev := t.ev
+	if ev == nil || ev.seq != t.seq || ev.canceled {
 		return false
 	}
-	t.ev.canceled = true
-	t.ev.fn = nil
+	if ev.idx >= 0 {
+		t.e.heapRemove(ev.idx)
+		t.e.recycle(ev)
+		return true
+	}
+	ev.canceled = true
+	ev.fn = nil
 	return true
 }
 

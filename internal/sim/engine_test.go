@@ -37,15 +37,22 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	mustPanic := func(what string, f func()) {
 		defer func() {
 			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
+				t.Errorf("%s in the past did not panic", what)
 			}
 		}()
-		e.At(50, func() {})
+		f()
+	}
+	e.At(100, func() {
+		mustPanic("At", func() { e.At(50, func() {}) })
+		mustPanic("SpawnAt", func() { e.SpawnAt(50, "late", func(*Proc) {}) })
 	})
 	e.Run()
+	if e.Now() != 100 || e.Live() != 0 {
+		t.Fatalf("now = %v, live = %d after rejected schedules, want 100 and 0", e.Now(), e.Live())
+	}
 }
 
 func TestProcSleep(t *testing.T) {

@@ -1,16 +1,205 @@
+//go:build go1.23
+
+// This file builds processes on iter.Pull (go1.23); go.mod stays at
+// go 1.22, so the build constraint raises this file's language version.
+
 package sim
 
-// Proc is a simulation process: a goroutine whose execution is
-// interleaved with all other processes under control of the Engine, so
-// that exactly one process runs at a time and virtual time only advances
-// while every process is parked.
+import (
+	"fmt"
+	"iter"
+	"sync"
+
+	"shrimp/internal/trace"
+)
+
+// Proc is a simulation process: a body run on a coroutine, interleaved
+// with all other processes under control of the Engine, so that exactly
+// one process runs at a time and virtual time only advances while every
+// process is parked.
 type Proc struct {
-	e        *Engine
-	name     string
-	resume   chan struct{}
+	e    *Engine
+	name string
+	body func(p *Proc)
+	// c is the coroutine running body: nil until the process is first
+	// resumed, and again once the body has returned.
+	c        *carrier
 	finished bool
 	killed   bool
 	ctx      any
+}
+
+// killSignal unwinds a parked process's body during Shutdown.
+type killSignal struct{}
+
+// carrier is a coroutine (iter.Pull) that runs process bodies one after
+// another. When a body returns, its carrier goes back to a process-wide
+// idle pool instead of exiting, for two reasons: a spawn then creates no
+// goroutine, and under the race detector the Go 1.24 runtime leaks about
+// 4.7 KB of detector state per exited coroutine (its exit path never
+// ends the goroutine's race context), which one coroutine per process
+// would pile up across the ~60,000 spawns of one quick sweep.
+type carrier struct {
+	p     *Proc // the process being run, nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// maxIdleCarriers bounds the idle pool; a carrier released beyond it
+// exits. A serial quick sweep needs 144 carriers in all, so the bound
+// only bites after a burst of blocked processes or many parallel cells.
+const maxIdleCarriers = 256
+
+// carriers is the idle pool, shared by every engine. The mutex orders a
+// carrier's use by one engine (on one harness worker) before its reuse
+// by another.
+var carriers struct {
+	sync.Mutex
+	idle []*carrier
+}
+
+// takeCarrier returns an idle carrier, or starts a new one.
+func takeCarrier() *carrier {
+	carriers.Lock()
+	if n := len(carriers.idle); n > 0 {
+		c := carriers.idle[n-1]
+		carriers.idle[n-1] = nil
+		carriers.idle = carriers.idle[:n-1]
+		carriers.Unlock()
+		return c
+	}
+	carriers.Unlock()
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// release returns an idle carrier to the pool, or ends its coroutine
+// when the pool is full.
+func (c *carrier) release() {
+	carriers.Lock()
+	pooled := len(carriers.idle) < maxIdleCarriers
+	if pooled {
+		carriers.idle = append(carriers.idle, c)
+	}
+	carriers.Unlock()
+	if !pooled {
+		c.stop()
+	}
+}
+
+// loop is the carrier's coroutine body: run the assigned process, then
+// yield idle until the next assignment resumes it.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the body on the current carrier. A killSignal ends it
+// quietly; any other panic ends the carrier's coroutine and propagates
+// out of Engine.Run.
+func (p *Proc) run() {
+	defer func() {
+		p.finished = true
+		p.body = nil
+		p.e.live--
+		if r := recover(); r != nil {
+			if _, ok := r.(killSignal); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.body(p)
+}
+
+// resume runs p until it parks or its body returns; only Engine.run and
+// Shutdown call it. A finished process is not resumed: a wakeup left on
+// the calendar by a process that ended in a panic is dropped.
+func (p *Proc) resume() {
+	if p.finished {
+		return
+	}
+	c := p.c
+	if c == nil {
+		c = takeCarrier()
+		c.p = p
+		p.c = c
+	}
+	c.next()
+	if p.finished {
+		p.c = nil
+		c.release()
+	}
+}
+
+// Spawn creates a new simulation process that begins executing body at
+// the current virtual time (after the caller yields). The name is used
+// in diagnostics only.
+func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
+	return e.SpawnAt(e.now, name, body)
+}
+
+// SpawnAt creates a new simulation process that begins executing at time
+// t. Spawning in the past panics, as scheduling any event there does.
+//
+// A panic in the body (or in an fn event that runs inline while the
+// process is parked) ends the process and propagates out of Run to its
+// caller; Shutdown still unwinds the other processes.
+func (e *Engine) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: spawning %s at %v before now %v", name, t, e.now))
+	}
+	p := &Proc{e: e, name: name, body: body}
+	e.live++
+	e.all = append(e.all, p)
+	ev := e.alloc()
+	ev.t = t
+	ev.proc = p
+	e.push(ev)
+	if e.tr != nil {
+		e.tr.Record(int64(t), trace.KProcSpawn, -1, int64(e.live), 0)
+	}
+	return p
+}
+
+// Shutdown terminates every unfinished process (deadlocked waiters,
+// processes left parked by Stop, RunUntil or a panic), returning their
+// carriers to the pool. Call only after Run has returned; the engine is
+// unusable afterwards.
+func (e *Engine) Shutdown() {
+	if e.running {
+		panic("sim: Shutdown during Run")
+	}
+	for _, p := range e.all {
+		if !p.finished {
+			p.kill()
+		}
+	}
+	e.all = nil
+	e.events = nil
+	e.nowq = nil
+	e.nowqAt = 0
+	e.free = nil
+}
+
+// kill ends p: a parked body is resumed with killed set and unwinds
+// through killSignal; a never-started one is marked finished unrun.
+func (p *Proc) kill() {
+	p.killed = true
+	if p.c == nil {
+		p.finished = true
+		p.body = nil
+		p.e.live--
+		return
+	}
+	p.resume()
 }
 
 // SetContext attaches an arbitrary client value to the process. The
@@ -32,12 +221,35 @@ func (p *Proc) Now() Time { return p.e.now }
 
 // park yields control to the engine and blocks until some event resumes
 // this process. The caller must have arranged for a wakeup (a scheduled
-// event or registration on a Cond) or the process deadlocks. The yielding
-// goroutine runs the event loop itself (see Engine.schedule), so parking
-// costs at most one channel handoff — and none at all when this process's
-// own wakeup is the next event.
+// event or registration on a Cond) or the process deadlocks. The parking
+// process runs the event loop inline: fn events run here, and when its
+// own wakeup is next it continues with no switch at all. When another
+// process's event pops, park names that process in Engine.handoff and
+// yields to the run loop, which resumes it; on drain or Stop it yields
+// with no handoff.
 func (p *Proc) park() {
-	p.e.schedule(p)
+	e := p.e
+	for !e.stopped {
+		ev := e.next()
+		if ev == nil {
+			break
+		}
+		e.now = ev.t
+		if ev.fn != nil {
+			fn := ev.fn
+			e.recycle(ev)
+			fn()
+			continue
+		}
+		q := ev.proc
+		e.recycle(ev)
+		if q == p {
+			return
+		}
+		e.handoff = q
+		break
+	}
+	p.c.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}

@@ -7,8 +7,9 @@ import "fmt"
 // number. Quiescent means the calendar is fully drained (empty heap,
 // empty same-instant FIFO), no process is live or blocked, and no Run
 // is in progress — exactly the state between two RunParallel phases.
-// Everything else in the Engine is wiring (channels, the event
-// freelist, the tracer) or dead bookkeeping (finished processes), and
+// Everything else in the Engine is wiring (the event freelist, the
+// tracer), the handoff slot that is only set inside a Run, or dead
+// bookkeeping (finished processes), and
 // restoring (now, seq) makes every subsequent Spawn/At/After reproduce
 // the identical (t, seq) calendar a cold run would build.
 
