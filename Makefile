@@ -7,11 +7,15 @@ GOBIN := $(CURDIR)/bin
 
 all: lint test
 
-# lint is the single entry point both CI legs run: stock vet, then the
-# shrimpvet suite standalone (writing the SARIF report CI uploads per
-# PR) and again through cmd/go's vettool protocol, which exercises the
-# fact-passing .vetx path and caches per package.
+# lint is the single entry point both CI legs run: a gofmt check, stock
+# vet, then the shrimpvet suite standalone (writing the SARIF report CI
+# uploads) and again through cmd/go's vettool protocol, which
+# exercises the fact-passing .vetx path and caches per package. The
+# gofmt check skips testdata trees (analyzer fixtures pin `// want`
+# positions) and hidden directories (build caches).
 lint:
+	@unformatted=$$(find . \( -name testdata -o -name '.?*' \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go build -o $(GOBIN)/shrimpvet ./cmd/shrimpvet
 	$(GOBIN)/shrimpvet -sarif $(GOBIN)/shrimpvet.sarif ./...

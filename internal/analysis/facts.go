@@ -55,11 +55,6 @@ func (s *FactStore) get(path, analyzer string, out any) bool {
 	return json.Unmarshal(data, out) == nil
 }
 
-// HasPackage reports whether any facts are recorded for path.
-func (s *FactStore) HasPackage(path string) bool {
-	return len(s.pkgs[path]) > 0
-}
-
 // EncodePackage serializes every fact recorded for path — the payload
 // written to the package's .vetx file in vettool mode. A package with
 // no facts encodes to an empty slice, matching the empty placeholder

@@ -18,7 +18,6 @@ var simSidePkgs = map[string]bool{
 	"memory":     true,
 	"checkpoint": true, // snapshot/restore of simulation state: same invariants as the state it copies
 	"trace":      true,
-	"bsp":        true,
 	"nx":         true,
 	"ring":       true,
 	"rpc":        true,

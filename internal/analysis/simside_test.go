@@ -1,12 +1,18 @@
 package analysis
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestBoundaryClassification pins the sim-side / host-side boundary:
 // simulated-machine packages are sim-side, serving infrastructure is
 // host-side, the harness and CLI glue are neither, and no package is
 // ever both (the two answers must never overlap, or "may this code
-// observe the host?" stops being a one-lookup question).
+// observe the host?" stops being a one-lookup question). Every key of
+// both maps must name an existing directory, so deleting a package
+// cannot leave a stale entry behind.
 func TestBoundaryClassification(t *testing.T) {
 	cases := []struct {
 		path      string
@@ -49,5 +55,21 @@ func TestBoundaryClassification(t *testing.T) {
 		if IsSimSide(modulePrefix + p) {
 			t.Errorf("package %q classified both sim-side and host-side", p)
 		}
+	}
+
+	// The test runs in internal/analysis: simSidePkgs keys are relative
+	// to internal/, hostSidePkgs keys to the module root.
+	for p := range simSidePkgs {
+		requireDir(t, filepath.Join("..", p))
+	}
+	for p := range hostSidePkgs {
+		requireDir(t, filepath.Join("..", "..", p))
+	}
+}
+
+func requireDir(t *testing.T, dir string) {
+	t.Helper()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Errorf("boundary entry %s names no package directory", dir)
 	}
 }

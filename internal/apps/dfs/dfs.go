@@ -178,14 +178,6 @@ func StartServers(sys *vmmc.System, stack *socketlib.Stack, pr Params) {
 	}
 }
 
-// ServeConn answers block requests on one connection until the peer
-// goes quiet forever (the serving process then stays parked). It is
-// the exported form of the per-connection server loop, reused by the
-// open-loop workload driver.
-func ServeConn(p *sim.Proc, c *machine.CPU, nd *machine.Node, conn *socketlib.Conn, pr Params) {
-	serveConn(p, c, nd, conn, pr)
-}
-
 // serveConn answers block requests on one connection.
 func serveConn(p *sim.Proc, c *machine.CPU, nd *machine.Node, conn *socketlib.Conn, pr Params) {
 	for {

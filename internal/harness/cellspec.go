@@ -48,14 +48,6 @@ type Knobs struct {
 	DUQueueDepth        *int  `json:"du_queue_depth,omitempty"`
 }
 
-// isZero reports whether no knob is set.
-func (k *Knobs) isZero() bool {
-	return k.SyscallPerSend == nil && k.InterruptPerMessage == nil &&
-		k.InterruptPerPacket == nil && k.Combining == nil &&
-		k.OutFIFOBytes == nil && k.FIFOThresholdBytes == nil &&
-		k.FIFOLowWaterBytes == nil && k.DUQueueDepth == nil
-}
-
 // apply mutates a machine configuration with the set knobs.
 func (k Knobs) apply(c *machine.Config) {
 	if k.SyscallPerSend != nil {

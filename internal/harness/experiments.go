@@ -258,9 +258,6 @@ func AURCGain(rows []Figure4SVMRow) map[App]float64 {
 	return gain
 }
 
-// PaperAURCGain exposes the paper's reference values.
-func PaperAURCGain() map[App]float64 { return paperAURCGain }
-
 // ---- Figure 4 (right): AU vs DU -----------------------------------------
 
 // Figure4AUDURow compares the AU and DU versions of one application.

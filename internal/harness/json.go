@@ -16,7 +16,7 @@ func (v Variant) MarshalJSON() ([]byte, error) { return json.Marshal(v.String())
 
 // jsonRecord is one machine-readable result row, as emitted by
 // `shrimpbench -json`: one object per table/figure row, so successive
-// PRs can track the perf trajectory by diffing BENCH_*.json files.
+// changes can be diffed row by row.
 type jsonRecord struct {
 	Experiment string `json:"experiment"`
 	Row        any    `json:"row"`

@@ -193,7 +193,7 @@ func TestSearchGridShape(t *testing.T) {
 // BenchmarkTwinGrid times the analytical twin over the full 72-cell
 // guided-search grid — the workload the coarse pass of the search
 // runs. Compare against BenchmarkSimGridCell (one DES cell of the same
-// grid) for the twin-vs-DES speedup; BENCH_10.json records the ratio.
+// grid) for the twin-vs-DES speedup; CHANGES.md records the ratio.
 func BenchmarkTwinGrid(b *testing.B) {
 	wl := QuickWorkloads()
 	tp := NewPredictor(&wl)

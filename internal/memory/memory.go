@@ -191,11 +191,6 @@ func (as *AddressSpace) Release() {
 	as.ck = nil
 }
 
-// Mapped reports whether vpn is a mapped page.
-func (as *AddressSpace) Mapped(vpn int) bool {
-	return vpn >= 0 && vpn < len(as.pages) && as.pages[vpn].mapped
-}
-
 // Pages reports the number of page slots (mapped or not).
 func (as *AddressSpace) Pages() int { return len(as.pages) }
 

@@ -136,7 +136,3 @@ func (ck *Snapshot) Detach() {
 		ck.as.ck = nil
 	}
 }
-
-// Touched reports how many pages have been captured since the
-// snapshot (for benchmarks and diagnostics).
-func (ck *Snapshot) Touched() int { return len(ck.touchedList) }

@@ -15,7 +15,7 @@ import (
 // and parking each engine on its queue grows that queue's waiter list
 // once — twelve allocations for the three engines, independent of how
 // many steps each pipeline has. Binding a method value per step
-// instead cost ~70 extra allocations per machine build (BENCH_6.json);
+// instead cost ~70 extra allocations per machine build (see CHANGES.md);
 // this bound keeps that regression from creeping back.
 func TestStartAllocationBound(t *testing.T) {
 	const runs = 32

@@ -420,13 +420,6 @@ func (n *NIC) SetIncomingInterrupt(vpn int, enable bool) {
 	}
 }
 
-// ClearIncoming removes the IPT entry for vpn.
-func (n *NIC) ClearIncoming(vpn int) {
-	if vpn >= 0 && vpn < len(n.ipt) {
-		n.ipt[vpn] = IPTEntry{}
-	}
-}
-
 // incoming looks up the IPT entry for a receiver physical page.
 //
 //shrimp:hotpath

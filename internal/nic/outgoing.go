@@ -58,10 +58,6 @@ func (n *NIC) SendDU(p *sim.Proc, src, proxy memory.Addr, size int, interrupt, e
 	n.acct.Counters.BytesSent += int64(size)
 }
 
-// DUIdle reports whether no deliberate-update transfers are queued or in
-// flight in the DMA engine.
-func (n *NIC) DUIdle() bool { return n.duSlots == 0 }
-
 // WaitDUIdle blocks until the DU engine has drained all requests.
 func (n *NIC) WaitDUIdle(p *sim.Proc) {
 	for n.duSlots > 0 {
@@ -350,10 +346,6 @@ type fifoEntry struct {
 func (n *NIC) fifoPush(pkt *Packet, dst mesh.NodeID) {
 	n.fifo.Push(fifoEntry{pkt: pkt, dst: dst})
 }
-
-// AUStalled reports whether automatic-update stores are disabled by
-// outgoing-FIFO flow control.
-func (n *NIC) AUStalled() bool { return n.stalled }
 
 // WaitAUReady blocks the calling process while AU stores are disabled by
 // flow control. The machine layer calls it before every AU-bound store.

@@ -225,28 +225,6 @@ func (pr *Proc) Recv(p *sim.Proc, srcSel, tagSel int) Msg {
 	}
 }
 
-// RecvInto receives into the caller's buffer, returning source, tag and
-// length. The buffer must be large enough.
-func (pr *Proc) RecvInto(p *sim.Proc, srcSel, tagSel int, buf []byte) (src, tag, n int) {
-	m := pr.Recv(p, srcSel, tagSel)
-	if len(m.Data) > len(buf) {
-		panic(fmt.Sprintf("nx: message of %d bytes exceeds buffer of %d", len(m.Data), len(buf)))
-	}
-	copy(buf, m.Data)
-	return m.Src, m.Tag, len(m.Data)
-}
-
-// Probe reports whether a matching message is already available.
-func (pr *Proc) Probe(p *sim.Proc, srcSel, tagSel int) bool {
-	pr.pump(p)
-	for i := range pr.inbox {
-		if match(&pr.inbox[i], srcSel, tagSel) {
-			return true
-		}
-	}
-	return false
-}
-
 // Barrier synchronizes all ranks (NX gsync): linear gather to rank 0
 // followed by a broadcast release.
 func (pr *Proc) Barrier(p *sim.Proc) {

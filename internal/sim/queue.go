@@ -118,16 +118,5 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	return q.take(), true
 }
 
-// Peek returns the head item without removing it.
-//
-//shrimp:hotpath
-func (q *Queue[T]) Peek() (T, bool) {
-	if q.head == len(q.items) {
-		var zero T
-		return zero, false
-	}
-	return q.items[q.head], true
-}
-
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }

@@ -52,9 +52,9 @@ func NewStack(sys *vmmc.System, cfg Config) *Stack {
 
 // Conn is one end of an established connection.
 type Conn struct {
-	localNode, peerNode int
-	tx, rx              *ring.Ring
-	bytesIn, bytesOut   int64
+	peerNode          int
+	tx, rx            *ring.Ring
+	bytesIn, bytesOut int64
 }
 
 // ConnStats counts the bytes that moved through one end of a
@@ -69,9 +69,6 @@ type ConnStats struct {
 func (c *Conn) Stats() ConnStats {
 	return ConnStats{BytesIn: c.bytesIn, BytesOut: c.bytesOut}
 }
-
-// LocalNode reports the node this end lives on.
-func (c *Conn) LocalNode() int { return c.localNode }
 
 // PeerNode reports the remote node.
 func (c *Conn) PeerNode() int { return c.peerNode }
@@ -173,8 +170,8 @@ func (s *Stack) Dial(p *sim.Proc, fromNode, toNode, port int) *Conn {
 	rc := ring.Config{Bytes: s.cfg.RingBytes, Mode: s.cfg.Mode, Combine: s.cfg.Combine}
 	fwd := ring.New(s.sys.EP(fromNode), s.sys.EP(toNode), rc) // client -> server
 	rev := ring.New(s.sys.EP(toNode), s.sys.EP(fromNode), rc) // server -> client
-	client := &Conn{localNode: fromNode, peerNode: toNode, tx: fwd, rx: rev}
-	server := &Conn{localNode: toNode, peerNode: fromNode, tx: rev, rx: fwd}
+	client := &Conn{peerNode: toNode, tx: fwd, rx: rev}
+	server := &Conn{peerNode: fromNode, tx: rev, rx: fwd}
 	s.sys.M.Nodes[fromNode].CPUFor(p).ChargeOverhead(s.sys.M.Cfg.Cost.SyscallCost)
 	if p != nil {
 		s.sys.M.Nodes[fromNode].CPUFor(p).Flush(p)

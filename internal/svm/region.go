@@ -42,27 +42,6 @@ func (rt *Runtime) WriteFloat64(p *sim.Proc, off int, v float64) {
 	rt.WriteUint64(p, off, math.Float64bits(v))
 }
 
-// ReadInt32 loads an int32 from region offset off.
-func (rt *Runtime) ReadInt32(p *sim.Proc, off int) int32 {
-	return int32(rt.ReadUint32(p, off))
-}
-
-// WriteInt32 stores an int32 at region offset off.
-func (rt *Runtime) WriteInt32(p *sim.Proc, off int, v int32) {
-	rt.WriteUint32(p, off, uint32(v))
-}
-
-// ReadBytes copies len(buf) bytes from region offset off.
-func (rt *Runtime) ReadBytes(p *sim.Proc, off int, buf []byte) {
-	rt.node.CPUFor(p).Charge(rt.node.M.Cfg.Cost.CopyTime(len(buf)))
-	rt.node.Mem.Read(p, rt.addr(off), buf)
-}
-
-// WriteBytes stores buf at region offset off.
-func (rt *Runtime) WriteBytes(p *sim.Proc, off int, buf []byte) {
-	rt.node.StoreBytes(p, rt.addr(off), buf)
-}
-
 // Touch pre-faults the page containing off for reading (useful in
 // warm-up phases).
 func (rt *Runtime) Touch(p *sim.Proc, off int) { rt.ReadUint32(p, off&^3) }

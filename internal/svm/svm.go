@@ -348,6 +348,3 @@ func (rt *Runtime) pageVPN(page int) int { return rt.base.VPN() + page }
 
 // addr maps a region byte offset to the local virtual address.
 func (rt *Runtime) addr(off int) memory.Addr { return rt.base + memory.Addr(off) }
-
-// pageOf returns the region page index containing byte offset off.
-func pageOf(off int) int { return off >> memory.PageShift }

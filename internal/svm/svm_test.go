@@ -307,7 +307,10 @@ func runRandomized(t *testing.T, proto Protocol, seed int64) {
 	}
 	// Precompute each rank's writes per step: word i is owned by rank
 	// i%n (disjoint ownership => race-free, but heavy page sharing).
-	type write struct{ word int; val uint32 }
+	type write struct {
+		word int
+		val  uint32
+	}
 	plan := make([][][]write, n)
 	for r := 0; r < n; r++ {
 		plan[r] = make([][]write, steps)

@@ -18,8 +18,8 @@
 //     snoop latency, FIFO drain) with combining folded in as packets
 //     per byte.
 //   - Occupancy terms expose how busy each stage is per unit of
-//     offered traffic, which is what the M/G/1 sojourn estimates in
-//     queue.go consume.
+//     offered traffic, which is what the harness's open-loop queueing
+//     estimates (Predictor.PredictLoad) consume.
 //
 // Everything here is a pure function of the configuration — no clocks,
 // no randomness, no state — so the package is classified sim-side for

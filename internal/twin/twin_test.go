@@ -145,34 +145,3 @@ func TestBarrierScaling(t *testing.T) {
 		prev = b
 	}
 }
-
-// TestMG1 cross-checks the Pollaczek–Khinchine form against the M/M/1
-// closed form (exponential service: E[S^2] = 2 E[S]^2) and against the
-// M/D/1 half-wait property (deterministic service halves the queueing
-// delay relative to exponential).
-func TestMG1(t *testing.T) {
-	lambda := 4000.0  // req/s
-	es := 100e-6      // 100 us mean service
-	for _, rho := range []float64{0.1, 0.4, 0.8} {
-		l := rho / es
-		mm1 := MM1Sojourn(l, es)
-		mg1 := MG1Sojourn(l, es, 2*es*es)
-		if math.Abs(mm1-mg1)/mm1 > 1e-12 {
-			t.Fatalf("rho=%.1f: MG1 with exponential moments %.9g != MM1 %.9g", rho, mg1, mm1)
-		}
-		md1 := MG1Sojourn(l, es, es*es)
-		wantQ := (mm1 - es) / 2
-		if math.Abs((md1-es)-wantQ)/wantQ > 1e-12 {
-			t.Fatalf("rho=%.1f: M/D/1 queueing delay %.9g, want half of M/M/1's %.9g", rho, md1-es, wantQ)
-		}
-	}
-	if rho := Utilization(lambda, es); math.Abs(rho-0.4) > 1e-12 {
-		t.Fatalf("Utilization = %v, want 0.4", rho)
-	}
-	// Saturation must not return garbage and must rank after any stable
-	// point.
-	sat := MG1Sojourn(2/es, es, es*es)
-	if sat <= MG1Sojourn(0.99/es, es, 2*es*es) {
-		t.Fatalf("saturated sojourn %v does not dominate near-saturated", sat)
-	}
-}
