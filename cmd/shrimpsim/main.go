@@ -78,17 +78,17 @@ func main() {
 	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *loadConfig != "" {
-		runLoad(*loadConfig, *nodes, *offered, *quick, *twinMode, *loadRecord, *loadReplay)
-		return
-	}
-
 	stopProf, err := profFlags.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 		os.Exit(1)
 	}
 	defer stopProf()
+
+	if *loadConfig != "" {
+		runLoad(*loadConfig, *nodes, *offered, *quick, *twinMode, *loadRecord, *loadReplay)
+		return
+	}
 
 	var traceOpts *trace.Options
 	if *traceFile != "" || *traceNDJSON != "" || *metrics {

@@ -133,8 +133,8 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Close terminates any unfinished app processes and recycles each
-// node's page memory into the shared arena pool. Device engines are
+// Close terminates any unfinished app processes and returns each
+// node's written pages to the shared page pool. Device engines are
 // continuation state machines with no goroutines to unwind; they simply
 // stop receiving events. The machine is unusable afterwards.
 func (m *Machine) Close() {

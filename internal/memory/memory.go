@@ -6,7 +6,10 @@
 // Data held in an AddressSpace is real: deliberate-update and
 // automatic-update transfers copy actual bytes between address spaces,
 // so applications compute verifiable results through the simulated
-// communication subsystem.
+// communication subsystem. A mapped page owns no bytes until its first
+// write: it reads through one shared zero page, then takes a 4 KB
+// buffer from a process-wide pool that Release and Snapshot.Restore
+// refill.
 package memory
 
 import (
@@ -62,48 +65,74 @@ func (p Prot) String() string {
 
 //shrimp:state
 type page struct {
-	data   []byte
+	data   *[PageSize]byte //shrimp:nostate captured: capture copies dirty pages into saved; Restore writes them back through own and releasePages
 	mapped bool
-	// dirty records that the page may hold nonzero bytes, so Release
-	// zeroes only pages that were actually written. Any path that can
-	// modify data sets it, including PageData (whose caller may write).
+	// dirty records that the page has private backing and may hold
+	// nonzero bytes; a clean page reads through the shared zeroPage.
+	// Every path that can modify data takes private backing first (see
+	// own), including PageData, whose caller may write.
 	dirty bool
 	prot  Prot
 }
 
-// arenaPool recycles page arenas across address-space lifetimes. A full
-// experiment grid builds and discards hundreds of machines, and their
-// page memory (tens of gigabytes cumulatively) dominated runtime as
-// allocator and GC work; recycling reduces that to a memclr of the pages
-// each cell actually wrote. Arenas are pooled by exact size because cell
-// configurations repeat, so hit rates are near-perfect. The pool is
-// shared by all workers; the mutex is uncontended off the Alloc path.
-var arenaPool = struct {
-	sync.Mutex
-	bySize map[int][][]byte
-}{bySize: map[int][][]byte{}}
+// zeroPage backs every clean page. Apps map whole communication
+// regions page by page but write only a small share of them, so most
+// mapped pages never cost memory of their own. Only the read paths ever
+// see zeroPage: every write path, and PageData, takes private backing
+// first (own).
+var zeroPage = new([PageSize]byte)
 
-// getArena returns a zeroed arena of exactly n bytes.
-func getArena(n int) []byte {
-	arenaPool.Lock()
-	free := arenaPool.bySize[n]
-	if len(free) > 0 {
-		a := free[len(free)-1]
-		free[len(free)-1] = nil
-		arenaPool.bySize[n] = free[:len(free)-1]
-		arenaPool.Unlock()
-		return a
-	}
-	arenaPool.Unlock()
-	return make([]byte, n)
+// pagePool is the process-wide freelist of private page buffers. A page
+// takes one on its first write (own) and gives it back zeroed when its
+// address space is released or rewound past it, so the pool holds at
+// most as many pages as were ever written at once, whatever the sizes
+// of the address spaces that wrote them. The pool is shared by all
+// workers; the mutex is taken once per first write and once per
+// release.
+var pagePool struct {
+	sync.Mutex
+	free     []*[PageSize]byte
+	resident int // buffers handed out and not yet given back
 }
 
-// putArena returns an arena to the pool. The caller must have restored
-// it to all-zero (see Release).
-func putArena(a []byte) {
-	arenaPool.Lock()
-	arenaPool.bySize[len(a)] = append(arenaPool.bySize[len(a)], a)
-	arenaPool.Unlock()
+// getPage returns a zeroed private page buffer.
+func getPage() *[PageSize]byte {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	pagePool.resident++
+	if n := len(pagePool.free); n > 0 {
+		b := pagePool.free[n-1]
+		pagePool.free[n-1] = nil
+		pagePool.free = pagePool.free[:n-1]
+		return b
+	}
+	return new([PageSize]byte)
+}
+
+// releasePages zeroes the private backing of every dirty page in pgs,
+// returns it to the pool and puts the page back on zeroPage.
+func releasePages(pgs []page) {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	for i := range pgs {
+		if pg := &pgs[i]; pg.dirty {
+			*pg.data = [PageSize]byte{}
+			pagePool.free = append(pagePool.free, pg.data)
+			pagePool.resident--
+			pg.data = zeroPage
+			pg.dirty = false
+		}
+	}
+}
+
+// PoolStats reports the page pool's footprint: resident pages hold
+// private backing for some address space (written and not yet released
+// or rewound), and free pages wait in the pool for the next first
+// write. Each page is PageSize bytes.
+func PoolStats() (resident, free int) {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	return pagePool.resident, len(pagePool.free)
 }
 
 // SnoopFunc observes a completed store to main memory. It runs at the
@@ -117,9 +146,8 @@ type FaultFunc func(p *sim.Proc, vpn int, write bool)
 
 // AddressSpace is one node's paged memory.
 type AddressSpace struct {
-	pages  []page
-	brk    Addr
-	arenas [][]byte // backing blocks, one per Alloc call, for Release
+	pages []page
+	brk   Addr
 
 	// Snoop, if set, is invoked after every CPU store (not DMA stores;
 	// see DMAWrite). This is the hook the NIC's AU logic attaches to.
@@ -142,25 +170,15 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // Alloc maps npages fresh zeroed pages with read-write protection and
-// returns the base address of the run.
+// returns the base address of the run. The pages read as zeroPage until
+// their first write.
 func (as *AddressSpace) Alloc(npages int) Addr {
 	if npages <= 0 {
 		panic("memory: Alloc of non-positive page count")
 	}
 	base := as.brk
-	// One arena (usually recycled, see arenaPool) backs the whole run:
-	// npages small makeslice calls would dominate machine construction
-	// time in page zeroing and span bookkeeping. Each page gets a
-	// capacity-capped view so an out-of-bounds append through PageData
-	// cannot silently bleed into its neighbor.
-	arena := getArena(npages * PageSize)
-	as.arenas = append(as.arenas, arena)
 	for i := 0; i < npages; i++ {
-		as.pages = append(as.pages, page{
-			data:   arena[i*PageSize : (i+1)*PageSize : (i+1)*PageSize],
-			mapped: true,
-			prot:   ProtReadWrite,
-		})
+		as.pages = append(as.pages, page{data: zeroPage, mapped: true, prot: ProtReadWrite})
 	}
 	as.brk += Addr(npages * PageSize)
 	return base
@@ -171,21 +189,12 @@ func (as *AddressSpace) AllocBytes(n int) Addr {
 	return as.Alloc((n + PageSize - 1) / PageSize)
 }
 
-// Release zeroes every written page and returns the backing arenas to
-// the shared pool for the next machine to reuse. The address space is
-// unusable afterwards. Callers that skip Release (tests, one-shot runs)
-// simply leave their arenas to the garbage collector.
+// Release returns every written page to the shared pool, zeroed, for
+// the next machine to reuse. The address space is unusable afterwards.
+// Callers that skip Release (tests, one-shot runs) simply leave their
+// pages to the garbage collector; PoolStats still counts them resident.
 func (as *AddressSpace) Release() {
-	for i := range as.pages {
-		pg := &as.pages[i]
-		if pg.dirty {
-			clear(pg.data)
-		}
-	}
-	for _, a := range as.arenas {
-		putArena(a)
-	}
-	as.arenas = nil
+	releasePages(as.pages)
 	as.pages = nil
 	as.brk = 0
 	as.ck = nil
@@ -212,12 +221,24 @@ func (as *AddressSpace) SetProt(vpn int, p Prot) {
 func (as *AddressSpace) PageData(vpn int) []byte {
 	as.check(vpn)
 	// The caller may write through the returned slice, so the page must
-	// be assumed dirty from here on.
+	// have private backing from here on.
+	return as.own(vpn)[:]
+}
+
+// own prepares page vpn for a write and returns its bytes. The active
+// checkpoint, if any, captures the page's pristine contents first; a
+// clean page then swaps zeroPage for a zeroed buffer from the pool. It
+// is the only place a page becomes dirty.
+func (as *AddressSpace) own(vpn int) *[PageSize]byte {
 	if as.ck != nil {
 		as.ck.capture(vpn)
 	}
-	as.pages[vpn].dirty = true
-	return as.pages[vpn].data
+	pg := &as.pages[vpn]
+	if !pg.dirty {
+		pg.data = getPage()
+		pg.dirty = true
+	}
+	return pg.data
 }
 
 func (as *AddressSpace) check(vpn int) {
@@ -272,11 +293,7 @@ func (as *AddressSpace) Write(p *sim.Proc, addr Addr, buf []byte) {
 		vpn := addr.VPN()
 		as.ensure(p, vpn, true)
 		off := addr.Offset()
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		n := copy(as.pages[vpn].data[off:], buf)
+		n := copy(as.own(vpn)[off:], buf)
 		if as.Snoop != nil {
 			as.Snoop(addr, n)
 		}
@@ -304,11 +321,7 @@ func (as *AddressSpace) WriteUint32(p *sim.Proc, addr Addr, v uint32) {
 	as.ensure(p, vpn, true)
 	off := addr.Offset()
 	if off+4 <= PageSize {
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		binary.LittleEndian.PutUint32(as.pages[vpn].data[off:], v)
+		binary.LittleEndian.PutUint32(as.own(vpn)[off:], v)
 		if as.Snoop != nil {
 			as.Snoop(addr, 4)
 		}
@@ -338,11 +351,7 @@ func (as *AddressSpace) WriteUint64(p *sim.Proc, addr Addr, v uint64) {
 	as.ensure(p, vpn, true)
 	off := addr.Offset()
 	if off+8 <= PageSize {
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		binary.LittleEndian.PutUint64(as.pages[vpn].data[off:], v)
+		binary.LittleEndian.PutUint64(as.own(vpn)[off:], v)
 		if as.Snoop != nil {
 			as.Snoop(addr, 8)
 		}
@@ -376,11 +385,7 @@ func (as *AddressSpace) DMAWrite(addr Addr, buf []byte) {
 		vpn := addr.VPN()
 		as.check(vpn)
 		off := addr.Offset()
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		n := copy(as.pages[vpn].data[off:], buf)
+		n := copy(as.own(vpn)[off:], buf)
 		buf = buf[n:]
 		addr += Addr(n)
 	}

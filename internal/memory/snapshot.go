@@ -5,12 +5,13 @@ package memory
 // pages actually written in between — not to the size of memory.
 //
 // BeginSnapshot copies only per-page metadata (O(pages), a few bytes
-// each) and arms copy-on-write: every write path in memory.go calls
-// capture(vpn) before the first post-snapshot modification of a page,
-// which saves the page's pristine contents (or just notes it if the
-// page was clean, i.e. all-zero — Release's invariant). Restore then
-// rewinds exactly the touched pages and truncates any post-snapshot
-// allocations, so a branch that dirtied k pages restores in O(k).
+// each) and arms copy-on-write: every write path in memory.go goes
+// through own, which calls capture(vpn) before the first post-snapshot
+// modification of a page. capture saves the page's pristine contents,
+// or just notes the page if it was clean (backed by the shared zero
+// page). Restore then rewinds exactly the touched pages and truncates
+// any post-snapshot allocations, so a branch that dirtied k pages
+// restores in O(k).
 //
 // The capture set is cumulative across branches: a page saved once
 // stays saved, so re-dirtying it in a later branch skips the copy and
@@ -31,13 +32,13 @@ type Snapshot struct {
 	as     *AddressSpace
 	npages int
 	brk    Addr
-	arenas int
 	meta   []pageMeta
 
 	// touched marks pages written since the snapshot; touchedList holds
 	// them in first-touch order so Restore is O(touched). saved holds a
 	// pristine copy for pages that were dirty at snapshot time; touched
-	// pages with a nil saved entry were all-zero and are re-zeroed.
+	// pages with a nil saved entry were clean and go back to the zero
+	// page.
 	touched     []bool //shrimp:nostate captured: first-touch dedup index over touchedList, which Restore walks instead
 	touchedList []int
 	saved       [][]byte
@@ -54,7 +55,6 @@ func (as *AddressSpace) BeginSnapshot() *Snapshot {
 		as:      as,
 		npages:  np,
 		brk:     as.brk,
-		arenas:  len(as.arenas),
 		meta:    make([]pageMeta, np),
 		touched: make([]bool, np),
 		saved:   make([][]byte, np),
@@ -78,44 +78,39 @@ func (ck *Snapshot) capture(vpn int) {
 	ck.touchedList = append(ck.touchedList, vpn)
 	if ck.meta[vpn].dirty {
 		buf := make([]byte, PageSize)
-		copy(buf, ck.as.pages[vpn].data)
+		copy(buf, ck.as.pages[vpn].data[:])
 		ck.saved[vpn] = buf
 	}
-	// A clean page held only zeroes (Release's invariant); Restore
-	// re-zeroes it without needing a copy.
+	// A clean page was the shared zero page; Restore puts it back there
+	// without needing a copy.
 }
 
 // Restore rewinds the address space to the snapshot: post-snapshot
-// allocations are unmapped and their arenas recycled, touched pages get
-// their pristine contents back, and per-page metadata (protection,
-// dirty bits) is reset for every page. Copy-on-write stays armed, so
-// the snapshot can be restored again after further writes.
+// allocations are unmapped and their written pages recycled, touched
+// pages get their pristine contents back (pages clean at the snapshot
+// return their private backing to the pool), and per-page metadata
+// (protection, dirty bits) is reset for every page. Copy-on-write
+// stays armed, so the snapshot can be restored again after further
+// writes.
 func (ck *Snapshot) Restore() {
 	as := ck.as
 	if as.ck != ck {
 		panic("memory: restoring a detached snapshot")
 	}
-	// Unmap pages allocated after the snapshot, returning their arenas
-	// zeroed (the same contract Release keeps with the arena pool).
-	for i := ck.npages; i < len(as.pages); i++ {
-		pg := &as.pages[i]
-		if pg.dirty {
-			clear(pg.data)
-		}
-	}
-	for _, a := range as.arenas[ck.arenas:] {
-		putArena(a)
-	}
-	as.arenas = as.arenas[:ck.arenas]
+	// Unmap pages allocated after the snapshot, returning their written
+	// pages to the pool.
+	releasePages(as.pages[ck.npages:])
 	as.pages = as.pages[:ck.npages]
 	as.brk = ck.brk
-	// Rewind touched page contents.
+	// Rewind touched page contents. A page dirty at the snapshot has
+	// stayed dirty (only Restore and Release clean a page), so it still
+	// has private backing to copy into; a page clean at the snapshot
+	// goes back to the zero page.
 	for _, vpn := range ck.touchedList {
-		pg := &as.pages[vpn]
 		if buf := ck.saved[vpn]; buf != nil {
-			copy(pg.data, buf)
+			copy(as.own(vpn)[:], buf)
 		} else {
-			clear(pg.data)
+			releasePages(as.pages[vpn : vpn+1])
 		}
 	}
 	// Reset metadata for every surviving page (protection can change

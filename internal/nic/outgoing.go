@@ -254,8 +254,7 @@ func (n *NIC) auStore(vpn int, ent *OPTEntry, off int, data []byte) {
 		c.start+len(c.buf) == off && len(c.buf)+len(data) <= n.cfg.CombineLimit {
 		// Consecutive store under an unchanged mapping: accumulate.
 		c.buf = append(c.buf, data...)
-		c.timer.Cancel()
-		c.timer = n.e.NewTimer(n.cfg.CombineTimeout, n.flushFn)
+		c.timer.Reset(n.cfg.CombineTimeout)
 		if n.tr != nil {
 			n.tr.Record(int64(n.e.Now()), trace.KCombineHit, int32(n.id), int64(len(c.buf)), 0)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"shrimp/internal/harness"
+	"shrimp/internal/memory"
 	"shrimp/internal/trace"
 )
 
@@ -92,7 +93,8 @@ func (s *Server) recordLoadRows(rows any) {
 }
 
 // handleMetrics renders Prometheus text exposition format. Counter
-// lines come from the daemon's atomics and the result cache; summary
+// lines come from the daemon's atomics and the result cache, the page
+// gauges from the simulated memory's page pool; summary
 // lines go through the trace package's export hook.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -113,6 +115,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("shrimpd_jobs_canceled_total", "jobs canceled before finishing", m.jobsCanceled.Load())
 	counter("shrimpd_cells_finished_total", "simulation cells completed (cache hits included)", m.cellsFinished.Load())
 	gauge("shrimpd_queue_depth", "jobs waiting to run", int64(len(s.queue)))
+	resident, free := memory.PoolStats()
+	gauge("shrimpd_sim_pages_resident", "simulated 4 KB pages holding written bytes (0 once every cell has finished)", int64(resident))
+	gauge("shrimpd_sim_pages_free", "zeroed 4 KB page buffers pooled for the next cell to write", int64(free))
 
 	if c := s.cfg.Cache; c != nil {
 		st := c.Snapshot()

@@ -242,6 +242,11 @@ func TestRepeatJobServedFromCache(t *testing.T) {
 	if hits < int64(len(cells)) {
 		t.Fatalf("metrics report %d cache hits, want >= %d", hits, len(cells))
 	}
+	for _, gauge := range []string{"shrimpd_sim_pages_resident", "shrimpd_sim_pages_free"} {
+		if !strings.Contains(string(met), "\n# TYPE "+gauge+" gauge\n"+gauge+" ") {
+			t.Fatalf("metrics lack the %s gauge", gauge)
+		}
+	}
 }
 
 // manyQuickCells builds a grid long enough to still be in flight while

@@ -4,7 +4,7 @@ import "testing"
 
 // TestEngineTickAllocationFree asserts the engine's event hot path —
 // scheduling callbacks, firing timers, canceling (the heap's last leaf
-// and a mid-heap event) and re-arming — runs without heap allocation
+// and a mid-heap event), re-arming and resetting — runs without heap allocation
 // once the freelist is warm. AllocsPerRun's warmup call populates the
 // freelist; any steady-state allocation after that is a regression in
 // the zero-allocation data path.
@@ -18,11 +18,14 @@ func TestEngineTickAllocationFree(t *testing.T) {
 		e.After(0, tick)
 		e.After(5, tick)
 		e.After(10, tick)
-		// Cancel-and-rearm, the combining-timeout pattern.
+		// Cancel-and-rearm, and Reset in place (the combining-timeout
+		// pattern) and to the current instant.
 		tm := e.NewTimer(20, tick)
 		tm.Cancel()
 		tm = e.NewTimer(20, tick)
-		_ = tm
+		tm.Reset(25)
+		tm.Reset(15)
+		tm.Reset(0)
 		// Cancel a timer that is not the last heap leaf, so removal
 		// moves another event into its slot.
 		mid := e.NewTimer(30, tick)

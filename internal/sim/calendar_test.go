@@ -8,20 +8,22 @@ import (
 )
 
 // The calendar differential oracle: a seeded random mix of At, After,
-// NewTimer and Timer.Cancel runs once on the Engine and once on a naive
-// reference that keeps every pending event in one list and sorts it by
-// (t, seq) before each pop. Both must log the same firings at the same
-// times and the same Cancel results.
+// NewTimer, Timer.Cancel and Timer.Reset runs once on the Engine and
+// once on a naive reference that keeps every pending event in one list
+// and sorts it by (t, seq) before each pop, and resets a timer by
+// canceling it and filing its callback anew. Both must log the same
+// firings at the same times and the same Cancel results.
 
 const (
 	calAt = iota
 	calAfter
 	calTimer
 	calCancel
+	calReset
 )
 
-// calOp is one scripted action. pick selects a cancel target: from the
-// newest few timers when recent is set (so most cancels hit pending
+// calOp is one scripted action. pick selects a cancel or reset target:
+// from the newest few timers when recent is set (so most hit pending
 // timers), else from all timers made so far (so some hit fired ones).
 type calOp struct {
 	kind   int
@@ -40,7 +42,7 @@ func calScript(seed int64, id int) []calOp {
 		ops = make([]calOp, 8)
 	}
 	for i := range ops {
-		op := calOp{kind: r.Intn(4), pick: r.Int(), recent: r.Intn(4) != 0}
+		op := calOp{kind: r.Intn(5), pick: r.Int(), recent: r.Intn(4) != 0}
 		switch r.Intn(3) {
 		case 0: // due now: FIFO-resident, tied with everything due now
 		case 1: // near future: heap ties at the same instant
@@ -53,24 +55,32 @@ func calScript(seed int64, id int) []calOp {
 	return ops
 }
 
-// calendar is what the player needs from either implementation. timer
-// returns the new timer's cancel function.
+// calendar is what the player needs from either implementation.
 type calendar interface {
 	now() Time
 	at(t Time, fn func())
 	after(d Time, fn func())
-	timer(d Time, fn func()) func() bool
+	timer(d Time, fn func()) calHandle
 	run()
 }
 
+// calHandle is a timer handle of either implementation.
+type calHandle interface {
+	cancel() bool
+	reset(d Time)
+}
+
 // calPlayer plays the scripts against one calendar and logs what
-// happens. It stops creating events after maxEvents.
+// happens. It stops creating events, and resetting timers (a timer that
+// resets itself each time it fires would never drain), after maxEvents
+// of each.
 type calPlayer struct {
 	seed      int64
 	maxEvents int
 	cal       calendar
 	nextID    int
-	timers    []func() bool
+	resets    int
+	timers    []calHandle
 	log       []string
 }
 
@@ -81,7 +91,7 @@ func (d *calPlayer) fire(id int) {
 
 func (d *calPlayer) exec(id int) {
 	for _, op := range calScript(d.seed, id) {
-		if op.kind == calCancel {
+		if op.kind == calCancel || op.kind == calReset {
 			if len(d.timers) == 0 {
 				continue
 			}
@@ -90,7 +100,13 @@ func (d *calPlayer) exec(id int) {
 				n = 3
 			}
 			i := len(d.timers) - 1 - op.pick%n
-			d.log = append(d.log, fmt.Sprintf("cancel timer %d: %v", i, d.timers[i]()))
+			if op.kind == calCancel {
+				d.log = append(d.log, fmt.Sprintf("cancel timer %d: %v", i, d.timers[i].cancel()))
+			} else if d.resets < d.maxEvents {
+				d.resets++
+				d.log = append(d.log, fmt.Sprintf("reset timer %d to +%d", i, op.delay))
+				d.timers[i].reset(op.delay)
+			}
 			continue
 		}
 		if d.nextID >= d.maxEvents {
@@ -112,8 +128,9 @@ func (d *calPlayer) exec(id int) {
 
 // engineCal adapts the Engine. It counts the live events it filed on
 // the heap (due after the instant they were scheduled at), so each
-// successful heap-resident cancel can check that the heap holds exactly
-// those: a canceled timer must leave the heap at once.
+// successful heap-resident cancel, and each reset, can check that the
+// heap holds exactly those: a canceled or re-keyed timer must leave no
+// stale entry behind.
 type engineCal struct {
 	t                  *testing.T
 	e                  *Engine
@@ -121,6 +138,8 @@ type engineCal struct {
 	heapCancels        int
 	fifoCancels        int
 	firedCancels       int
+	inPlaceResets      int
+	fallbackResets     int
 	heapCancelMismatch bool
 }
 
@@ -143,29 +162,76 @@ func (c *engineCal) at(t Time, fn func()) {
 
 func (c *engineCal) after(d Time, fn func()) { c.at(c.e.Now()+d, fn) }
 
-func (c *engineCal) timer(d Time, fn func()) func() bool {
-	fired := false
-	wrapped, onHeap := c.track(c.e.Now()+d, func() { fired = true; fn() })
-	tm := c.e.NewTimer(d, wrapped)
-	return func() bool {
-		ok := tm.Cancel()
-		switch {
-		case !ok:
-			if fired {
-				c.firedCancels++
-			}
-		case onHeap:
-			c.heapCancels++
+// engineTimer is an Engine timer plus the state of its current arming:
+// whether it went on the heap, and whether it has fired or been
+// canceled since.
+type engineTimer struct {
+	c             *engineCal
+	tm            Timer
+	onHeap        bool
+	fired, killed bool
+}
+
+func (c *engineCal) timer(d Time, fn func()) calHandle {
+	h := &engineTimer{c: c, onHeap: d != 0}
+	if h.onHeap {
+		c.heapLive++
+	}
+	h.tm = c.e.NewTimer(d, func() {
+		h.fired = true
+		if h.onHeap {
 			c.heapLive--
-			if len(c.e.events) != c.heapLive && !c.heapCancelMismatch {
-				c.heapCancelMismatch = true
-				c.t.Errorf("after a heap-resident cancel at %v: %d heap events, want %d live",
-					c.e.Now(), len(c.e.events), c.heapLive)
-			}
-		default:
-			c.fifoCancels++
 		}
-		return ok
+		fn()
+	})
+	return h
+}
+
+func (h *engineTimer) cancel() bool {
+	c := h.c
+	ok := h.tm.Cancel()
+	switch {
+	case !ok:
+		if h.fired {
+			c.firedCancels++
+		}
+	case h.onHeap:
+		h.killed = true
+		c.heapCancels++
+		c.heapLive--
+		c.checkHeap("a heap-resident cancel")
+	default:
+		h.killed = true
+		c.fifoCancels++
+	}
+	return ok
+}
+
+func (h *engineTimer) reset(d Time) {
+	c := h.c
+	pending := !h.fired && !h.killed
+	if pending && h.onHeap && d != 0 {
+		c.inPlaceResets++
+	} else {
+		c.fallbackResets++
+	}
+	if pending && h.onHeap {
+		c.heapLive--
+	}
+	h.onHeap, h.fired, h.killed = d != 0, false, false
+	if h.onHeap {
+		c.heapLive++
+	}
+	h.tm.Reset(d)
+	c.checkHeap("a reset")
+}
+
+// checkHeap reports, once, a heap holding other than the live events.
+func (c *engineCal) checkHeap(after string) {
+	if len(c.e.events) != c.heapLive && !c.heapCancelMismatch {
+		c.heapCancelMismatch = true
+		c.t.Errorf("after %s at %v: %d heap events, want %d live",
+			after, c.e.Now(), len(c.e.events), c.heapLive)
 	}
 }
 
@@ -197,21 +263,34 @@ func (r *refCal) push(t Time, fn func()) *refEvent {
 func (r *refCal) at(t Time, fn func())    { r.push(t, fn) }
 func (r *refCal) after(d Time, fn func()) { r.push(r.t+d, fn) }
 
-func (r *refCal) timer(d Time, fn func()) func() bool {
-	ev := r.push(r.t+d, fn)
-	return func() bool {
-		if ev.done {
-			return false
-		}
-		ev.done = true
-		for i, p := range r.pending {
-			if p == ev {
-				r.pending = append(r.pending[:i], r.pending[i+1:]...)
-				break
-			}
-		}
-		return true
+// refTimer is a reference timer: its current event and its callback.
+type refTimer struct {
+	r  *refCal
+	ev *refEvent
+	fn func()
+}
+
+func (r *refCal) timer(d Time, fn func()) calHandle {
+	return &refTimer{r: r, ev: r.push(r.t+d, fn), fn: fn}
+}
+
+func (t *refTimer) cancel() bool {
+	if t.ev.done {
+		return false
 	}
+	t.ev.done = true
+	for i, p := range t.r.pending {
+		if p == t.ev {
+			t.r.pending = append(t.r.pending[:i], t.r.pending[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+func (t *refTimer) reset(d Time) {
+	t.cancel()
+	t.ev = t.r.push(t.r.t+d, t.fn)
 }
 
 func (r *refCal) run() {
@@ -232,7 +311,7 @@ func (r *refCal) run() {
 }
 
 func TestCalendarMatchesReference(t *testing.T) {
-	var heapCancels, fifoCancels, firedCancels int
+	var heapCancels, fifoCancels, firedCancels, inPlaceResets, fallbackResets int
 	for seed := int64(1); seed <= 40; seed++ {
 		ec := &engineCal{t: t, e: NewEngine()}
 		got := &calPlayer{seed: seed, maxEvents: 400, cal: ec}
@@ -260,12 +339,18 @@ func TestCalendarMatchesReference(t *testing.T) {
 		heapCancels += ec.heapCancels
 		fifoCancels += ec.fifoCancels
 		firedCancels += ec.firedCancels
+		inPlaceResets += ec.inPlaceResets
+		fallbackResets += ec.fallbackResets
 	}
-	// The mix must exercise every cancel path.
+	// The mix must exercise every cancel path and both reset paths.
 	if heapCancels == 0 || fifoCancels == 0 || firedCancels == 0 {
 		t.Fatalf("cancels: %d heap-resident, %d FIFO-resident, %d of fired timers; want all > 0",
 			heapCancels, fifoCancels, firedCancels)
 	}
-	t.Logf("cancels: %d heap-resident, %d FIFO-resident, %d of fired timers",
-		heapCancels, fifoCancels, firedCancels)
+	if inPlaceResets == 0 || fallbackResets == 0 {
+		t.Fatalf("resets: %d in place, %d by cancel and re-arm; want both > 0",
+			inPlaceResets, fallbackResets)
+	}
+	t.Logf("cancels: %d heap-resident, %d FIFO-resident, %d of fired timers; resets: %d in place, %d by cancel and re-arm",
+		heapCancels, fifoCancels, firedCancels, inPlaceResets, fallbackResets)
 }

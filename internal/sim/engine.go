@@ -402,11 +402,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // Timer is a cancelable scheduled callback. It is a small value type so
 // that re-arming a timer in a hot path (the NIC's combining timeout does
 // this once per snooped store) performs no heap allocation; the zero
-// Timer is valid and Cancel on it is a no-op.
+// Timer is valid and Cancel on it is a no-op. A Timer keeps its
+// callback for Reset, so the value itself holds the closure live until
+// it is overwritten.
 type Timer struct {
 	e   *Engine
 	ev  *event
 	seq uint64
+	fn  func()
 }
 
 // NewTimer schedules fn to run after d; the returned Timer can cancel it.
@@ -418,7 +421,38 @@ func (e *Engine) NewTimer(d Time, fn func()) Timer {
 	ev.t = e.now + d
 	ev.fn = fn
 	e.push(ev)
-	return Timer{e: e, ev: ev, seq: ev.seq}
+	return Timer{e: e, ev: ev, seq: ev.seq, fn: fn}
+}
+
+// Reset re-arms the timer to run its callback d from now, filing it
+// exactly where Cancel followed by NewTimer with the same callback
+// would: it takes the next seq and is due at now+d. A pending
+// heap-resident timer is re-keyed in place, which saves the removal
+// and re-insertion; a fired, canceled or FIFO-resident timer, or one
+// re-armed for the current instant (whose place is the same-instant
+// FIFO), falls back to Cancel and NewTimer. Reset on the zero Timer
+// panics: there is no callback to re-arm.
+//
+//shrimp:hotpath
+func (t *Timer) Reset(d Time) {
+	e, ev := t.e, t.ev
+	// A fired or heap-canceled event was recycled (its seq changed); a
+	// FIFO-resident one, canceled or not, has idx -1.
+	if ev == nil || ev.seq != t.seq || ev.idx < 0 || d <= 0 {
+		t.Cancel()
+		*t = e.NewTimer(d, t.fn)
+		return
+	}
+	ev.t = e.now + d
+	ev.seq = e.seq
+	e.seq++
+	t.seq = ev.seq
+	// The new key may sort before or after the old one.
+	i := ev.idx
+	e.siftDown(i)
+	if ev.idx == i {
+		e.siftUp(i)
+	}
 }
 
 // Cancel prevents the timer from firing. Canceling an already-fired or

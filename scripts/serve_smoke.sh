@@ -5,9 +5,11 @@
 #   1. /healthz answers once the daemon is up.
 #   2. A quick table1 experiment job streams NDJSON byte-identical to
 #      `shrimpbench -json -exp table1 -quick`.
-#   3. Resubmitting the same job is served from the result cache
+#   3. Once that job is done, no simulated page is resident (page-pool
+#      gauges in /metrics): no cell leaked its machine's memory.
+#   4. Resubmitting the same job is served from the result cache
 #      (cache-hit counter visible in /metrics).
-#   4. SIGTERM drains the daemon cleanly (exit 0).
+#   5. SIGTERM drains the daemon cleanly (exit 0).
 #
 # Used by `make serve-smoke` and the CI "Serve smoke" step.
 set -euo pipefail
@@ -64,6 +66,23 @@ curl -fsS "$BASE/v1/jobs/$ID/results" >"$WORK/api.ndjson"
 "$BIN/shrimpbench" -exp table1 -quick -json >"$WORK/cli.ndjson"
 diff "$WORK/api.ndjson" "$WORK/cli.ndjson"
 echo "serve-smoke: API results byte-identical to shrimpbench -json"
+
+# Every simulated page goes back to the page pool when its cell ends,
+# so with the job finished no page may stay resident: a nonzero gauge
+# is a cell that leaked its machine's memory.
+curl -fsS "$BASE/metrics" >"$WORK/metrics.txt"
+RESIDENT=$(awk '$1=="shrimpd_sim_pages_resident"{print $2}' "$WORK/metrics.txt")
+FREE=$(awk '$1=="shrimpd_sim_pages_free"{print $2}' "$WORK/metrics.txt")
+if [ -z "$RESIDENT" ] || [ -z "$FREE" ]; then
+    echo "serve-smoke: /metrics lacks the simulated-page gauges" >&2
+    cat "$WORK/metrics.txt" >&2
+    exit 1
+fi
+if [ "$RESIDENT" -ne 0 ] || [ "$FREE" -le 0 ]; then
+    echo "serve-smoke: $RESIDENT pages resident, $FREE pooled after the job drained; want 0 and > 0" >&2
+    exit 1
+fi
+echo "serve-smoke: no simulated pages resident after the job ($FREE pooled)"
 
 ID2=$(submit_table1)
 wait_done "$ID2"
