@@ -37,11 +37,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"simulation cells to run concurrently (1 = serial; results are identical either way)")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per table/figure row instead of text")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline of every cell to this file")
-	traceNDJSON := flag.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file")
-	traceFilter := flag.String("trace-filter", "", "comma-separated event kinds to trace (default: all)")
-	traceMax := flag.Int("trace-max", 1<<20, "max trace events kept per cell (0 = unlimited)")
-	metrics := flag.Bool("metrics", false, "print per-cell latency histograms and link utilization")
 	twin := flag.Bool("twin", false,
 		"evaluate the selected experiments with the analytical twin only (no simulation)")
 	calibrate := flag.Bool("calibrate", false,
@@ -76,13 +71,11 @@ func main() {
 	var recs []*trace.Recorder
 	var labels []string
 	curExp := ""
-	if *traceFile != "" || *traceNDJSON != "" || *metrics {
-		mask, err := trace.ParseFilter(*traceFilter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Trace = &trace.Options{Filter: mask, MaxEvents: *traceMax}
+	if cfg.Trace, err = profFlags.Trace(); err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
+		os.Exit(2)
+	}
+	if cfg.Trace != nil {
 		cfg.TraceSink = func(cell harness.Spec, rec *trace.Recorder) {
 			recs = append(recs, rec)
 			labels = append(labels, curExp+"/"+cell.Label())
@@ -164,13 +157,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *metrics {
+	if profFlags.Metrics() {
 		for i, rec := range recs {
 			fmt.Fprintln(w)
 			trace.WriteSummary(w, rec, labels[i])
 		}
 	}
-	if err := prof.WriteTraces(*traceFile, *traceNDJSON, recs, labels); err != nil {
+	if err := profFlags.WriteTraces(recs, labels); err != nil {
 		fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
 		os.Exit(1)
 	}

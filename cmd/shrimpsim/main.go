@@ -63,11 +63,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"apps to simulate concurrently when several are named")
 	quick := flag.Bool("quick", false, "use tiny problem sizes")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
-	traceNDJSON := flag.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file")
-	traceFilter := flag.String("trace-filter", "", "comma-separated event kinds to trace (default: all)")
-	traceMax := flag.Int("trace-max", 1<<20, "max trace events kept per app (0 = unlimited)")
-	metrics := flag.Bool("metrics", false, "print per-app latency histograms and link utilization")
 	twinMode := flag.Bool("twin", false,
 		"predict with the analytical twin instead of simulating (closed form, no DES)")
 	loadConfig := flag.String("load", "", "drive a service with open-loop traffic instead of -app "+
@@ -90,14 +85,10 @@ func main() {
 		return
 	}
 
-	var traceOpts *trace.Options
-	if *traceFile != "" || *traceNDJSON != "" || *metrics {
-		mask, err := trace.ParseFilter(*traceFilter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-			os.Exit(2)
-		}
-		traceOpts = &trace.Options{Filter: mask, MaxEvents: *traceMax}
+	traceOpts, err := profFlags.Trace()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
+		os.Exit(2)
 	}
 
 	var knobs harness.Knobs
@@ -154,7 +145,7 @@ func main() {
 			fmt.Println()
 		}
 		report(spec.App, *nodes, &wl, results[i])
-		if *metrics && results[i].Trace != nil {
+		if profFlags.Metrics() && results[i].Trace != nil {
 			fmt.Println()
 			trace.WriteSummary(os.Stdout, results[i].Trace, cells[i].Label())
 		}
@@ -169,7 +160,7 @@ func main() {
 				labels = append(labels, cells[i].Label())
 			}
 		}
-		if err := prof.WriteTraces(*traceFile, *traceNDJSON, recs, labels); err != nil {
+		if err := profFlags.WriteTraces(recs, labels); err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 			os.Exit(1)
 		}

@@ -76,6 +76,39 @@ func (k Knobs) apply(c *machine.Config) {
 	}
 }
 
+// machineConfig resolves the machine a spec describes: the as-built
+// configuration with the spec's knobs applied. It is the one place the
+// canonical encoding and the twin take it from.
+func (s Spec) machineConfig() machine.Config {
+	cfg := machine.DefaultConfig(s.Nodes)
+	s.Knobs.apply(&cfg)
+	return cfg
+}
+
+// checkKnobs rejects knob values the NIC cannot run: it needs at least
+// one deliberate-update request slot, a non-empty outgoing FIFO, and
+// FIFO watermarks ordered 0 <= low water <= threshold <= capacity.
+// Unset knobs take their as-built values, so a lone out_fifo_bytes
+// below the as-built threshold is rejected too. No knob depends on the
+// node count, so the check resolves them against a one-node machine:
+// it stays cheap and cannot stall on a node count not yet bounded.
+func (s Spec) checkKnobs() error {
+	cfg := machine.DefaultConfig(1)
+	s.Knobs.apply(&cfg)
+	c := cfg.NIC
+	switch {
+	case c.DUQueueDepth < 1:
+		return fmt.Errorf("du_queue_depth must be >= 1, got %d", c.DUQueueDepth)
+	case c.OutFIFOBytes < 1:
+		return fmt.Errorf("out_fifo_bytes must be >= 1, got %d", c.OutFIFOBytes)
+	case c.FIFOLowWaterBytes < 0 || c.FIFOLowWaterBytes > c.FIFOThresholdBytes ||
+		c.FIFOThresholdBytes > c.OutFIFOBytes:
+		return fmt.Errorf("want 0 <= fifo_low_water_bytes (%d) <= fifo_threshold_bytes (%d) <= out_fifo_bytes (%d)",
+			c.FIFOLowWaterBytes, c.FIFOThresholdBytes, c.OutFIFOBytes)
+	}
+	return nil
+}
+
 // bptr and iptr build knob values in place (grid builders set many).
 func bptr(b bool) *bool { return &b }
 func iptr(i int) *int   { return &i }
@@ -153,7 +186,8 @@ func ParseProtocol(s string) (p svm.Protocol, ok bool, err error) {
 // Compile resolves a CellSpec into a runnable Spec. Defaults are
 // filled exactly as the CLI tools fill them: empty Variant selects
 // DefaultVariant, empty Protocol applies no override, and unset knobs
-// leave the as-built machine configuration alone.
+// leave the as-built machine configuration alone. Knob values are
+// checked against the resolved machine (see checkKnobs).
 func (c CellSpec) Compile() (Spec, error) {
 	app, err := ParseApp(c.App)
 	if err != nil {
@@ -174,6 +208,9 @@ func (c CellSpec) Compile() (Spec, error) {
 		spec.Protocol = &p
 	}
 	spec.Knobs = c.Knobs
+	if err := spec.checkKnobs(); err != nil {
+		return Spec{}, fmt.Errorf("harness: cell %s: %w", c.App, err)
+	}
 	return spec, nil
 }
 
@@ -219,13 +256,11 @@ func (c CellSpec) Canonical(w *Workloads) ([]byte, error) {
 // uses to key compiled specs. It covers the compiled fields only: a
 // tracer has no encoding, so RunCells never caches a traced spec.
 func (s Spec) canonical(w *Workloads) ([]byte, error) {
-	cfg := machine.DefaultConfig(s.Nodes)
-	s.Knobs.apply(&cfg)
 	cc := canonicalCell{
 		Version: cellEncodingVersion,
 		App:     s.App.String(),
 		Nodes:   s.Nodes,
-		Machine: cfg,
+		Machine: s.machineConfig(),
 	}
 	switch s.App {
 	case BarnesSVM, OceanSVM, RadixSVM:

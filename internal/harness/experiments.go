@@ -148,7 +148,7 @@ func Figure3Cells(cfg Config) []CellSpec {
 	points := figure3Points(cfg)
 	cells := make([]CellSpec, 0, len(figure3Apps())*len(points))
 	for _, a := range figure3Apps() {
-		v := BestVariant(a).String()
+		v := DefaultVariant(a).String()
 		cells = append(cells, CellSpec{App: a.String(), Nodes: 1, Variant: v})
 		for _, n := range points {
 			if n > cfg.Nodes {
@@ -172,7 +172,7 @@ func Figure3(cfg Config) []Figure3Curve {
 	for _, a := range figure3Apps() {
 		base := res[i].Elapsed
 		i++
-		c := Figure3Curve{App: a, Variant: BestVariant(a)}
+		c := Figure3Curve{App: a, Variant: DefaultVariant(a)}
 		for _, n := range points {
 			if n > cfg.Nodes {
 				break

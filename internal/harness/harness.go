@@ -158,17 +158,11 @@ func (w *Workloads) SizeString(a App) string {
 	case OceanNX:
 		return fmt.Sprintf("%dx%d, %d iters", w.OceanNX.N+2, w.OceanNX.N+2, w.OceanNX.Iters)
 	case DFSSockets:
-		return fmt.Sprintf("%d clients", maxInt(1, 16/2))
+		// Clients run on half the nodes of the paper's 16-node machine.
+		return fmt.Sprintf("%d clients", 16/2)
 	default:
 		return fmt.Sprintf("%d^2 image", w.Render.ImageSize)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Spec is one run request.
@@ -179,12 +173,12 @@ type Spec struct {
 	// Protocol overrides the SVM protocol implied by Variant (used by
 	// the Figure 4 protocol comparison).
 	Protocol *svm.Protocol
-	// Knobs are the named machine-configuration what-ifs. For the
-	// checkpointable applications they are applied at the post-warmup
-	// phase boundary (identically in cold and prefix-shared runs);
-	// everywhere else at machine build time. Every knob is read at its
-	// point of use by the device layers, so the two are equivalent for
-	// non-phased apps.
+	// Knobs are the named machine-configuration what-ifs. Every cell
+	// starts on the as-built machine and takes its knobs before the
+	// app's first knob-sensitive step: at the post-warmup phase boundary
+	// for the checkpointable applications (identically in cold and
+	// prefix-shared runs), before the NX or sockets library is built for
+	// the others.
 	Knobs Knobs
 	// Trace, when non-nil, attaches a fresh trace.Recorder to the cell's
 	// machine; the populated recorder comes back in Result.Trace.
@@ -227,18 +221,6 @@ func svmRegionBytes(a App, w *Workloads) int {
 	}
 }
 
-// phased reports whether a spec runs as warmup + body phases with a
-// checkpointable boundary in between. The four supported applications
-// always run phased, so cold runs and prefix-shared forks follow the
-// exact same event sequence.
-func (s Spec) phased() bool {
-	switch s.App {
-	case BarnesSVM, OceanSVM, RadixSVM, RadixVMMC:
-		return true
-	}
-	return false
-}
-
 // resolveProto resolves the SVM protocol a spec runs: the variant
 // implies one (AU -> AURC, DU -> HLRC) and an explicit Protocol
 // overrides it — the same resolution Canonical encodes.
@@ -253,66 +235,85 @@ func resolveProto(spec Spec) svm.Protocol {
 	return proto
 }
 
-// phasedRun is a simulation warmed to its phase boundary: the machine
-// is quiescent, the app's processes are parked (finished their warmup
-// phase), and finish — the app's reattach hook — respawns them for the
-// body. It is the unit the prefix-sharing planner checkpoints.
-type phasedRun struct {
+// cellRun is a simulation started on the as-built machine. The
+// checkpointable apps are warmed to their phase boundary: the machine
+// is quiescent and the app's processes are parked after their warmup
+// phase. The NX and sockets apps have not begun. finish runs the rest
+// of the app — it respawns the parked processes for the body, or
+// builds the NX or sockets library and runs the whole app — and returns
+// the elapsed time. A warmed cellRun is the unit the prefix-sharing
+// planner checkpoints.
+type cellRun struct {
 	m      *machine.Machine
 	sys    *vmmc.System
 	shm    *svm.System // nil for non-SVM apps
 	finish func() sim.Time
 }
 
-// startPhased builds the machine with the as-built configuration (no
-// knobs — they land at the phase boundary) and runs the warmup prefix.
-func startPhased(spec Spec, w *Workloads) *phasedRun {
+// start builds the as-built machine (no knobs: applyKnobs sets them,
+// the way the paper reprograms the as-built firmware) and starts the
+// spec's app. The checkpointable apps run their warmup prefix here.
+func start(spec Spec, w *Workloads) *cellRun {
 	cfg := machine.DefaultConfig(spec.Nodes)
 	if spec.Trace != nil {
 		cfg.Trace = trace.NewRecorder(*spec.Trace)
 	}
 	m := machine.New(cfg)
 	sys := vmmc.NewSystem(m)
-	ps := &phasedRun{m: m, sys: sys}
+	cr := &cellRun{m: m, sys: sys}
 	switch spec.App {
 	case BarnesSVM, OceanSVM, RadixSVM:
-		scfg := svm.DefaultConfig(resolveProto(spec), svmRegionBytes(spec.App, w))
-		scfg.Combine = cfg.NIC.Combining
-		s := svm.New(sys, scfg)
-		ps.shm = s
+		s := svm.New(sys, svm.DefaultConfig(resolveProto(spec), svmRegionBytes(spec.App, w)))
+		cr.shm = s
 		switch spec.App {
 		case BarnesSVM:
-			ps.finish = barnes.StartSVM(s, w.BarnesSVM).Finish
+			cr.finish = barnes.StartSVM(s, w.BarnesSVM).Finish
 		case OceanSVM:
-			ps.finish = ocean.StartSVM(s, w.OceanSVM).Finish
+			cr.finish = ocean.StartSVM(s, w.OceanSVM).Finish
 		default:
-			ps.finish = radix.StartSVM(s, w.Radix).Finish
+			cr.finish = radix.StartSVM(s, w.Radix).Finish
 		}
 	case RadixVMMC:
 		mech := radix.AU
 		if spec.Variant == VariantDU {
 			mech = radix.DU
 		}
-		ps.finish = radix.StartVMMC(sys, mech, w.Radix).Finish
+		cr.finish = radix.StartVMMC(sys, mech, w.Radix).Finish
+	case BarnesNX, OceanNX:
+		mode := ring.AU
+		if spec.Variant == VariantDU {
+			mode = ring.DU
+		}
+		cr.finish = func() sim.Time {
+			c := nx.New(sys, nx.Config{Mode: mode, RingBytes: 128 * 1024})
+			if spec.App == BarnesNX {
+				return barnes.RunNX(c, w.BarnesNX)
+			}
+			return ocean.RunNX(c, w.OceanNX)
+		}
 	default:
-		panic("harness: startPhased on a non-phased app")
+		scfg := socketlib.DefaultConfig()
+		if spec.Variant == VariantAU {
+			scfg.Mode = ring.AU
+		}
+		cr.finish = func() sim.Time {
+			if spec.App == DFSSockets {
+				return dfs.Run(sys, scfg, w.DFS)
+			}
+			return render.Run(sys, scfg, w.Render)
+		}
 	}
-	return ps
+	return cr
 }
 
-// applyKnobs applies a spec's knobs to the live machine at the phase
-// boundary: the config block, every NIC's private copy of it, and the
-// SVM layer's combining flag. Every knob is read at use time by the
-// engines, so this is equivalent to having built the machine with them
-// — for everything after the boundary, which is exactly where the
-// knobs under study act.
-func (ps *phasedRun) applyKnobs(spec Spec) {
-	spec.Knobs.apply(&ps.m.Cfg)
-	for _, nd := range ps.m.Nodes {
-		nd.NIC.SetConfig(ps.m.Cfg.NIC)
-	}
-	if ps.shm != nil {
-		ps.shm.SetCombine(ps.m.Cfg.NIC.Combining)
+// applyKnobs sets a spec's knobs on the live machine: its config block
+// and every NIC's copy of the NIC part. The device layers read every
+// knob at its point of use, so this is equivalent to having built the
+// machine with the knobs, for everything that runs after this call.
+func (cr *cellRun) applyKnobs(spec Spec) {
+	spec.Knobs.apply(&cr.m.Cfg)
+	for _, nd := range cr.m.Nodes {
+		nd.NIC.SetConfig(cr.m.Cfg.NIC)
 	}
 }
 
@@ -335,60 +336,22 @@ func collectResult(m *machine.Machine, elapsed sim.Time) Result {
 	return res
 }
 
-// Run executes one spec cold and collects the account. The
-// checkpointable apps run warmup then body, with the knobs applied at
-// the phase boundary; the NX and sockets apps run in one phase on a
-// machine built with the knobs.
+// Run executes one spec cold and collects the account: it starts the
+// app on the as-built machine, applies the knobs, and finishes the app.
+// For a checkpointable app that puts the knobs at its phase boundary,
+// exactly where a branch forked from a shared warmup applies them.
 func Run(spec Spec, w *Workloads) Result {
-	if spec.phased() {
-		ps := startPhased(spec, w)
-		defer ps.m.Close()
-		ps.applyKnobs(spec)
-		return collectResult(ps.m, ps.finish())
-	}
-
-	cfg := machine.DefaultConfig(spec.Nodes)
-	spec.Knobs.apply(&cfg)
-	if spec.Trace != nil {
-		cfg.Trace = trace.NewRecorder(*spec.Trace)
-	}
-	m := machine.New(cfg)
-	defer m.Close()
-	sys := vmmc.NewSystem(m)
-
-	var elapsed sim.Time
-	switch spec.App {
-	case BarnesNX, OceanNX:
-		mode := ring.AU
-		if spec.Variant == VariantDU {
-			mode = ring.DU
-		}
-		c := nx.New(sys, nx.Config{Mode: mode, RingBytes: 128 * 1024})
-		if spec.App == BarnesNX {
-			elapsed = barnes.RunNX(c, w.BarnesNX)
-		} else {
-			elapsed = ocean.RunNX(c, w.OceanNX)
-		}
-	case DFSSockets, RenderSockets:
-		scfg := socketlib.DefaultConfig()
-		if spec.Variant == VariantAU {
-			scfg.Mode = ring.AU
-		}
-		scfg.Combine = cfg.NIC.Combining
-		if spec.App == DFSSockets {
-			elapsed = dfs.Run(sys, scfg, w.DFS)
-		} else {
-			elapsed = render.Run(sys, scfg, w.Render)
-		}
-	}
-
-	return collectResult(m, elapsed)
+	cr := start(spec, w)
+	defer cr.m.Close()
+	cr.applyKnobs(spec)
+	return collectResult(cr.m, cr.finish())
 }
 
-// BestVariant returns the variant with the better speedup for an app —
-// the paper plots the better of automatic and deliberate update in
-// Figure 3.
-func BestVariant(a App) Variant {
+// DefaultVariant returns the variant with the better speedup for an
+// app — the paper plots the better of automatic and deliberate update
+// in Figure 3 — which is also the configuration used for the what-if
+// tables: the shipped system's preferred mechanism per application.
+func DefaultVariant(a App) Variant {
 	switch a {
 	// Figure 3 annotations: Ocean-NX (AU), Radix-VMMC (AU), Barnes-NX
 	// (DU), Radix-SVM (AU), Ocean-SVM (AU), Barnes-SVM (AU). The
@@ -399,7 +362,3 @@ func BestVariant(a App) Variant {
 		return VariantAU
 	}
 }
-
-// DefaultVariant is the configuration used for the what-if tables: the
-// shipped system's preferred mechanism per application.
-func DefaultVariant(a App) Variant { return BestVariant(a) }

@@ -172,7 +172,8 @@ func compileCells(cells []CellSpec) ([]Spec, error) {
 
 // RunCellSpecs compiles serializable cell specs and executes them with
 // RunCells. An error is returned only for invalid specs (unknown app,
-// bad variant/protocol, non-positive nodes), before anything runs.
+// bad variant/protocol, non-positive nodes, knobs out of range), before
+// anything runs.
 func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts CellRunOpts) ([]Result, error) {
 	specs, err := compileCells(cells)
 	if err != nil {

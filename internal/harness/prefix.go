@@ -14,16 +14,17 @@ import (
 // the warmup (app, nodes, resolved protocol or mechanism; the workload
 // is fixed per sweep) — runs each shared prefix once, checkpoints at
 // the phase boundary, and forks one branch per cell by restoring the
-// checkpoint and applying that cell's knobs. Because cold runs of
-// phased apps follow the exact same warmup-then-knobs sequence, a
-// forked branch is byte-identical to a from-scratch run; sharing is
-// invisible to golden checksums and the result cache.
+// checkpoint and applying that cell's knobs. Because cold runs follow
+// the exact same warmup-then-knobs sequence, a forked branch is
+// byte-identical to a from-scratch run; sharing is invisible to golden
+// checksums and the result cache.
 
 // prefixKey returns the warmup-grouping key for a spec, or "" when the
-// cell cannot share a prefix (non-phased app, or an attached tracer,
-// whose recorder must observe the cell's own warmup).
+// cell cannot share a prefix (an NX or sockets app, which has no
+// warmup phase, or an attached tracer, whose recorder must observe the
+// cell's own warmup).
 func (s Spec) prefixKey() string {
-	if !s.phased() || s.Trace != nil {
+	if s.Trace != nil {
 		return ""
 	}
 	switch s.App {
@@ -66,9 +67,9 @@ func planUnits(cells []Spec, todo []int, workers int) [][]int {
 // Cancelling ctx stops the group before its next branch; branches that
 // never start stay zero values, like unstarted cells.
 func runSharedGroup(ctx context.Context, idxs []int, cells []Spec, w *Workloads, done func(i int, r Result)) {
-	ps := startPhased(cells[idxs[0]], w)
-	defer ps.m.Close()
-	ck, err := checkpoint.Take(ps.m, ps.sys, ps.shm)
+	cr := start(cells[idxs[0]], w)
+	defer cr.m.Close()
+	ck, err := checkpoint.Take(cr.m, cr.sys, cr.shm)
 	if err != nil {
 		panic("harness: prefix checkpoint: " + err.Error())
 	}
@@ -84,7 +85,7 @@ func runSharedGroup(ctx context.Context, idxs []int, cells []Spec, w *Workloads,
 		if bi == len(idxs)-1 {
 			ck.Detach() // last branch: no more restores, so skip CoW capture
 		}
-		ps.applyKnobs(cells[i])
-		done(i, collectResult(ps.m, ps.finish()))
+		cr.applyKnobs(cells[i])
+		done(i, collectResult(cr.m, cr.finish()))
 	}
 }

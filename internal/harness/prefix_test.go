@@ -90,8 +90,8 @@ func TestForkDeterminismSweep(t *testing.T) {
 	}
 }
 
-// TestPrefixKeyEligibility pins which cells may share a warmup: phased
-// apps without tracing group by app, size and resolved
+// TestPrefixKeyEligibility pins which cells may share a warmup:
+// checkpointable apps without tracing group by app, size and resolved
 // protocol/mechanism; everything else runs cold.
 func TestPrefixKeyEligibility(t *testing.T) {
 	du := VariantDU
@@ -110,7 +110,7 @@ func TestPrefixKeyEligibility(t *testing.T) {
 // TestPlanUnits pins how the planner turns a grid into pool units:
 // whole groups at one worker, cold singletons once every cell has a
 // worker, groups capped at ceil(cells/workers), units ordered by their
-// first cell, and traced or non-phased cells always alone.
+// first cell, and traced or NX and sockets cells always alone.
 func TestPlanUnits(t *testing.T) {
 	a := Spec{App: RadixVMMC, Nodes: 2, Variant: VariantAU}
 	b := Spec{App: RadixVMMC, Nodes: 4, Variant: VariantAU}
@@ -131,7 +131,7 @@ func TestPlanUnits(t *testing.T) {
 		{"cache hits leave the grid", mixed, []int{1, 2, 3, 5}, 1, [][]int{{1}, {2, 5}, {3}}},
 		{"group of five capped at four", []Spec{a, a, nx, a, a, nx, a, nx}, nil, 2,
 			[][]int{{0, 1, 3, 4}, {2}, {5}, {6}, {7}}},
-		{"traced and non-phased alone", []Spec{a, traced, nx, nx}, nil, 1,
+		{"traced and NX alone", []Spec{a, traced, nx, nx}, nil, 1,
 			[][]int{{0}, {1}, {2}, {3}}},
 	} {
 		todo := tc.todo
@@ -196,11 +196,11 @@ func BenchmarkKnobSweep(b *testing.B) {
 // checkpoint of a warmed-up 4-node Radix-SVM machine.
 func BenchmarkSnapshotTake(b *testing.B) {
 	wl := QuickWorkloads()
-	ps := startPhased(Spec{App: RadixSVM, Nodes: 4, Variant: VariantAU}, &wl)
-	defer ps.m.Close()
+	cr := start(Spec{App: RadixSVM, Nodes: 4, Variant: VariantAU}, &wl)
+	defer cr.m.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := checkpoint.Take(ps.m, ps.sys, ps.shm)
+		st, err := checkpoint.Take(cr.m, cr.sys, cr.shm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,17 +214,17 @@ func BenchmarkSnapshotTake(b *testing.B) {
 func BenchmarkFork(b *testing.B) {
 	wl := QuickWorkloads()
 	spec := Spec{App: RadixSVM, Nodes: 4, Variant: VariantAU}
-	ps := startPhased(spec, &wl)
-	defer ps.m.Close()
-	st, err := checkpoint.Take(ps.m, ps.sys, ps.shm)
+	cr := start(spec, &wl)
+	defer cr.m.Close()
+	st, err := checkpoint.Take(cr.m, cr.sys, cr.shm)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ps.applyKnobs(spec)
-		ps.finish() // dirty the state like a real branch (untimed)
+		cr.applyKnobs(spec)
+		cr.finish() // dirty the state like a real branch (untimed)
 		b.StartTimer()
 		if err := st.Restore(); err != nil {
 			b.Fatal(err)

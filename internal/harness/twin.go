@@ -36,11 +36,10 @@ type Predictor struct {
 // are part of a cell's identity, exactly as for the simulator).
 func NewPredictor(w *Workloads) *Predictor { return &Predictor{w: w} }
 
-// machineConfig resolves the machine a spec describes — the same
-// resolution Run performs, minus the simulator.
+// machineConfig resolves the machine a spec describes, with the
+// interrupt stall filled in as machine.New fills it.
 func (tp *Predictor) machineConfig(spec Spec) machine.Config {
-	cfg := machine.DefaultConfig(spec.Nodes)
-	spec.Knobs.apply(&cfg)
+	cfg := spec.machineConfig()
 	if cfg.NIC.InterruptStall <= 0 {
 		cfg.NIC.InterruptStall = cfg.Cost.InterruptCost
 	}
@@ -136,7 +135,9 @@ func compose(m *twin.Model, pf profile, nodes int) sim.Time {
 	}
 	if pf.auBytes > 0 || pf.auStores > 0 {
 		stores := sim.Time(pf.auStores * float64(cfg.Cost.AUStoreCost))
-		drain := sim.Time(pf.auBytes * m.AUPacketsPerByte() * float64(m.LinkTime(m.WireSize(auPayload(&cfg)))))
+		pkt := m.AUPacketBytes()
+		pkts := pf.auBytes / float64(pkt)
+		drain := sim.Time(pkts * float64(m.LinkTime(m.WireSize(pkt))))
 		if drain > stores {
 			comm += drain
 		} else {
@@ -144,7 +145,7 @@ func compose(m *twin.Model, pf profile, nodes int) sim.Time {
 		}
 		comm += m.FIFOStall(int(pf.auBytes))
 		// Landing the stream on the receivers.
-		comm += sim.Time(pf.auBytes * m.AUPacketsPerByte() * float64(m.RxService(auPayload(&cfg))))
+		comm += sim.Time(pkts * float64(m.RxService(pkt)))
 	}
 	comm += sim.Time(pf.barriers * float64(m.Barrier(nodes)))
 	hops := int(math.Round(m.MeanHops()))
@@ -175,15 +176,6 @@ func compose(m *twin.Model, pf profile, nodes int) sim.Time {
 		ov = 1
 	}
 	return pf.compute + pf.serial + sim.Time(float64(comm)*ov)
-}
-
-// auPayload is the wire payload of one automatic-update packet under
-// the current combining configuration.
-func auPayload(cfg *machine.Config) int {
-	if cfg.NIC.Combining && cfg.NIC.CombineLimit > 0 {
-		return cfg.NIC.CombineLimit
-	}
-	return cfg.NIC.AUWordBytes
 }
 
 // overlapFor is the calibrated comm-overlap constant per application

@@ -248,9 +248,6 @@ type NIC struct {
 // New constructs a NIC for node id, attached to net and backed by the
 // node's memory and memory bus. Call Start before simulating.
 func New(e *sim.Engine, id mesh.NodeID, net *mesh.Network, mem *memory.AddressSpace, bus *sim.Resource, acct *stats.Node, cfg Config) *NIC {
-	if cfg.DUQueueDepth < 1 {
-		panic("nic: DUQueueDepth must be >= 1")
-	}
 	n := &NIC{
 		e:         e,
 		id:        id,
@@ -258,7 +255,6 @@ func New(e *sim.Engine, id mesh.NodeID, net *mesh.Network, mem *memory.AddressSp
 		mem:       mem,
 		bus:       bus,
 		acct:      acct,
-		cfg:       cfg,
 		duQueue:   sim.NewQueue[*duRequest](e),
 		duCond:    sim.NewCond(e),
 		fifo:      sim.NewQueue[fifoEntry](e),
@@ -268,6 +264,7 @@ func New(e *sim.Engine, id mesh.NodeID, net *mesh.Network, mem *memory.AddressSp
 		rxQueue:   sim.NewQueue[*mesh.Packet](e),
 		tr:        e.Tracer(),
 	}
+	n.SetConfig(cfg)
 	n.flushFn = n.flushCombine
 	net.Attach(id, func(mp *mesh.Packet) { n.rxQueue.Push(mp) })
 	return n

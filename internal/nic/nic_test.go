@@ -72,6 +72,31 @@ func TestInvalidIPTDropsPacket(t *testing.T) {
 	}
 }
 
+// TestZeroDUQueueDepthPanics pins that a NIC with no deliberate-update
+// request slot is refused both at construction and when a live NIC's
+// knob block is replaced, instead of deadlocking its first transfer.
+func TestZeroDUQueueDepthPanics(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DUQueueDepth = 0
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted DUQueueDepth 0", name)
+			}
+		}()
+		fn()
+	}
+	e := sim.NewEngine()
+	defer e.Shutdown()
+	net := mesh.New(e, mesh.DefaultConfig())
+	mustPanic("New", func() {
+		New(e, 0, net, memory.NewAddressSpace(), sim.NewResource(e), &stats.Node{}, cfg)
+	})
+	r := newRig(t, DefaultConfig())
+	mustPanic("SetConfig", func() { r.n0.SetConfig(cfg) })
+}
+
 func TestSendDUValidation(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	src := r.mem0.Alloc(2)

@@ -101,5 +101,11 @@ func (n *NIC) Restore(s NICSnapshot) {
 // read at use time by the engines, so swapping the block at quiescence
 // is equivalent to having built the NIC with it — for any knob that
 // does not affect the warmup itself, which is exactly the set the
-// prefix key holds fixed.
-func (n *NIC) SetConfig(cfg Config) { n.cfg = cfg }
+// prefix key holds fixed. It panics on a DU queue depth below one, with
+// which every deliberate-update transfer would wait forever.
+func (n *NIC) SetConfig(cfg Config) {
+	if cfg.DUQueueDepth < 1 {
+		panic("nic: DUQueueDepth must be >= 1")
+	}
+	n.cfg = cfg
+}

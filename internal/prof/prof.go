@@ -1,9 +1,11 @@
 // Package prof holds the command-line binaries' shared observability
-// output. It wires Go's runtime profilers to command-line flags — both
-// binaries expose -cpuprofile, -memprofile and -blockprofile through
-// it, so a hot run can be inspected with `go tool pprof` without
-// editing the source or wrapping the workload in a test — and writes
-// the simulated-time trace files behind -trace and -trace-ndjson.
+// flags and output. It wires Go's runtime profilers to command-line
+// flags — both binaries expose -cpuprofile, -memprofile and
+// -blockprofile through it, so a hot run can be inspected with
+// `go tool pprof` without editing the source or wrapping the workload
+// in a test — and defines the simulated-time trace flags (-trace,
+// -trace-ndjson, -trace-filter, -trace-max, -metrics), turning them
+// into recorder options and writing the trace files.
 package prof
 
 import (
@@ -18,34 +20,54 @@ import (
 	"shrimp/internal/trace"
 )
 
-// Flags holds the values of the profiler flags registered by
-// RegisterFlags, ready to hand to Start once the flag set is parsed.
+// Flags holds the values of the flags registered by RegisterFlags,
+// ready to use once the flag set is parsed.
 type Flags struct {
-	CPU, Mem, Block *string
+	cpu, mem, block        *string
+	chrome, ndjson, filter *string
+	maxEvents              *int
+	metrics                *bool
 }
 
-// RegisterFlags installs the three standard profiler flags
-// (-cpuprofile, -memprofile, -blockprofile) on fs. Both command-line
-// binaries share this one definition instead of repeating the flag
-// blocks.
+// RegisterFlags installs the standard profiler flags (-cpuprofile,
+// -memprofile, -blockprofile) and the simulated-time trace flags
+// (-trace, -trace-ndjson, -trace-filter, -trace-max, -metrics) on fs.
+// Both command-line binaries share this one definition instead of
+// repeating the flag blocks.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		CPU:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
-		Mem:   fs.String("memprofile", "", "write a heap profile to this file at exit"),
-		Block: fs.String("blockprofile", "", "write a blocking profile to this file at exit"),
+		cpu:       fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem:       fs.String("memprofile", "", "write a heap profile to this file at exit"),
+		block:     fs.String("blockprofile", "", "write a blocking profile to this file at exit"),
+		chrome:    fs.String("trace", "", "write a Chrome trace-event JSON timeline of every cell to this file"),
+		ndjson:    fs.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file"),
+		filter:    fs.String("trace-filter", "", "comma-separated event kinds to trace (default: all)"),
+		maxEvents: fs.Int("trace-max", 1<<20, "max trace events kept per cell (0 = unlimited)"),
+		metrics:   fs.Bool("metrics", false, "print per-cell latency histograms and link utilization"),
 	}
 }
 
-// Start begins the profiles the parsed flags selected; see the
-// package-level Start.
-func (f *Flags) Start() (stop func(), err error) {
-	return Start(*f.CPU, *f.Mem, *f.Block)
+// Trace returns the recorder options the trace flags select, or nil
+// when no trace file and no metrics were requested. The error reports
+// an unknown event kind in -trace-filter.
+func (f *Flags) Trace() (*trace.Options, error) {
+	if *f.chrome == "" && *f.ndjson == "" && !*f.metrics {
+		return nil, nil
+	}
+	mask, err := trace.ParseFilter(*f.filter)
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Options{Filter: mask, MaxEvents: *f.maxEvents}, nil
 }
+
+// Metrics reports whether -metrics asked for the per-cell summaries.
+func (f *Flags) Metrics() bool { return *f.metrics }
 
 // Start begins the profiles selected by non-empty paths and returns a
 // stop function that must run exactly once before the process exits
-// (typically via defer in main). An empty path disables that profiler,
-// so Start("", "", "") is a no-op returning a no-op stop.
+// (typically via defer in main). With no profiler flag set it is a
+// no-op returning a no-op stop.
 //
 // The CPU profile streams while the workload runs; the heap profile is a
 // point-in-time snapshot written at stop after a forced GC, so it shows
@@ -53,7 +75,8 @@ func (f *Flags) Start() (stop func(), err error) {
 // profile records everything from Start to stop with full sampling
 // (rate 1), which is affordable here because the simulator parks on
 // channels in a controlled way.
-func Start(cpuPath, memPath, blockPath string) (stop func(), err error) {
+func (f *Flags) Start() (stop func(), err error) {
+	cpuPath, memPath, blockPath := *f.cpu, *f.mem, *f.block
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
@@ -101,21 +124,21 @@ func writeProfile(name, path string, gcFirst bool) {
 	}
 }
 
-// WriteTraces renders trace recorders to the requested files: a Chrome
-// trace-event timeline at chromePath and the raw event stream as NDJSON
-// at ndjsonPath. An empty path skips that format. labels[i] names
-// recs[i]'s track.
-func WriteTraces(chromePath, ndjsonPath string, recs []*trace.Recorder, labels []string) error {
+// WriteTraces renders trace recorders to the files the flags name: a
+// Chrome trace-event timeline for -trace and the raw event stream as
+// NDJSON for -trace-ndjson. An unset flag skips that format.
+// labels[i] names recs[i]'s track.
+func (f *Flags) WriteTraces(recs []*trace.Recorder, labels []string) error {
 	write := func(path string, render func(w io.Writer) error) error {
-		f, err := os.Create(path)
+		out, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		bw := bufio.NewWriter(f)
+		bw := bufio.NewWriter(out)
 		if err = render(bw); err == nil {
 			err = bw.Flush()
 		}
-		if err2 := f.Close(); err == nil {
+		if err2 := out.Close(); err == nil {
 			err = err2
 		}
 		if err != nil {
@@ -123,13 +146,13 @@ func WriteTraces(chromePath, ndjsonPath string, recs []*trace.Recorder, labels [
 		}
 		return nil
 	}
-	if chromePath != "" {
-		if err := write(chromePath, func(w io.Writer) error { return trace.WriteChrome(w, recs, labels) }); err != nil {
+	if *f.chrome != "" {
+		if err := write(*f.chrome, func(w io.Writer) error { return trace.WriteChrome(w, recs, labels) }); err != nil {
 			return err
 		}
 	}
-	if ndjsonPath != "" {
-		return write(ndjsonPath, func(w io.Writer) error { return trace.WriteNDJSON(w, recs, labels) })
+	if *f.ndjson != "" {
+		return write(*f.ndjson, func(w io.Writer) error { return trace.WriteNDJSON(w, recs, labels) })
 	}
 	return nil
 }

@@ -72,12 +72,17 @@ type Ring struct {
 	mirror    memory.Addr  //shrimp:nostate wiring: sender-local image address, allocated once at construction
 	writePos  uint64
 	credit    uint64 // last credit value read
+	published uint64 // DU position updates sent; picks the staging word
 
 	scratch memory.Addr // receiver-side staging word for credit DMA
 }
 
 // ctlOffset is where the writer-position word lives, just past the data.
 func (r *Ring) ctlOffset() int { return r.size }
+
+// ctlWords is the number of position words the mirror's control page
+// stages in DU mode (see publishPos).
+const ctlWords = memory.PageSize / 8
 
 // New builds a ring from sender endpoint snd to receiver endpoint rcv.
 // It may be called outside process context (setup time); the setup cost
@@ -196,6 +201,21 @@ func (r *Ring) publishPos(p *sim.Proc, final bool) {
 	ctl := r.mirror + memory.Addr(r.ctlOffset())
 	switch r.cfg.Mode {
 	case DU:
+		// Each update is staged in its own word of the control page.
+		// The DU engine reads a transfer's source when it starts the
+		// transfer, not when the request is queued, so behind a queue
+		// deeper than one an update still waiting must not read a later
+		// position: that would publish data still queued behind it.
+		// Rotating over the page keeps a staged word intact while up to
+		// ctlWords-1 transfers are queued after it; a deeper queue
+		// drains before the rotation wraps (not on the first update,
+		// when no earlier word is staged).
+		slot := r.published % ctlWords
+		if slot == 0 && r.published > 0 && nd.NIC.Config().DUQueueDepth >= ctlWords {
+			nd.NIC.WaitDUIdle(p)
+		}
+		r.published++
+		ctl += memory.Addr(8 * slot)
 		nd.Mem.WriteUint64(p, ctl, r.writePos)
 		// The position update is the message trailer: it carries the
 		// user-message boundary and the optional notification bit.

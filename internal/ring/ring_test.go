@@ -86,6 +86,90 @@ func TestSingleWriteLargerThanRing(t *testing.T) {
 	}
 }
 
+// TestDeepDUQueueKeepsPositionBehindData streams a burst of small
+// messages over a DU ring whose NIC queues many transfer requests. The
+// DU engine reads a transfer's source only when it starts it, so a
+// position update still queued must carry its own position, never a
+// later one whose data is queued behind it; the receiver reads what
+// the position says is there, so an early position shows up as stale
+// bytes. At depth 3*ctlWords the queue holds more than ctlWords
+// position updates at once, which only the drain before the staging
+// rotation wraps keeps apart.
+func TestDeepDUQueueKeepsPositionBehindData(t *testing.T) {
+	for _, depth := range []int{2, 8, 3 * ctlWords} {
+		cfg := machine.DefaultConfig(2)
+		cfg.NIC.DUQueueDepth = depth
+		m := machine.New(cfg)
+		s := vmmc.NewSystem(m)
+		r := New(s.EP(0), s.EP(1), Config{Bytes: 128 * 1024, Mode: DU})
+		const msgs, size = 3 * ctlWords, 96
+		want := make([]byte, msgs*size)
+		for i := range want {
+			want[i] = byte(i / size)
+		}
+		got := make([]byte, 0, len(want))
+		m.RunParallel("deep", func(nd *machine.Node, p *sim.Proc) {
+			switch nd.ID {
+			case 0:
+				for i := 0; i < msgs; i++ {
+					r.Write(p, want[i*size:(i+1)*size])
+				}
+			case 1:
+				buf := make([]byte, 4096)
+				for len(got) < len(want) {
+					n := r.Read(p, buf)
+					got = append(got, buf[:n]...)
+				}
+			}
+		})
+		m.Close()
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("depth %d: stream diverges at byte %d of %d", depth, i, len(want))
+		}
+	}
+}
+
+// TestDeepDUQueueFirstUpdateDoesNotDrain checks that a DU ring's first
+// position update does not wait for the NIC's queue to drain: no word
+// is staged yet, so only a wrap of the staging rotation needs the
+// drain. Node 0 leaves a backlog of transfers on ring a, then writes
+// ring b once; that write must return long before the backlog clears.
+func TestDeepDUQueueFirstUpdateDoesNotDrain(t *testing.T) {
+	cfg := machine.DefaultConfig(3)
+	cfg.NIC.DUQueueDepth = 3 * ctlWords
+	m := machine.New(cfg)
+	defer m.Close()
+	s := vmmc.NewSystem(m)
+	a := New(s.EP(0), s.EP(1), Config{Bytes: 128 * 1024, Mode: DU})
+	b := New(s.EP(0), s.EP(2), Config{Bytes: 4096, Mode: DU})
+	const msgs, size = 16, 4096
+	var burstDone, bDone, idle sim.Time
+	m.RunParallel("first", func(nd *machine.Node, p *sim.Proc) {
+		switch nd.ID {
+		case 0:
+			for i := 0; i < msgs; i++ {
+				a.Write(p, make([]byte, size))
+			}
+			burstDone = p.Now()
+			b.Write(p, []byte{1})
+			bDone = p.Now()
+			nd.NIC.WaitDUIdle(p)
+			idle = p.Now()
+		case 1:
+			a.ReadFull(p, make([]byte, msgs*size))
+		case 2:
+			b.ReadFull(p, make([]byte, 1))
+		}
+	})
+	if wait, backlog := bDone-burstDone, idle-burstDone; wait*2 >= backlog {
+		t.Errorf("ring b's first write took %v of a %v backlog; want it not to wait for the queue to drain", wait, backlog)
+	}
+}
+
 func TestBackpressureBlocksWriter(t *testing.T) {
 	s, r := newPair(t, Config{Bytes: 4096, Mode: DU})
 	var writerDone, readerStart sim.Time

@@ -18,6 +18,7 @@ type Snapshot struct {
 	uncredited int
 	writePos   uint64
 	credit     uint64
+	published  uint64
 	scratch    memory.Addr
 }
 
@@ -28,6 +29,7 @@ func (r *Ring) SnapshotState() Snapshot {
 		uncredited: r.uncredited,
 		writePos:   r.writePos,
 		credit:     r.credit,
+		published:  r.published,
 		scratch:    r.scratch,
 	}
 }
@@ -38,5 +40,6 @@ func (r *Ring) RestoreState(s Snapshot) {
 	r.uncredited = s.uncredited
 	r.writePos = s.writePos
 	r.credit = s.credit
+	r.published = s.published
 	r.scratch = s.scratch
 }

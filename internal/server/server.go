@@ -208,11 +208,11 @@ func validate(req *JobRequest) error {
 		return nil
 	}
 	for i := range req.Cells {
-		if _, err := req.Cells[i].Compile(); err != nil {
-			return fmt.Errorf("cell %d: %w", i, err)
-		}
 		if n := req.Cells[i].Nodes; n > maxNodes {
 			return fmt.Errorf("cell %d: nodes %d exceeds the limit of %d", i, n, maxNodes)
+		}
+		if _, err := req.Cells[i].Compile(); err != nil {
+			return fmt.Errorf("cell %d: %w", i, err)
 		}
 	}
 	return nil

@@ -386,14 +386,19 @@ func TestDrain(t *testing.T) {
 }
 
 // TestRequestBounds checks the daemon refuses requests that would take
-// its memory: an oversized body gets 413 on both POST endpoints, and a
-// machine of 1<<20 nodes gets 400 as a cell, an experiment and a twin
-// question, before anything is queued or built. The daemon stays up.
+// its memory or a core: an oversized body gets 413 on both POST
+// endpoints, and a machine of 1<<20 nodes gets 400 as a cell, an
+// experiment and a twin question, before anything is queued or built,
+// as does a cell of MaxInt64 nodes. The daemon stays up.
 func TestRequestBounds(t *testing.T) {
 	_, ts := newTestServer(t, Config{SimWorkers: 1})
 	huge := `{"experiment":"` + strings.Repeat("a", maxBodyBytes) + `"}`
 	cell := `{"cells":[{"app":"radix-vmmc","nodes":1048576}]}`
 	exp := `{"experiment":"table1","nodes":1048576}`
+	// No square equals MaxInt64, and the mesh-sizing loop overflows
+	// before it gets there, so this cell must be refused before any
+	// machine configuration is resolved for it.
+	maxCell := `{"cells":[{"app":"ocean-nx","nodes":9223372036854775807}]}`
 	for _, tc := range []struct {
 		path, body string
 		want       int
@@ -404,6 +409,8 @@ func TestRequestBounds(t *testing.T) {
 		{"/v1/jobs", exp, http.StatusBadRequest},
 		{"/v1/twin", cell, http.StatusBadRequest},
 		{"/v1/twin", exp, http.StatusBadRequest},
+		{"/v1/jobs", maxCell, http.StatusBadRequest},
+		{"/v1/twin", maxCell, http.StatusBadRequest},
 	} {
 		if resp, out := call(t, ts, http.MethodPost, tc.path, tc.body); resp.StatusCode != tc.want {
 			t.Errorf("POST %s %.60s: status %d (%.80s), want %d", tc.path, tc.body, resp.StatusCode, out, tc.want)
@@ -411,6 +418,32 @@ func TestRequestBounds(t *testing.T) {
 	}
 	if resp, _ := call(t, ts, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after refused requests: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestBadKnobRefused checks that a cell whose knobs the NIC cannot run
+// gets 400 before anything is built — a DU queue of depth 0 used to
+// panic the daemon while building an NX machine, and to deadlock a
+// Radix-VMMC one — and that the daemon keeps serving afterwards.
+func TestBadKnobRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{SimWorkers: 1})
+	for _, knobs := range []string{
+		`{"du_queue_depth":0}`,
+		`{"out_fifo_bytes":0,"fifo_threshold_bytes":0,"fifo_low_water_bytes":0}`,
+		`{"out_fifo_bytes":1024}`,
+		`{"fifo_low_water_bytes":-1}`,
+	} {
+		for _, app := range []string{"ocean-nx", "radix-vmmc"} {
+			body := `{"cells":[{"app":"` + app + `","nodes":4,"knobs":` + knobs + `}],"quick":true}`
+			for _, path := range []string{"/v1/jobs", "/v1/twin"} {
+				if resp, out := call(t, ts, http.MethodPost, path, body); resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("POST %s %s: status %d (%.80s), want 400", path, body, resp.StatusCode, out)
+				}
+			}
+		}
+	}
+	if resp, _ := call(t, ts, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after refused cells: status %d, want 200", resp.StatusCode)
 	}
 }
 

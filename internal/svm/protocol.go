@@ -53,9 +53,10 @@ func (rt *Runtime) handleFault(p *sim.Proc, vpn int, write bool) {
 		}
 		if proto.UsesAU() {
 			// Bind the page write-through to its home copy: every store
-			// now propagates as automatic update.
+			// now propagates as automatic update, combined whenever the
+			// NIC's combining knob is on.
 			rt.regionImp[home].BindAU(p, rt.addr(page*memory.PageSize), page, 1,
-				rt.s.cfg.Combine, false)
+				true, false)
 		}
 	}
 	st.status = pgDirty

@@ -13,9 +13,7 @@ import (
 // What carries across barriers — and therefore must be snapshotted —
 // is per-page protocol status, the lock-manager tables (versions,
 // write notices, last-synchronized versions), the barrier epoch
-// counters, the protocol ring positions, the bump allocator, and the
-// config block (whose Combine knob the harness may swap between
-// branches).
+// counters, the protocol ring positions and the bump allocator.
 
 // runtimeState is the snapshot copy of one rank's dynamic state.
 //
@@ -41,7 +39,6 @@ type lockSnap struct {
 //
 //shrimp:state
 type SystemSnapshot struct {
-	cfg      Config
 	brk      int
 	nodes    []runtimeState
 	locks    []lockSnap
@@ -112,7 +109,7 @@ func (s *System) eachRing(fn func(r *ring.Ring)) {
 
 // Snapshot captures the system at barrier quiescence.
 func (s *System) Snapshot() SystemSnapshot {
-	snap := SystemSnapshot{cfg: s.cfg, brk: s.brk}
+	snap := SystemSnapshot{brk: s.brk}
 	for _, rt := range s.nodes {
 		rs := runtimeState{status: make([]pageStatus, len(rt.state)), barEpoch: rt.barEpoch}
 		for pg := range rt.state {
@@ -147,7 +144,6 @@ func (s *System) Snapshot() SystemSnapshot {
 // restored by the memory layer; this restores the protocol's view of
 // them plus everything the barrier epoch and lock tables accumulated.
 func (s *System) Restore(snap SystemSnapshot) {
-	s.cfg = snap.cfg
 	s.brk = snap.brk
 	for i, rt := range s.nodes {
 		rs := &snap.nodes[i]
@@ -188,10 +184,3 @@ func (s *System) Restore(snap SystemSnapshot) {
 		i++
 	})
 }
-
-// SetCombine flips the AU-combining knob on the shared region's
-// automatic-update bindings. The knob is read at BindAU time (when a
-// page first goes dirty under HLRC-AU), so swapping it at a barrier
-// boundary is equivalent to having built the system with it — which is
-// what lets the harness share a warmup across combining variants.
-func (s *System) SetCombine(on bool) { s.cfg.Combine = on }

@@ -70,8 +70,6 @@ type Config struct {
 	Bytes int
 	// Locks is the number of lock variables.
 	Locks int
-	// Combine enables AU combining on write-through bindings (§4.5.1).
-	Combine bool
 	// ReqRingBytes / RepRingBytes size the protocol channels.
 	ReqRingBytes, RepRingBytes int
 }
@@ -82,7 +80,6 @@ func DefaultConfig(protocol Protocol, bytes int) Config {
 		Protocol:     protocol,
 		Bytes:        bytes,
 		Locks:        64,
-		Combine:      true,
 		ReqRingBytes: 32 * 1024,
 		RepRingBytes: 32 * 1024,
 	}
@@ -106,8 +103,8 @@ type pageState struct {
 // System is the shared-memory system spanning all nodes.
 type System struct {
 	sys   *vmmc.System //shrimp:nostate wiring: vmmc identity; its state rewinds via the vmmc layer
-	cfg   Config
-	Pages int //shrimp:nostate wiring: fixed region extent
+	cfg   Config       //shrimp:nostate wiring: fixed at construction
+	Pages int          //shrimp:nostate wiring: fixed region extent
 	nodes []*Runtime
 	locks []*lockState // manager-side state, indexed by lock id (lives on lock home)
 	// brk is the shared-region bump allocator (byte offset).

@@ -183,11 +183,7 @@ func (m *Model) FIFOStall(n int) sim.Time {
 	// the threshold and the as-built 32 KB FIFO costs nothing. Only
 	// when the threshold window shrinks to a handful of packets do the
 	// flow-control interrupts fire.
-	pkt := c.AUWordBytes
-	if c.Combining && c.CombineLimit > 0 {
-		pkt = c.CombineLimit
-	}
-	if window >= 4*pkt {
+	if window >= 4*m.AUPacketBytes() {
 		return 0
 	}
 	episodes := float64(n) / float64(window)
@@ -240,18 +236,15 @@ func (m *Model) AUWord(hops int) sim.Time {
 		m.MeshTransit(hops, m.WireSize(w)) + m.RxService(w)
 }
 
-// AUPacketsPerByte is the packet rate of an automatic-update stream:
-// with combining on, consecutive stores coalesce up to the combine
-// limit; off, every AUWordBytes store is its own packet.
-func (m *Model) AUPacketsPerByte() float64 {
+// AUPacketBytes is the payload of one automatic-update packet: with
+// combining on, consecutive stores coalesce up to the combine limit;
+// off, every AUWordBytes store is its own packet.
+func (m *Model) AUPacketBytes() int {
 	c := &m.cfg.NIC
 	if c.Combining && c.CombineLimit > 0 {
-		return 1 / float64(c.CombineLimit)
+		return c.CombineLimit
 	}
-	if c.AUWordBytes <= 0 {
-		return 1
-	}
-	return 1 / float64(c.AUWordBytes)
+	return c.AUWordBytes
 }
 
 // AUStreamTime is the time a bulk automatic-update stream of n bytes
@@ -263,11 +256,8 @@ func (m *Model) AUStreamTime(n int) sim.Time {
 	c := &m.cfg.NIC
 	words := (n + c.AUWordBytes - 1) / c.AUWordBytes
 	stores := sim.Time(words) * m.cfg.Cost.AUStoreCost
-	pkts := float64(n) * m.AUPacketsPerByte()
-	payload := c.AUWordBytes
-	if c.Combining && c.CombineLimit > 0 {
-		payload = c.CombineLimit
-	}
+	payload := m.AUPacketBytes()
+	pkts := float64(n) / float64(payload)
 	drain := sim.Time(pkts * float64(m.LinkTime(m.WireSize(payload))))
 	if stores > drain {
 		return stores

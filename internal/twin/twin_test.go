@@ -100,8 +100,8 @@ func TestCombiningTerms(t *testing.T) {
 	off := on
 	off.NIC.Combining = false
 	mon, moff := New(on), New(off)
-	if ron, roff := mon.AUPacketsPerByte(), moff.AUPacketsPerByte(); ron >= roff {
-		t.Fatalf("combining on packet rate %v, off %v: want on < off", ron, roff)
+	if bon, boff := mon.AUPacketBytes(), moff.AUPacketBytes(); bon <= boff {
+		t.Fatalf("combining on packet payload %v, off %v: want on > off", bon, boff)
 	}
 	n := 64 * 1024
 	if son, soff := mon.AUStreamTime(n), moff.AUStreamTime(n); son > soff {

@@ -9,7 +9,9 @@
 #      gauges in /metrics): no cell leaked its machine's memory.
 #   4. Resubmitting the same job is served from the result cache
 #      (cache-hit counter visible in /metrics).
-#   5. SIGTERM drains the daemon cleanly (exit 0).
+#   5. A cell whose knobs the NIC cannot run (a DU queue of depth 0) is
+#      refused with 400, and the daemon stays healthy.
+#   6. SIGTERM drains the daemon cleanly (exit 0).
 #
 # Used by `make serve-smoke` and the CI "Serve smoke" step.
 set -euo pipefail
@@ -95,6 +97,17 @@ fi
 curl -fsS "$BASE/v1/jobs/$ID2/results" >"$WORK/api2.ndjson"
 diff "$WORK/api.ndjson" "$WORK/api2.ndjson"
 echo "serve-smoke: repeat job served from the result cache ($HITS cell hits)"
+
+CODE=$(curl -sS -o "$WORK/bad.txt" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d '{"cells":[{"app":"ocean-nx","nodes":4,"knobs":{"du_queue_depth":0}}],"quick":true}' \
+    "$BASE/v1/jobs")
+if [ "$CODE" != 400 ]; then
+    echo "serve-smoke: du_queue_depth 0 cell got status $CODE, want 400" >&2
+    cat "$WORK/bad.txt" "$WORK/shrimpd.log" >&2
+    exit 1
+fi
+curl -fsS "$BASE/healthz" | grep -q ok
+echo "serve-smoke: out-of-range knob refused with 400, daemon still healthy"
 
 kill -TERM "$DPID"
 wait "$DPID"
