@@ -3,15 +3,13 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all lint test bench-smoke golden calibrate serve-smoke perf perf-test clean
+.PHONY: all lint test bench-smoke golden calibrate trace-smoke serve-smoke perf perf-test clean
 
 all: lint test
 
-# lint is the single entry point both CI legs run: a gofmt check, stock
-# vet, then the shrimpvet suite standalone (writing the SARIF report CI
-# uploads) and again through cmd/go's vettool protocol, which
-# exercises the fact-passing .vetx path and caches per package. The
-# gofmt check skips testdata trees (analyzer fixtures pin `// want`
+# lint is the CI lint job: a gofmt check, stock vet, then one shrimpvet
+# pass over the module, which also writes the SARIF report CI uploads.
+# The gofmt check skips testdata trees (analyzer fixtures pin `// want`
 # positions) and hidden directories (build caches).
 lint:
 	@unformatted=$$(find . \( -name testdata -o -name '.?*' \) -prune -o -name '*.go' -print | xargs gofmt -l); \
@@ -19,7 +17,6 @@ lint:
 	go vet ./...
 	go build -o $(GOBIN)/shrimpvet ./cmd/shrimpvet
 	$(GOBIN)/shrimpvet -sarif $(GOBIN)/shrimpvet.sarif ./...
-	go vet -vettool=$(GOBIN)/shrimpvet ./...
 
 test:
 	go test -race ./...
@@ -44,6 +41,12 @@ golden:
 # pinned in scripts/calibrate_check.sh.
 calibrate:
 	BIN=$(GOBIN) bash scripts/calibrate_check.sh
+
+# trace-smoke traces one quick experiment at -parallel 1 and 4 and
+# checks the Chrome trace is valid JSON, both widths wrote the same
+# trace bytes, and -metrics prints the trace metrics.
+trace-smoke:
+	BIN=$(GOBIN) bash scripts/trace_smoke.sh
 
 # serve-smoke boots shrimpd and checks the HTTP API end to end: health,
 # NDJSON results byte-identical to shrimpbench -json, no simulated page

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"shrimp/internal/analysis"
+	"shrimp/internal/analysis/registry"
 )
 
 // SARIF 2.1.0 export: the minimal subset code-scanning UIs consume —
@@ -69,39 +69,24 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// sarifFinding is one finding in exporter-neutral form.
-type sarifFinding struct {
-	Rule    string
-	Message string
-	File    string
-	Line    int
-	Col     int
-}
-
-// writeSARIF renders findings as a SARIF 2.1.0 log at path. File
-// paths are made working-directory-relative when possible so the
-// report is stable across checkouts.
-func writeSARIF(path string, suite []*analysis.Analyzer, findings []sarifFinding) error {
+// writeSARIF writes findings as a SARIF 2.1.0 log at path, with the
+// whole suite as the rule catalog. The caller names files relative to
+// the module root, so the report is stable across checkouts.
+func writeSARIF(path string, findings []registry.Finding) error {
+	suite := registry.All()
 	rules := make([]sarifRule, len(suite))
 	for i, a := range suite {
 		rules[i] = sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}}
 	}
-	wd, _ := os.Getwd()
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		uri := f.File
-		if wd != "" {
-			if rel, err := filepath.Rel(wd, f.File); err == nil && !filepath.IsAbs(rel) {
-				uri = filepath.ToSlash(rel)
-			}
-		}
 		results = append(results, sarifResult{
-			RuleID:  f.Rule,
+			RuleID:  f.Analyzer,
 			Level:   "warning",
 			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: uri},
-				Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
+				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(f.Pos.Filename)},
+				Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
 			}}},
 		})
 	}

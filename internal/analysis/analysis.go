@@ -9,10 +9,12 @@
 // the analyzers could be ported to the real framework by changing
 // imports, should the dependency ever be acceptable.
 //
-// The analyzers themselves live in subpackages (walltime, maporder,
-// unseededrand, nogoroutine, hotpath, tracenil); cmd/shrimpvet wires
-// them into a multichecker that runs standalone or as a `go vet
-// -vettool`. See docs/shrimpvet.md for the rule catalog.
+// The ten analyzers live in subpackages: the per-function rules
+// walltime, maporder, unseededrand, nogoroutine, hotpath and tracenil,
+// and the interprocedural rules fncontext, snapshotcover, seqmachine
+// and ptrdet. The registry subpackage lists them and runs them over a
+// module; cmd/shrimpvet is the command around it. See
+// docs/shrimpvet.md for the rule catalog.
 package analysis
 
 import (
@@ -31,12 +33,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description shown by `shrimpvet help`.
 	Doc string
-	// Facts marks the analyzer as exporting package facts: summaries
-	// of the analyzed package that analyses of importing packages
-	// read back through Pass.ImportPackageFact. Fact-exporting
-	// analyzers run on dependencies before their importers (see
-	// TopoOrder and the vettool VetxOnly pass).
-	Facts bool
 	// Run applies the analyzer to one package, reporting findings
 	// through pass.Report/Reportf.
 	Run func(pass *Pass) error
@@ -122,32 +118,6 @@ func Run(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, e
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
-}
-
-// ComputeFacts runs only the fact-exporting analyzers over pkg,
-// discarding diagnostics, so that the store gains the package's
-// summaries. This is the dependency pass: the vettool's VetxOnly
-// units use it to produce facts for packages whose diagnostics were
-// already (or will separately be) reported.
-func ComputeFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) error {
-	for _, a := range analyzers {
-		if !a.Facts {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			store:     store,
-			report:    func(Diagnostic) {},
-		}
-		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-		}
-	}
-	return nil
 }
 
 // ignoreKey addresses one suppressed (file, line).

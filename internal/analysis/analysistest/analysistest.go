@@ -41,7 +41,7 @@ type expectation struct {
 // comparing diagnostics against the fixtures' want comments. The
 // packages share one fact store and are analyzed in the order given,
 // so listing a dependency before its importer exercises cross-package
-// facts exactly as the vettool does.
+// facts the way registry.Check's dependency order does.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	store := analysis.NewFactStore()

@@ -14,11 +14,10 @@ import (
 // parameters are continuation roots), and analyses of importing
 // packages read those summaries back.
 //
-// JSON is the wire format because facts must survive two transports:
-// in-process (standalone shrimpvet, analysistest, the registry
-// self-check share one store) and cmd/go's vettool protocol, where
-// each package's facts round-trip through the .vetx file named by the
-// unit config (EncodePackage/DecodePackage).
+// Facts are stored JSON-encoded and decoded afresh on every import, so
+// each importing package gets its own copy of a summary: an analysis
+// that mutates what it imported cannot corrupt the exporter's record
+// or what the next importer sees.
 type FactStore struct {
 	// pkgs maps package import path -> analyzer name -> encoded fact.
 	pkgs map[string]map[string]json.RawMessage
@@ -55,40 +54,6 @@ func (s *FactStore) get(path, analyzer string, out any) bool {
 	return json.Unmarshal(data, out) == nil
 }
 
-// EncodePackage serializes every fact recorded for path — the payload
-// written to the package's .vetx file in vettool mode. A package with
-// no facts encodes to an empty slice, matching the empty placeholder
-// files written for fact-free units.
-func (s *FactStore) EncodePackage(path string) ([]byte, error) {
-	m := s.pkgs[path]
-	if len(m) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(m)
-}
-
-// DecodePackage merges a .vetx payload produced by EncodePackage into
-// the store under path. Empty payloads (fact-free units, stdlib
-// placeholders) decode to nothing.
-func (s *FactStore) DecodePackage(path string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", path, err)
-	}
-	dst := s.pkgs[path]
-	if dst == nil {
-		dst = map[string]json.RawMessage{}
-		s.pkgs[path] = dst
-	}
-	for k, v := range m {
-		dst[k] = v
-	}
-	return nil
-}
-
 // ImportPackageFact decodes the fact the current analyzer exported for
 // the package at path into out, reporting whether one exists. Analyzers
 // see only their own facts: the analyzer name is part of the key.
@@ -100,13 +65,8 @@ func (p *Pass) ImportPackageFact(path string, out any) bool {
 }
 
 // ExportPackageFact records fact as the current analyzer's summary of
-// the package under analysis, for analyses of importing packages (and,
-// in vettool mode, for the unit's .vetx output). Only analyzers
-// declaring Facts may export.
+// the package under analysis, for analyses of importing packages.
 func (p *Pass) ExportPackageFact(fact any) error {
-	if !p.Analyzer.Facts {
-		return fmt.Errorf("%s: analyzer does not declare Facts", p.Analyzer.Name)
-	}
 	if p.store == nil {
 		return nil // fact-free invocation (e.g. single-package fixture)
 	}

@@ -53,8 +53,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "fncontext",
 	Doc: "reject blocking primitives (Pop, Wait, Acquire, Sleep, stray Spawn) reachable from " +
 		"//shrimp:continuation fn-event context, across packages",
-	Facts: true,
-	Run:   run,
+	Run: run,
 }
 
 // pkgFact is the per-package summary exported for importing packages.
@@ -77,8 +76,8 @@ const simPath = "shrimp/internal/sim"
 var blockingMethods = map[string]map[string]bool{
 	"Queue":    {"Pop": true},
 	"Cond":     {"Wait": true},
-	"Resource": {"Acquire": true, "Use": true},
-	"Proc":     {"Sleep": true, "SleepUntil": true, "Yield": true},
+	"Resource": {"Acquire": true},
+	"Proc":     {"Sleep": true, "SleepUntil": true},
 }
 
 // spawnAllowed mirrors the nogoroutine analyzer's Spawn confinement:

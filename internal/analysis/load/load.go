@@ -2,13 +2,13 @@
 // the analysis framework consumes, using only the standard library and
 // the go command itself.
 //
-// Two loaders exist because the suite runs in two worlds:
+// Two loaders exist because the suite checks two kinds of source:
 //
-//   - List shells out to `go list -export -deps`, which compiles
-//     nothing twice: every dependency's type information comes from
-//     the build cache as gc export data, exactly the way `go vet`
-//     feeds its vettool. This is the standalone `shrimpvet ./...`
-//     path and the self-check test's path.
+//   - List loads real module packages. It shells out to `go list
+//     -export -deps`, which compiles nothing twice: every
+//     dependency's type information comes from the build cache as gc
+//     export data. This is the path of registry.Check, so of both the
+//     shrimpvet binary and the self-check test.
 //
 //   - Fixture type-checks an analysistest fixture tree
 //     (testdata/src/<importpath>/...) from source, resolving fixture
@@ -72,8 +72,8 @@ func goList(dir string, args ...string) ([]*listPkg, error) {
 	return pkgs, nil
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map the analyzers consult.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -85,10 +85,10 @@ func NewInfo() *types.Info {
 	}
 }
 
-// GCImporter adapts gc export-data files to the types.Importer
+// gcImporter adapts gc export-data files to the types.Importer
 // interface: resolve maps an import path to the file holding its
 // export data (a build-cache entry or a .a archive).
-func GCImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
+func gcImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, err := resolve(path)
 		if err != nil {
@@ -123,7 +123,7 @@ func List(dir string, patterns ...string) ([]*analysis.Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := GCImporter(fset, func(path string) (string, error) {
+	imp := gcImporter(fset, func(path string) (string, error) {
 		if f, ok := exports[path]; ok {
 			return f, nil
 		}
@@ -154,7 +154,7 @@ func typeCheck(fset *token.FileSet, path, dir string, files []string, imp types.
 		}
 		parsed = append(parsed, f)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, parsed, info)
 	if err != nil {
@@ -223,7 +223,7 @@ func Fixture(root, path string) (*analysis.Package, error) {
 		fset: fset,
 		srcs: map[string]*types.Package{},
 	}
-	l.std = GCImporter(fset, func(path string) (string, error) {
+	l.std = gcImporter(fset, func(path string) (string, error) {
 		if f, ok := stdExports[path]; ok {
 			return f, nil
 		}

@@ -8,15 +8,15 @@ import (
 	"testing"
 	"time"
 
-	"shrimp/internal/analysis"
 	"shrimp/internal/analysis/load"
 	"shrimp/internal/analysis/registry"
 )
 
-// TestTreeIsClean runs the full shrimpvet suite over the live module
-// and fails on any finding. This keeps `go test ./...` (tier 1) as
-// strict as the CI vet step: a change that violates a determinism or
-// hot-path rule fails the ordinary test run, not just `make lint`.
+// TestTreeIsClean runs the full shrimpvet suite over the live module,
+// through the same driver as the shrimpvet binary, and fails on any
+// finding. This keeps `go test ./...` (tier 1) as strict as
+// `make lint`: a change that violates a determinism or hot-path rule
+// fails the ordinary test run, not just the lint step.
 // It doubles as the suite's runtime budget check: the interprocedural
 // analyzers (fncontext, snapshotcover, seqmachine) must stay cheap
 // enough that the whole module analyzes inside suiteBudget, or the
@@ -28,23 +28,12 @@ func TestTreeIsClean(t *testing.T) {
 		t.Skip("loads and type-checks the whole module")
 	}
 	start := time.Now()
-	pkgs, err := load.List("../../..", "./...")
+	findings, err := registry.Check("../../..", "./...")
 	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
+		t.Fatal(err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader matched no packages")
-	}
-	suite := registry.All()
-	store := analysis.NewFactStore()
-	for _, pkg := range analysis.TopoOrder(pkgs) {
-		diags, err := analysis.Run(pkg, suite, store)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.Path, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: [%s] %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
+	for _, f := range findings {
+		t.Errorf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 	}
 	if t.Failed() {
 		fmt.Println("fix the violation or add a justified //lint:ignore directive (docs/shrimpvet.md)")

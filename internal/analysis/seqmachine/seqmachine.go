@@ -229,9 +229,9 @@ func (c *checker) checkMachine(call *ast.CallExpr) {
 	}
 
 	// Entry points: constant Start(pc) calls on the same sequencer
-	// anywhere in the package. A non-constant Start or an exposed
-	// ResumeFn makes every pc a potential entry; reachability is then
-	// vacuous but the other checks still apply.
+	// anywhere in the package. A non-constant Start makes every pc a
+	// potential entry; reachability is then vacuous but the other
+	// checks still apply.
 	entries, allEntries := c.startEntries(seqVar, n)
 
 	// Reachability over advance/Goto edges from the entries. Sleep and
@@ -403,8 +403,8 @@ func (c *checker) classifyExpr(expr ast.Expr, seqVar *types.Var, n int64, dispat
 
 // startEntries collects the constant pcs passed to Start on seqVar
 // anywhere in the package. allEntries reports that the entry set could
-// not be bounded (non-constant Start, ResumeFn exposure, or an
-// unresolvable sequencer variable).
+// not be bounded (a non-constant Start or an unresolvable sequencer
+// variable).
 func (c *checker) startEntries(seqVar *types.Var, n int64) (entries []int, allEntries bool) {
 	if seqVar == nil {
 		return nil, true
@@ -425,17 +425,12 @@ func (c *checker) startEntries(seqVar *types.Var, n int64) (entries []int, allEn
 			if c.resolveVar(selReceiver(call.Fun)) != seqVar {
 				return true
 			}
-			switch fn.Name() {
-			case "Start":
-				if len(call.Args) == 1 {
-					if k, ok := c.intConst(call.Args[0]); ok && k >= 0 && k < n {
-						entries = append(entries, int(k))
-					} else {
-						allEntries = true
-					}
+			if fn.Name() == "Start" && len(call.Args) == 1 {
+				if k, ok := c.intConst(call.Args[0]); ok && k >= 0 && k < n {
+					entries = append(entries, int(k))
+				} else {
+					allEntries = true
 				}
-			case "ResumeFn":
-				allEntries = true
 			}
 			return true
 		})

@@ -30,9 +30,6 @@ func (s *Seq) Init(e *Engine, n int, step func(pc int) Ctl) { s.n = n }
 // Start enters the machine at pc.
 func (s *Seq) Start(pc int) { s.pc = pc }
 
-// ResumeFn returns the armed resume continuation.
-func (s *Seq) ResumeFn() func() { return nil }
-
 // Next advances to the following step.
 func (s *Seq) Next() Ctl { return Ctl(s.pc + 1) }
 

@@ -240,8 +240,18 @@ func mbps(bytes int64, d sim.Time) float64 {
 // RunLoadTrace replays a recorded trace under the cell's service
 // configuration on a fresh machine and flattens the report into rows.
 // The trace fully determines the arrival process, so a recorded
-// artifact replays to the identical report.
+// artifact replays to the identical report. The trace must drive the
+// cell's service; only the server-side configuration (say, RPC
+// dispatch) may differ from the recording.
 func RunLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, error) {
+	spec, err := c.spec()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Service != tr.Service {
+		return nil, fmt.Errorf("harness: trace of the %s service cannot replay as load config %s (the %s service)",
+			tr.Service, c.Config, spec.Service)
+	}
 	m := machine.New(machine.DefaultConfig(tr.Nodes))
 	defer m.Close()
 	rep, err := workload.Run(vmmc.NewSystem(m), c.serviceConfig(), tr)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"shrimp/internal/workload"
@@ -12,7 +13,8 @@ func quickLoadCell(config string) LoadCell {
 }
 
 // TestLoadRecordReplay pins the trace artifact contract: a recorded
-// trace decodes and replays to the identical report rows.
+// trace decodes and replays to the identical report rows, under any
+// config of the recorded service and under no other.
 func TestLoadRecordReplay(t *testing.T) {
 	for _, config := range loadConfigs {
 		c := quickLoadCell(config)
@@ -45,6 +47,20 @@ func TestLoadRecordReplay(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("%s: replay of recorded trace diverges:\n%s\nvs\n%s", config, a.String(), b.String())
+		}
+	}
+
+	tr, err := quickLoadCell("rpc/polling").GenerateTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunLoadTrace(quickLoadCell("rpc/notified"), tr); err != nil {
+		t.Errorf("rpc/polling trace under rpc/notified (same service, other dispatch): %v", err)
+	}
+	for _, other := range []struct{ config, service string }{{"dfs/du", "dfs"}, {"socket/au", "socket"}} {
+		_, err := RunLoadTrace(quickLoadCell(other.config), tr)
+		if err == nil || !strings.Contains(err.Error(), "the rpc service") || !strings.Contains(err.Error(), "the "+other.service+" service") {
+			t.Errorf("rpc trace replayed as %s: err = %v, want an error naming both services", other.config, err)
 		}
 	}
 }

@@ -280,9 +280,6 @@ func (p *Proc) SleepUntil(t Time) {
 	p.park()
 }
 
-// Yield gives other same-time events a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // block parks the process with no scheduled wake; the engine counts it
 // as blocked until something wakes it.
 func (p *Proc) block() {
@@ -453,13 +450,6 @@ func (r *Resource) Release() {
 		return
 	}
 	r.e.wake(w.p, r.e.now)
-}
-
-// Use acquires the resource, holds it for d, and releases it.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // Busy reports whether the resource is currently held.

@@ -93,11 +93,6 @@ func (s *Seq) run(pc int) {
 //shrimp:hotpath
 func (s *Seq) resume() { s.run(s.pc + 1) }
 
-// ResumeFn exposes the pre-built resume continuation for arming custom
-// waits (a Cond.WaitFn, a hand-scheduled event). When the continuation
-// fires, the sequence continues at the step after the current one.
-func (s *Seq) ResumeFn() func() { return s.resumeFn }
-
 // Next continues inline at the following step.
 //
 //shrimp:hotpath

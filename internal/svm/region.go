@@ -42,9 +42,5 @@ func (rt *Runtime) WriteFloat64(p *sim.Proc, off int, v float64) {
 	rt.WriteUint64(p, off, math.Float64bits(v))
 }
 
-// Touch pre-faults the page containing off for reading (useful in
-// warm-up phases).
-func (rt *Runtime) Touch(p *sim.Proc, off int) { rt.ReadUint32(p, off&^3) }
-
 // PageSize re-exports the system page size for layout computations.
 const PageSize = memory.PageSize
