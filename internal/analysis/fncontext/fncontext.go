@@ -14,11 +14,11 @@
 // doc comment carries //shrimp:continuation marks its func-typed
 // parameters as continuation entry points (sim.Engine.At/After/
 // NewTimer, Queue.PopFn, Cond.WaitFn, Resource.AcquireFn, Seq.Init,
-// NewSeq, mesh.Network.Attach), and a func-typed struct field carrying
-// the directive marks every value assigned to it as running in
-// continuation context (nic.NIC.RaiseInterrupt/OnDeliver, the NIC
-// engine re-arm hooks, mesh.Packet's delivery thunk, the memory
-// snoop). Directives travel across packages as facts, so vmmc wiring
+// NewSeq, Proc.SleepThen's wakeup step, mesh.Network.Attach), and a
+// func-typed struct field carrying the directive marks every value
+// assigned to it as running in continuation context
+// (nic.NIC.RaiseInterrupt/OnDeliver, the NIC engine re-arm hooks,
+// mesh.Packet's delivery thunk, the memory snoop). Directives travel across packages as facts, so vmmc wiring
 // its onDeliver method into nic's hook is checked in vmmc without
 // nic's source in scope.
 //
@@ -77,7 +77,7 @@ var blockingMethods = map[string]map[string]bool{
 	"Queue":    {"Pop": true},
 	"Cond":     {"Wait": true},
 	"Resource": {"Acquire": true},
-	"Proc":     {"Sleep": true, "SleepUntil": true},
+	"Proc":     {"Sleep": true, "SleepUntil": true, "SleepThen": true},
 }
 
 // spawnAllowed mirrors the nogoroutine analyzer's Spawn confinement:

@@ -79,3 +79,22 @@ func (d *dev) use() {
 	d.register(d.pump)
 	d.register(d.badPump) // want `continuation passed to \(\*nic\.dev\)\.register can reach a blocking call`
 }
+
+// window is a legal SleepThen step: it re-arms without blocking.
+func (d *dev) window() (int64, bool) {
+	d.pump()
+	return 1, true
+}
+
+// badWindow waits on a condition: illegal in a wakeup step.
+func (d *dev) badWindow() (int64, bool) {
+	d.c.Wait(nil)
+	return 0, false
+}
+
+// stream parks in SleepThen, itself a blocking call, from process
+// context; only its steps run in continuation context.
+func (d *dev) stream(p *sim.Proc) {
+	p.SleepThen(1, d.window)
+	p.SleepThen(1, d.badWindow) // want `continuation passed to \(\*sim\.Proc\)\.SleepThen can reach a blocking call: \(\*nic\.dev\)\.badWindow → \(\*sim\.Cond\)\.Wait`
+}

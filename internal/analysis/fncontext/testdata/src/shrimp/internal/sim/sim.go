@@ -10,6 +10,12 @@ type Proc struct{}
 // Sleep parks the process: a blocking primitive.
 func (p *Proc) Sleep(d int64) {}
 
+// SleepThen parks the process, a blocking primitive, and runs step in
+// engine context at each wakeup.
+//
+//shrimp:continuation
+func (p *Proc) SleepThen(d int64, step func() (int64, bool)) {}
+
 // Engine stands in for the event engine.
 type Engine struct{ now int64 }
 

@@ -244,19 +244,26 @@ func mbps(bytes int64, d sim.Time) float64 {
 // cell's service; only the server-side configuration (say, RPC
 // dispatch) may differ from the recording.
 func RunLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, error) {
+	rows, _, err := runLoadTrace(c, tr)
+	return rows, err
+}
+
+// runLoadTrace is RunLoadTrace that also returns the engine's dispatch
+// census for the run.
+func runLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, sim.Census, error) {
 	spec, err := c.spec()
 	if err != nil {
-		return nil, err
+		return nil, sim.Census{}, err
 	}
 	if spec.Service != tr.Service {
-		return nil, fmt.Errorf("harness: trace of the %s service cannot replay as load config %s (the %s service)",
+		return nil, sim.Census{}, fmt.Errorf("harness: trace of the %s service cannot replay as load config %s (the %s service)",
 			tr.Service, c.Config, spec.Service)
 	}
 	m := machine.New(machine.DefaultConfig(tr.Nodes))
 	defer m.Close()
 	rep, err := workload.Run(vmmc.NewSystem(m), c.serviceConfig(), tr)
 	if err != nil {
-		return nil, err
+		return nil, sim.Census{}, err
 	}
 	rows := make([]LoadRow, 0, len(rep.Classes))
 	for _, cs := range rep.Classes {
@@ -275,7 +282,7 @@ func RunLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, error) {
 			Sojourn:     cs.Sojourn,
 		})
 	}
-	return rows, nil
+	return rows, m.E.Census(), nil
 }
 
 // RunLoadCell generates the cell's trace and replays it.

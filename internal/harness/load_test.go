@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"shrimp/internal/sim"
 	"shrimp/internal/workload"
 )
 
@@ -144,5 +145,30 @@ func TestLoadClassTotals(t *testing.T) {
 		if soj[name] == nil || soj[name].Count() != reqs[name] {
 			t.Errorf("class %s: merged histogram count mismatch", name)
 		}
+	}
+}
+
+// TestLoadCellCensus pins the engine's dispatch census for the quick
+// socket/au cell at offered load 0.5, as the quick load sweep runs it:
+// a deterministic stand-in for its host cost. Its AU sends stream
+// through SleepThen steps, so step wakeups must stay well above process
+// handoffs; a change that sends those wakeups back through process
+// switches fails here without any timing.
+func TestLoadCellCensus(t *testing.T) {
+	c := LoadCell{Config: "socket/au", Nodes: 16, Offered: 0.5, Params: QuickLoadParams()}
+	tr, err := c.GenerateTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := runLoadTrace(c, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Census{Handoffs: 2699, SelfWakeups: 3316, FnEvents: 16596, Steps: 14199}
+	if got != want {
+		t.Errorf("census %+v, want %+v", got, want)
+	}
+	if got.Steps <= 4*got.Handoffs {
+		t.Errorf("%d step wakeups against %d handoffs: want more than 4x", got.Steps, got.Handoffs)
 	}
 }

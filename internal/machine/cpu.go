@@ -63,9 +63,18 @@ func (c *CPU) Pending() sim.Time { return c.pending + c.stolen }
 // time, crediting the breakdown. Every primitive that interacts with
 // the NIC or another process must flush first.
 func (c *CPU) Flush(p *sim.Proc) {
+	if d := c.settle(); d > 0 {
+		p.Sleep(d)
+	}
+}
+
+// settle is a flush without its sleep: it credits all accumulated and
+// stolen time to the breakdown, steals it from the shadowed application
+// context, and returns it as the time the flush sleeps.
+func (c *CPU) settle() sim.Time {
 	d := c.pending + c.stolen
 	if d == 0 {
-		return
+		return 0
 	}
 	for i := range c.accum {
 		c.acct.Breakdown[i] += c.accum[i]
@@ -78,7 +87,7 @@ func (c *CPU) Flush(p *sim.Proc) {
 		// Handler execution displaces the application.
 		c.shadow.Steal(d)
 	}
-	p.Sleep(d)
+	return d
 }
 
 // Steal charges d of handler execution against this context. If it is

@@ -78,6 +78,7 @@ type Node struct {
 	Acct *stats.Node
 
 	notify func(p *sim.Proc, pkt *nic.Packet) //shrimp:nostate wiring: dispatch hook attached by the vmmc layer at construction
+	runs   []*storeRun                        //shrimp:nostate wiring: freelist of idle StoreBytes runs; a run in use belongs to a live process, and quiescence has none
 }
 
 // Machine is the whole system.
@@ -255,39 +256,151 @@ func (nd *Node) StoreUint32(p *sim.Proc, addr memory.Addr, v uint32) {
 // across pages). On AU-bound pages the CPU issues word-sized stores,
 // checking flow control before each one, exactly as real code behind
 // the snooped memory bus would; elsewhere it is a bulk copy.
+//
+// A streaming writer flushes every few words. Each flush sleeps with
+// SleepThen, whose step stores the next window of words inline at the
+// wakeup, wherever the calendar pops it, so the process is resumed
+// only when the run ends or a store needs it: flow control is stalled,
+// or the page is not read-write and its fault handler may park.
 func (nd *Node) StoreBytes(p *sim.Proc, addr memory.Addr, data []byte) {
-	cost := nd.M.Cfg.Cost
-	word := nd.NIC.Config().AUWordBytes
-	for len(data) > 0 {
-		n := memory.PageSize - addr.Offset()
-		if n > len(data) {
-			n = len(data)
+	r := nd.startRun(p, addr, data)
+	for {
+		switch d, stop := r.advance(false); stop {
+		case runFlush:
+			p.SleepThen(d, r.step)
+		case runStalled:
+			nd.NIC.WaitAUReady(p)
+		default:
+			nd.endRun(r)
+			return
 		}
-		cpu := nd.CPUFor(p)
-		if ent, ok := nd.NIC.Outgoing(addr.VPN()); ok && ent.AUEnable {
-			// Word-at-a-time write-through stores with per-store flow
-			// control: every word is an uncached memory-bus write, which
-			// is why deliberate update's DMA engine wins for bulk data
-			// (§4.2).
-			for off := 0; off < n; off += word {
-				w := word
-				if off+w > n {
-					w = n - off
-				}
-				nd.NIC.WaitAUReady(p)
-				if cpu.Pending() >= cpu.maxAccum {
-					cpu.Flush(p)
-				}
-				cpu.Charge(cost.AUStoreCost)
-				nd.Mem.Write(p, addr+memory.Addr(off), data[off:off+w])
-			}
-		} else {
-			cpu.Charge(cost.CopyTime(n))
-			nd.Mem.Write(p, addr, data[:n])
-		}
-		data = data[n:]
-		addr += memory.Addr(n)
 	}
+}
+
+// Why storeRun.advance stopped.
+const (
+	runDone    = iota // every byte is stored
+	runFlush          // a flush settled; sleep for the returned time
+	runStalled        // flow control stalls the next word's store
+	runFault          // the next store's page is not read-write (inline only)
+)
+
+// storeRun is one StoreBytes call in progress. It is per call, not per
+// node, because several processes on a node may store at once; idle
+// runs wait on the node's freelist, so a call allocates nothing.
+type storeRun struct {
+	nd   *Node
+	p    *sim.Proc
+	cpu  *CPU
+	word int
+	addr memory.Addr // next byte to store
+	data []byte      // bytes left to store, from addr on
+	// n counts the bytes left in the current page's chunk (0: the next
+	// chunk has not started), and au says whether that page is AU-bound.
+	n  int
+	au bool
+	// flushed says the next word's flow-control and flush checks are
+	// done: it is stored right after a flush.
+	flushed bool
+	// step is the bound window method, made once per run object.
+	step func() (sim.Time, bool)
+}
+
+// startRun takes an idle run from the node's freelist, or makes one,
+// and sets it to store data at addr for p.
+func (nd *Node) startRun(p *sim.Proc, addr memory.Addr, data []byte) *storeRun {
+	var r *storeRun
+	if n := len(nd.runs); n > 0 {
+		r = nd.runs[n-1]
+		nd.runs[n-1] = nil
+		nd.runs = nd.runs[:n-1]
+	} else {
+		r = &storeRun{nd: nd}
+		r.step = r.window
+	}
+	r.p, r.cpu, r.word = p, nd.CPUFor(p), nd.NIC.Config().AUWordBytes
+	r.addr, r.data = addr, data
+	return r
+}
+
+// endRun returns a finished run to the node's freelist.
+func (nd *Node) endRun(r *storeRun) {
+	r.p, r.cpu, r.data = nil, nil, nil
+	nd.runs = append(nd.runs, r)
+}
+
+// window is the flushing process's SleepThen step: it stores the words
+// after a flush, up to the next flush, and keeps the process parked
+// only when the window ends in that flush.
+func (r *storeRun) window() (sim.Time, bool) {
+	d, stop := r.advance(true)
+	return d, stop == runFlush
+}
+
+// advance stores the run's words from where it stopped, in the order a
+// store loop runs them — the flow-control check, the flush check, the
+// charge, then the write and its snoop — until the run is done or must
+// wait. It never blocks: the caller sleeps a flush and waits out a
+// stall. inline says it runs as a wakeup step, where a fault handler
+// could not park, so it also stops before a write to a page that is
+// not read-write; the process then makes that write itself.
+func (r *storeRun) advance(inline bool) (sim.Time, int) {
+	nd, cpu := r.nd, r.cpu
+	for {
+		if r.n == 0 {
+			if len(r.data) == 0 {
+				return 0, runDone
+			}
+			r.n = memory.PageSize - r.addr.Offset()
+			if r.n > len(r.data) {
+				r.n = len(r.data)
+			}
+			ent, ok := nd.NIC.Outgoing(r.addr.VPN())
+			r.au = ok && ent.AUEnable
+		}
+		if !r.au {
+			if inline && !nd.writable(r.addr) {
+				return 0, runFault
+			}
+			cpu.Charge(nd.M.Cfg.Cost.CopyTime(r.n))
+			r.store(r.n)
+			continue
+		}
+		// Word-at-a-time write-through stores with per-store flow
+		// control: every word is an uncached memory-bus write, which
+		// is why deliberate update's DMA engine wins for bulk data
+		// (§4.2).
+		if !r.flushed {
+			if nd.NIC.AUStalled() {
+				return 0, runStalled
+			}
+			if cpu.Pending() >= cpu.maxAccum {
+				if d := cpu.settle(); d > 0 {
+					r.flushed = true
+					return d, runFlush
+				}
+			}
+		}
+		if inline && !nd.writable(r.addr) {
+			return 0, runFault
+		}
+		r.flushed = false
+		cpu.Charge(nd.M.Cfg.Cost.AUStoreCost)
+		r.store(min(r.word, r.n))
+	}
+}
+
+// store writes the run's next w bytes, all within the current chunk.
+func (r *storeRun) store(w int) {
+	r.nd.Mem.Write(r.p, r.addr, r.data[:w])
+	r.addr += memory.Addr(w)
+	r.data = r.data[w:]
+	r.n -= w
+}
+
+// writable reports whether a store at addr proceeds without a fault.
+func (nd *Node) writable(addr memory.Addr) bool {
+	return nd.Mem.Prot(addr.VPN()) == memory.ProtReadWrite
 }
 
 // StoreUint64 performs an application store of a 64-bit word, paying

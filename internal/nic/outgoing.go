@@ -354,6 +354,10 @@ func (n *NIC) WaitAUReady(p *sim.Proc) {
 	}
 }
 
+// AUStalled reports whether flow control disables AU stores: the
+// condition WaitAUReady blocks on.
+func (n *NIC) AUStalled() bool { return n.stalled }
+
 // FenceAU flushes the combining buffer and blocks until every emitted AU
 // packet has been injected into the network. Because the mesh delivers
 // same source/destination traffic in order, a deliberate-update message

@@ -12,6 +12,7 @@ func TestEngineTickAllocationFree(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
 	tick := func() { ticks++ }
+	var census Census
 	avg := testing.AllocsPerRun(100, func() {
 		// A burst of callbacks at mixed delays exercises both the
 		// same-instant FIFO and the heap.
@@ -33,12 +34,14 @@ func TestEngineTickAllocationFree(t *testing.T) {
 		e.After(50, tick)
 		mid.Cancel()
 		e.Run()
+		// Reading the census is free too.
+		census = e.Census()
 	})
 	if avg != 0 {
 		t.Fatalf("engine tick allocates %.1f objects per run, want 0", avg)
 	}
-	if ticks == 0 {
-		t.Fatal("callbacks never ran")
+	if ticks == 0 || census.FnEvents == 0 {
+		t.Fatalf("callbacks never ran: %d ticks, census %+v", ticks, census)
 	}
 }
 
@@ -60,6 +63,38 @@ func TestProcSleepAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("sleep/wake cycle allocates %.1f objects per run, want 0", avg)
+	}
+	e.Shutdown()
+}
+
+// TestSleepThenAllocationFree asserts that a SleepThen step re-arming
+// its process's wakeup, as a streaming store does after every flush,
+// costs no allocation per wakeup.
+func TestSleepThenAllocationFree(t *testing.T) {
+	e := NewEngine()
+	resume := NewCond(e)
+	left := 0
+	step := func() (Time, bool) {
+		left--
+		return 2, left > 0
+	}
+	e.Spawn("streamer", func(p *Proc) {
+		for {
+			resume.Wait(p)
+			left = 5
+			p.SleepThen(3, step)
+		}
+	})
+	e.Run() // park the streamer on the condition
+	avg := testing.AllocsPerRun(100, func() {
+		resume.Signal()
+		e.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("SleepThen cycle allocates %.1f objects per run, want 0", avg)
+	}
+	if e.Census().Steps == 0 {
+		t.Fatal("the step never kept its process parked")
 	}
 	e.Shutdown()
 }

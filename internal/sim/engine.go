@@ -105,7 +105,30 @@ type Engine struct {
 	// Hardware and protocol layers cache it at construction; the engine
 	// itself only records process lifecycle events.
 	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration, not rewindable state
+
+	census Census
 }
+
+// Census counts how the engine dispatched its events. The counters are
+// always on and deterministic, so they measure a cell's host cost
+// without timing noise: a process switch costs about ten times an fn
+// dispatch (BenchmarkProcSwitch against BenchmarkFnEventDispatch).
+type Census struct {
+	// Handoffs counts switches into a process's coroutine: the run loop
+	// resuming a process, including Shutdown's unwinding resumes.
+	Handoffs uint64
+	// SelfWakeups counts wakeups a parked process popped from its own
+	// inline event loop and returned to with no switch.
+	SelfWakeups uint64
+	// FnEvents counts fn events dispatched, wherever the loop ran.
+	FnEvents uint64
+	// Steps counts wakeups a SleepThen step handled while its process
+	// stayed parked.
+	Steps uint64
+}
+
+// Census returns the engine's dispatch counters.
+func (e *Engine) Census() Census { return e.census }
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine { return &Engine{} }
@@ -329,11 +352,33 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.push(ev)
 }
 
+// stepped runs the SleepThen step of q, whose wakeup just popped, in
+// place of resuming q. It reports true when the step filed q's next
+// wakeup, so q stays parked, and false when q is to resume at this
+// wakeup. A finished process has no step: its leftover wakeup is
+// dropped by resume.
+//
+//shrimp:hotpath
+func (e *Engine) stepped(q *Proc) bool {
+	next, again := q.step()
+	if !again {
+		q.step = nil
+		return false
+	}
+	if next < 0 {
+		panic("sim: negative sleep")
+	}
+	e.census.Steps++
+	e.wake(q, e.now+next)
+	return true
+}
+
 // run is the shared Run/RunUntil body, on the caller's goroutine. It is
 // the only place a process is resumed: it pops events like a parked
-// process does, and when a process's event pops it resumes that process,
-// then whichever process the parked one handed off to, until one yields
-// with no handoff (drain or Stop) or returns from its body.
+// process does, and when a process's event pops it resumes that process
+// (or runs its SleepThen step in place), then whichever process the
+// parked one handed off to, until one yields with no handoff (drain or
+// Stop) or returns from its body.
 func (e *Engine) run() {
 	for !e.stopped {
 		ev := e.next()
@@ -344,11 +389,15 @@ func (e *Engine) run() {
 		if ev.fn != nil {
 			fn := ev.fn
 			e.recycle(ev)
+			e.census.FnEvents++
 			fn()
 			continue
 		}
 		q := ev.proc
 		e.recycle(ev)
+		if q.step != nil && e.stepped(q) {
+			continue
+		}
 		for q != nil {
 			e.handoff = nil
 			q.resume()

@@ -23,7 +23,10 @@ type Proc struct {
 	body func(p *Proc)
 	// c is the coroutine running body: nil until the process is first
 	// resumed, and again once the body has returned.
-	c        *carrier
+	c *carrier
+	// step, while the process is parked in SleepThen, runs at each of
+	// its wakeups in place of resuming it.
+	step     func() (next Time, again bool)
 	finished bool
 	killed   bool
 	ctx      any
@@ -109,6 +112,7 @@ func (p *Proc) run() {
 	defer func() {
 		p.finished = true
 		p.body = nil
+		p.step = nil
 		p.e.live--
 		if r := recover(); r != nil {
 			if _, ok := r.(killSignal); !ok {
@@ -126,6 +130,7 @@ func (p *Proc) resume() {
 	if p.finished {
 		return
 	}
+	p.e.census.Handoffs++
 	c := p.c
 	if c == nil {
 		c = takeCarrier()
@@ -226,7 +231,8 @@ func (p *Proc) Now() Time { return p.e.now }
 // own wakeup is next it continues with no switch at all. When another
 // process's event pops, park names that process in Engine.handoff and
 // yields to the run loop, which resumes it; on drain or Stop it yields
-// with no handoff.
+// with no handoff. A wakeup of a process parked in SleepThen, this one
+// included, runs that process's step here first.
 func (p *Proc) park() {
 	e := p.e
 	for !e.stopped {
@@ -238,12 +244,17 @@ func (p *Proc) park() {
 		if ev.fn != nil {
 			fn := ev.fn
 			e.recycle(ev)
+			e.census.FnEvents++
 			fn()
 			continue
 		}
 		q := ev.proc
 		e.recycle(ev)
+		if q.step != nil && e.stepped(q) {
+			continue
+		}
 		if q == p {
+			e.census.SelfWakeups++
 			return
 		}
 		e.handoff = q
@@ -267,6 +278,27 @@ func (p *Proc) Sleep(d Time) {
 		p.park()
 		return
 	}
+	p.e.wake(p, p.e.now+d)
+	p.park()
+}
+
+// SleepThen sleeps like Sleep(d), but each wakeup runs step, inline and
+// at that wakeup's (t, seq) calendar position, in place of resuming the
+// process. A step returning (next, true) keeps the process parked and
+// files its next wakeup exactly where Sleep(next) would; one returning
+// false resumes the process at this same wakeup, with no event in
+// between, and SleepThen returns. The step therefore runs code the
+// process would have run at the same calendar position, and costs an
+// inline call where a wakeup by another process would cost a switch.
+// A step runs in continuation context and must not block; a panic in it
+// propagates out of Run like a panic in an fn event.
+//
+//shrimp:continuation
+func (p *Proc) SleepThen(d Time, step func() (next Time, again bool)) {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	p.step = step
 	p.e.wake(p, p.e.now+d)
 	p.park()
 }

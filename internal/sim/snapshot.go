@@ -3,13 +3,14 @@ package sim
 import "fmt"
 
 // Checkpoint support. The engine's entire dynamic state at a quiescent
-// instant is two counters: the clock and the monotonic event sequence
-// number. Quiescent means the calendar is fully drained (empty heap,
-// empty same-instant FIFO), no process is live or blocked, and no Run
-// is in progress — exactly the state between two RunParallel phases.
-// Everything else in the Engine is wiring (the event freelist, the
-// tracer), the handoff slot that is only set inside a Run, or dead
-// bookkeeping (finished processes), and
+// instant is three counters: the clock, the monotonic event sequence
+// number, and the dispatch census (so a branch forked from a warmup
+// reports the census of a cold run). Quiescent means the calendar is
+// fully drained (empty heap, empty same-instant FIFO), no process is
+// live or blocked, and no Run is in progress — exactly the state
+// between two RunParallel phases. Everything else in the Engine is
+// wiring (the event freelist, the tracer), the handoff slot that is
+// only set inside a Run, or dead bookkeeping (finished processes), and
 // restoring (now, seq) makes every subsequent Spawn/At/After reproduce
 // the identical (t, seq) calendar a cold run would build.
 
@@ -17,9 +18,10 @@ import "fmt"
 //
 //shrimp:state
 type EngineSnapshot struct {
-	now   Time
-	seq   uint64
-	procs int
+	now    Time
+	seq    uint64
+	procs  int
+	census Census
 }
 
 // Quiescent reports nil when the engine is at a checkpointable
@@ -45,16 +47,17 @@ func (e *Engine) Snapshot() (EngineSnapshot, error) {
 	if err := e.Quiescent(); err != nil {
 		return EngineSnapshot{}, err
 	}
-	return EngineSnapshot{now: e.now, seq: e.seq, procs: len(e.all)}, nil
+	return EngineSnapshot{now: e.now, seq: e.seq, procs: len(e.all), census: e.census}, nil
 }
 
-// Restore rewinds the clock and sequence counter to the snapshot and
-// drops bookkeeping for processes spawned after it (all finished — the
-// engine must be quiescent here too, which the checkpoint orchestrator
-// verifies before any layer restores).
+// Restore rewinds the clock, sequence counter and census to the
+// snapshot and drops bookkeeping for processes spawned after it (all
+// finished — the engine must be quiescent here too, which the
+// checkpoint orchestrator verifies before any layer restores).
 func (e *Engine) Restore(s EngineSnapshot) {
 	e.now = s.now
 	e.seq = s.seq
+	e.census = s.census
 	for i := s.procs; i < len(e.all); i++ {
 		e.all[i] = nil
 	}

@@ -34,13 +34,17 @@ for p in 1 4; do
     # services, not batch apps) but pinned under its own digests.
     "$BIN/shrimpbench" -exp load -quick -parallel "$p" >"$WORK/loadtext.$p"
     "$BIN/shrimpbench" -exp load -quick -parallel "$p" -json >"$WORK/loadjson.$p"
+    # At default sizes the load family's socket/au cells stream long
+    # automatic-update runs, which the quick sizes barely reach; pin
+    # them too (about a second per width).
+    "$BIN/shrimpbench" -exp load -parallel "$p" -json >"$WORK/loaddefaultjson.$p"
     # The twin calibration report is a CI artifact with the same
     # contract: byte-identical whatever the worker count, pinned under
     # its own digests.
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" >"$WORK/calibtext.$p"
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" -json >"$WORK/calibjson.$p"
 done
-for kind in text json loadtext loadjson calibtext calibjson; do
+for kind in text json loadtext loadjson loaddefaultjson calibtext calibjson; do
     if ! cmp -s "$WORK/$kind.1" "$WORK/$kind.4"; then
         echo "golden: $kind output differs between -parallel 1 and -parallel 4" >&2
         exit 1
@@ -48,10 +52,11 @@ for kind in text json loadtext loadjson calibtext calibjson; do
 done
 
 digest() { sha256sum "$1" | cut -d' ' -f1; }
-NEW=$(printf 'text %s\njson %s\nloadtext %s\nloadjson %s\ncalibtext %s\ncalibjson %s\n' \
+NEW=$(printf 'text %s\njson %s\nloadtext %s\nloadjson %s\ncalibtext %s\ncalibjson %s\nloaddefaultjson %s\n' \
     "$(digest "$WORK/text.1")" "$(digest "$WORK/json.1")" \
     "$(digest "$WORK/loadtext.1")" "$(digest "$WORK/loadjson.1")" \
-    "$(digest "$WORK/calibtext.1")" "$(digest "$WORK/calibjson.1")")
+    "$(digest "$WORK/calibtext.1")" "$(digest "$WORK/calibjson.1")" \
+    "$(digest "$WORK/loaddefaultjson.1")")
 
 if [ "${1:-}" = "-update" ]; then
     printf '%s\n' "$NEW" >"$GOLDEN"
@@ -74,4 +79,4 @@ if [ "$NEW" != "$(cat "$GOLDEN")" ]; then
     echo "together with an explanation of the behavioral change." >&2
     exit 1
 fi
-echo "golden: output matches $GOLDEN (text+json+load+calib, -parallel 1 and 4, shared warmups vs cold digests)"
+echo "golden: output matches $GOLDEN (text+json+load+default-size load+calib, -parallel 1 and 4, shared warmups vs cold digests)"
