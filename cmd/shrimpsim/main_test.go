@@ -14,7 +14,6 @@ func TestLoadModeWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
-	block := filepath.Join(dir, "block.prof")
 
 	devnull, err := os.Open(os.DevNull)
 	if err != nil {
@@ -24,12 +23,12 @@ func TestLoadModeWritesProfiles(t *testing.T) {
 	args, stdout, fs := os.Args, os.Stdout, flag.CommandLine
 	defer func() { os.Args, os.Stdout, flag.CommandLine = args, stdout, fs }()
 	os.Args = []string{"shrimpsim", "-load", "socket/au", "-nodes", "4", "-quick",
-		"-cpuprofile", cpu, "-memprofile", mem, "-blockprofile", block}
+		"-cpuprofile", cpu, "-memprofile", mem}
 	os.Stdout = devnull
 	flag.CommandLine = flag.NewFlagSet("shrimpsim", flag.ContinueOnError)
 	main()
 
-	for _, f := range []string{cpu, mem, block} {
+	for _, f := range []string{cpu, mem} {
 		st, err := os.Stat(f)
 		if err != nil {
 			t.Fatalf("-load did not write %s: %v", filepath.Base(f), err)

@@ -9,10 +9,9 @@
 // the analyzers could be ported to the real framework by changing
 // imports, should the dependency ever be acceptable.
 //
-// The ten analyzers live in subpackages: the per-function rules
+// The nine analyzers live in subpackages: the per-function rules
 // walltime, maporder, unseededrand, nogoroutine, hotpath and tracenil,
-// and the interprocedural rules fncontext, snapshotcover, seqmachine
-// and ptrdet. The registry subpackage lists them and runs them over a
+// and the interprocedural rules fncontext, seqmachine and ptrdet. The registry subpackage lists them and runs them over a
 // module; cmd/shrimpvet is the command around it. See
 // docs/shrimpvet.md for the rule catalog.
 package analysis

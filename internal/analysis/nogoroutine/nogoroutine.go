@@ -39,7 +39,7 @@ import (
 // connection handling is concurrency by design, not a leak into the
 // simulator.
 var allowedFiles = []string{
-	"internal/harness/parallel.go", // the harness's one worker pool: app cells, prefix groups, load cells
+	"internal/harness/parallel.go", // the harness's one worker pool: app cells and load cells
 }
 
 // simPkgPath is the package whose Engine type owns Spawn/SpawnAt.

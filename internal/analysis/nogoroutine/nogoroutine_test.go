@@ -14,7 +14,6 @@ func TestNogoroutine(t *testing.T) {
 		"shrimp/internal/server",
 		"shrimp/internal/nic",
 		"shrimp/internal/machine",
-		"shrimp/internal/checkpoint",
 		"shrimp/internal/workload",
 		"shrimp/internal/harness",
 	)

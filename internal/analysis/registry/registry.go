@@ -19,7 +19,6 @@ import (
 	"shrimp/internal/analysis/nogoroutine"
 	"shrimp/internal/analysis/ptrdet"
 	"shrimp/internal/analysis/seqmachine"
-	"shrimp/internal/analysis/snapshotcover"
 	"shrimp/internal/analysis/tracenil"
 	"shrimp/internal/analysis/unseededrand"
 	"shrimp/internal/analysis/walltime"
@@ -39,7 +38,6 @@ func All() []*analysis.Analyzer {
 		hotpath.Analyzer,
 		tracenil.Analyzer,
 		fncontext.Analyzer,
-		snapshotcover.Analyzer,
 		seqmachine.Analyzer,
 		ptrdet.Analyzer,
 	}

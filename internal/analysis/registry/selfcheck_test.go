@@ -18,9 +18,9 @@ import (
 // `make lint`: a change that violates a determinism or hot-path rule
 // fails the ordinary test run, not just the lint step.
 // It doubles as the suite's runtime budget check: the interprocedural
-// analyzers (fncontext, snapshotcover, seqmachine) must stay cheap
-// enough that the whole module analyzes inside suiteBudget, or the
-// edit-vet loop stops being interactive.
+// analyzers (fncontext, seqmachine, ptrdet) must stay cheap enough
+// that the whole module analyzes inside suiteBudget, or the edit-vet
+// loop stops being interactive.
 const suiteBudget = 60 * time.Second
 
 func TestTreeIsClean(t *testing.T) {

@@ -9,23 +9,22 @@ import "strings"
 // harness, profiler glue and command binaries sit outside the
 // simulation boundary and may read real clocks or fan out goroutines.
 var simSidePkgs = map[string]bool{
-	"sim":        true,
-	"mesh":       true,
-	"nic":        true,
-	"vmmc":       true,
-	"svm":        true,
-	"machine":    true,
-	"memory":     true,
-	"checkpoint": true, // snapshot/restore of simulation state: same invariants as the state it copies
-	"trace":      true,
-	"nx":         true,
-	"ring":       true,
-	"rpc":        true,
-	"socketlib":  true,
-	"stats":      true,
-	"apps":       true, // and all subpackages
-	"workload":   true, // open-loop traffic generator: drivers run inside the simulated machine
-	"twin":       true, // closed-form analytical model: pure functions of simulated time, same invariants
+	"sim":       true,
+	"mesh":      true,
+	"nic":       true,
+	"vmmc":      true,
+	"svm":       true,
+	"machine":   true,
+	"memory":    true,
+	"trace":     true,
+	"nx":        true,
+	"ring":      true,
+	"rpc":       true,
+	"socketlib": true,
+	"stats":     true,
+	"apps":      true, // and all subpackages
+	"workload":  true, // open-loop traffic generator: drivers run inside the simulated machine
+	"twin":      true, // closed-form analytical model: pure functions of simulated time, same invariants
 }
 
 // hostSidePkgs names the packages that are explicitly host-side: they

@@ -23,7 +23,6 @@ func TestBoundaryClassification(t *testing.T) {
 		{"shrimp/internal/svm", true, false},
 		{"shrimp/internal/apps/barnes", true, false},
 		{"shrimp/internal/trace", true, false},
-		{"shrimp/internal/checkpoint", true, false},
 		{"shrimp/internal/workload", true, false},
 		{"shrimp/internal/twin", true, false},
 

@@ -10,7 +10,6 @@ import (
 func TestWalltime(t *testing.T) {
 	analysistest.Run(t, "testdata", walltime.Analyzer,
 		"shrimp/internal/sim",
-		"shrimp/internal/checkpoint",
 		"shrimp/internal/workload",
 		"shrimp/internal/twin",
 		"shrimp/internal/harness",

@@ -108,9 +108,9 @@ func RunSVM(s *svm.System, pr Params) sim.Time {
 }
 
 // SVMRun is a Barnes-SVM instance that has completed its warmup prefix
-// (shared layout, body initialization, and the first barrier) and is
-// parked at a checkpointable phase boundary. Finish runs the time steps
-// and validation; after a checkpoint restore it can run again.
+// (shared layout, body initialization, and the first barrier) and
+// stands at the boundary where knobs land. Finish runs the time steps
+// and validation.
 type SVMRun struct {
 	s    *svm.System
 	pr   Params

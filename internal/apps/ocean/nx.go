@@ -66,6 +66,14 @@ func RunNX(c *nx.Comm, pr Params) sim.Time {
 		pc := c.Proc(int(nd.ID))
 		rank := pc.Rank()
 		lo, hi := rowsFor(pr.N, nprocs, rank)
+		// With more ranks than rows some slabs are empty. A rank without
+		// rows sits out the exchange; every other rank trades ghost rows
+		// with its nearest rank above and below that owns rows (-1: none,
+		// the grid boundary).
+		up, down := -1, -1
+		if lo < hi {
+			up, down = neighborNX(pr.N, nprocs, rank, -1), neighborNX(pr.N, nprocs, rank, +1)
+		}
 		// Private slab: full-size array, but this rank only maintains
 		// rows [lo-1, hi] (its block plus ghosts).
 		g := make([]float64, stride*stride)
@@ -79,17 +87,17 @@ func RunNX(c *nx.Comm, pr Params) sim.Time {
 		exchange := func() {
 			// Send own boundary rows, then receive ghosts, in
 			// fine-grained chunks as the SHRIMP NX port did.
-			if rank > 0 {
-				sendRow(p, pc, rank-1, tagRowUp, g, stride, lo, chunk)
+			if up >= 0 {
+				sendRow(p, pc, up, tagRowUp, g, stride, lo, chunk)
 			}
-			if rank < nprocs-1 {
-				sendRow(p, pc, rank+1, tagRowDown, g, stride, hi-1, chunk)
+			if down >= 0 {
+				sendRow(p, pc, down, tagRowDown, g, stride, hi-1, chunk)
 			}
-			if rank > 0 {
-				recvRow(p, pc, rank-1, tagRowDown, g, stride, lo-1, chunk)
+			if up >= 0 {
+				recvRow(p, pc, up, tagRowDown, g, stride, lo-1, chunk)
 			}
-			if rank < nprocs-1 {
-				recvRow(p, pc, rank+1, tagRowUp, g, stride, hi, chunk)
+			if down >= 0 {
+				recvRow(p, pc, down, tagRowUp, g, stride, hi, chunk)
 			}
 		}
 
@@ -128,4 +136,16 @@ func RunNX(c *nx.Comm, pr Params) sim.Time {
 	})
 	validate(pr, final)
 	return elapsed
+}
+
+// neighborNX returns the nearest rank past rank in direction dir (-1
+// up, +1 down) whose slab of interior rows is not empty, or -1 if there
+// is none.
+func neighborNX(n, nprocs, rank, dir int) int {
+	for o := rank + dir; o >= 0 && o < nprocs; o += dir {
+		if lo, hi := rowsFor(n, nprocs, o); lo < hi {
+			return o
+		}
+	}
+	return -1
 }

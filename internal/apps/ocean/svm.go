@@ -15,9 +15,9 @@ func RunSVM(s *svm.System, pr Params) sim.Time {
 }
 
 // SVMRun is an Ocean-SVM instance that has completed its warmup prefix
-// (grid layout, initialization, and the first barrier) and is parked at
-// a checkpointable phase boundary. Finish runs the solver body and
-// validation; after a checkpoint restore it can run again.
+// (grid layout, initialization, and the first barrier) and stands at
+// the boundary where knobs land. Finish runs the solver body and
+// validation.
 type SVMRun struct {
 	s       *svm.System
 	pr      Params

@@ -16,9 +16,9 @@ func RunSVM(s *svm.System, pr Params) sim.Time {
 }
 
 // SVMRun is a Radix-SVM instance that has completed its warmup prefix
-// (shared layout, key initialization, and the first barrier) and is
-// parked at a checkpointable phase boundary. Finish runs the sort body
-// and validation; after a checkpoint restore it can run again.
+// (shared layout, key initialization, and the first barrier) and
+// stands at the boundary where knobs land. Finish runs the sort body
+// and validation.
 type SVMRun struct {
 	s       *svm.System
 	pr      Params

@@ -58,11 +58,9 @@ func RunVMMC(sys *vmmc.System, mech Mechanism, pr Params) sim.Time {
 }
 
 // VMMCRun is a Radix-VMMC instance that has completed its warmup prefix
-// (exports, imports, AU bindings, and the first barrier) and is parked
-// at a checkpointable phase boundary. Finish runs the sort body and
-// validation; after a checkpoint restore it can run again — it rewinds
-// the per-rank host-side cursors (barrier epoch, delivery cursor) to
-// their post-warmup values before respawning the app processes.
+// (exports, imports, AU bindings, and the first barrier) and stands at
+// the boundary where knobs land. Finish runs the sort body and
+// validation.
 type VMMCRun struct {
 	sys         *vmmc.System
 	mech        Mechanism
@@ -71,8 +69,6 @@ type VMMCRun struct {
 	ranks       []*vmmcRank
 	gatherBlock int
 	warm        sim.Time
-	barEpochs   []int
-	seens       []int64
 }
 
 // StartVMMC runs the warmup prefix of Radix-VMMC: buffer exports and
@@ -128,14 +124,6 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) *VMMCRun {
 		r := int(nd.ID)
 		ranks[r].barrier(p, nprocs, r)
 	})
-	// Capture the host-side cursors at the phase boundary so Finish can
-	// rewind them when re-run after a checkpoint restore.
-	run.barEpochs = make([]int, nprocs)
-	run.seens = make([]int64, nprocs)
-	for r, rk := range ranks {
-		run.barEpochs[r] = rk.barEpoch
-		run.seens[r] = rk.seen
-	}
 	return run
 }
 
@@ -148,10 +136,6 @@ func (run *VMMCRun) Finish() sim.Time {
 	n := pr.Keys
 	radix := pr.Radix
 	histRowWords := radix + 1
-	for r, rk := range ranks {
-		rk.barEpoch = run.barEpochs[r]
-		rk.seen = run.seens[r]
-	}
 
 	final := make([][]uint32, nprocs)
 	elapsed := sys.M.RunParallel("radix-vmmc", func(nd *machine.Node, p *sim.Proc) {

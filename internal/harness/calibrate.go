@@ -65,7 +65,7 @@ func (c *memCellCache) Put(key []byte, r Result) {
 // correlation. The output is a pure function of the workload
 // configuration: cells are evaluated in catalog order, results
 // collected by index, so the report is byte-identical at any worker
-// count and with prefix sharing on or off.
+// count.
 func Calibrate(cfg Config) CalibrationReport {
 	if cfg.Cache == nil {
 		cfg.Cache = &memCellCache{m: make(map[string]Result)}

@@ -24,7 +24,7 @@ func calibrationBytes(t *testing.T, workers int) (string, string) {
 
 // TestCalibrationDeterminism requires the calibration report — the
 // standing CI artifact — to be byte-identical whatever the worker
-// count, and so whatever prefix groups the planner forms. This is the
+// count. This is the
 // same invariant the golden digests pin for the report tables,
 // extended to the twin-vs-DES comparison.
 func TestCalibrationDeterminism(t *testing.T) {

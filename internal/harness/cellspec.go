@@ -218,7 +218,7 @@ func (c CellSpec) Compile() (Spec, error) {
 // change outside the encoded state (cost constants compiled into the
 // applications, protocol behavior, engine semantics) can alter a
 // cell's result, so stale disk-cache entries can never be mistaken for
-// current ones. v2: phased execution for the checkpointable apps —
+// current ones. v2: phased execution for the apps with a warmup phase —
 // warmup runs in its own parallel phase and knobs land at the phase
 // boundary, which moves every timing relative to v1.
 const cellEncodingVersion = 2

@@ -94,7 +94,7 @@ func singlePhaseRun(spec Spec, w *Workloads) Result {
 }
 
 // TestRunMatchesSinglePhase pins Run for the four apps without a
-// checkpointable warmup against singlePhaseRun, under both variants
+// warmup phase against singlePhaseRun, under both variants
 // and every knob set the registry turns plus a DU queue depth of 2.
 func TestRunMatchesSinglePhase(t *testing.T) {
 	cfg := Config{Nodes: 4, Workloads: QuickWorkloads()}

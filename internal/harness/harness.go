@@ -176,9 +176,8 @@ type Spec struct {
 	// Knobs are the named machine-configuration what-ifs. Every cell
 	// starts on the as-built machine and takes its knobs before the
 	// app's first knob-sensitive step: at the post-warmup phase boundary
-	// for the checkpointable applications (identically in cold and
-	// prefix-shared runs), before the NX or sockets library is built for
-	// the others.
+	// for the SVM applications and Radix-VMMC, before the NX or sockets
+	// library is built for the others.
 	Knobs Knobs
 	// Trace, when non-nil, attaches a fresh trace.Recorder to the cell's
 	// machine; the populated recorder comes back in Result.Trace.
@@ -235,56 +234,43 @@ func resolveProto(spec Spec) svm.Protocol {
 	return proto
 }
 
-// cellRun is a simulation started on the as-built machine. The
-// checkpointable apps are warmed to their phase boundary: the machine
-// is quiescent and the app's processes are parked after their warmup
-// phase. The NX and sockets apps have not begun. finish runs the rest
-// of the app — it respawns the parked processes for the body, or
-// builds the NX or sockets library and runs the whole app — and returns
-// the elapsed time. A warmed cellRun is the unit the prefix-sharing
-// planner checkpoints.
-type cellRun struct {
-	m      *machine.Machine
-	sys    *vmmc.System
-	shm    *svm.System // nil for non-SVM apps
-	finish func() sim.Time
-}
-
 // start builds the as-built machine (no knobs: applyKnobs sets them,
 // the way the paper reprograms the as-built firmware) and starts the
-// spec's app. The checkpointable apps run their warmup prefix here.
-func start(spec Spec, w *Workloads) *cellRun {
+// spec's app. The SVM apps and Radix-VMMC run their warmup here and
+// stop at their phase boundary, where knobs land; the NX and sockets
+// apps have not begun. finish runs the rest of the app — it spawns the
+// processes for the body, or builds the NX or sockets library and runs
+// the whole app — and returns the elapsed time.
+func start(spec Spec, w *Workloads) (m *machine.Machine, finish func() sim.Time) {
 	cfg := machine.DefaultConfig(spec.Nodes)
 	if spec.Trace != nil {
 		cfg.Trace = trace.NewRecorder(*spec.Trace)
 	}
-	m := machine.New(cfg)
+	m = machine.New(cfg)
 	sys := vmmc.NewSystem(m)
-	cr := &cellRun{m: m, sys: sys}
 	switch spec.App {
 	case BarnesSVM, OceanSVM, RadixSVM:
 		s := svm.New(sys, svm.DefaultConfig(resolveProto(spec), svmRegionBytes(spec.App, w)))
-		cr.shm = s
 		switch spec.App {
 		case BarnesSVM:
-			cr.finish = barnes.StartSVM(s, w.BarnesSVM).Finish
+			finish = barnes.StartSVM(s, w.BarnesSVM).Finish
 		case OceanSVM:
-			cr.finish = ocean.StartSVM(s, w.OceanSVM).Finish
+			finish = ocean.StartSVM(s, w.OceanSVM).Finish
 		default:
-			cr.finish = radix.StartSVM(s, w.Radix).Finish
+			finish = radix.StartSVM(s, w.Radix).Finish
 		}
 	case RadixVMMC:
 		mech := radix.AU
 		if spec.Variant == VariantDU {
 			mech = radix.DU
 		}
-		cr.finish = radix.StartVMMC(sys, mech, w.Radix).Finish
+		finish = radix.StartVMMC(sys, mech, w.Radix).Finish
 	case BarnesNX, OceanNX:
 		mode := ring.AU
 		if spec.Variant == VariantDU {
 			mode = ring.DU
 		}
-		cr.finish = func() sim.Time {
+		finish = func() sim.Time {
 			c := nx.New(sys, nx.Config{Mode: mode, RingBytes: 128 * 1024})
 			if spec.App == BarnesNX {
 				return barnes.RunNX(c, w.BarnesNX)
@@ -296,24 +282,24 @@ func start(spec Spec, w *Workloads) *cellRun {
 		if spec.Variant == VariantAU {
 			scfg.Mode = ring.AU
 		}
-		cr.finish = func() sim.Time {
+		finish = func() sim.Time {
 			if spec.App == DFSSockets {
 				return dfs.Run(sys, scfg, w.DFS)
 			}
 			return render.Run(sys, scfg, w.Render)
 		}
 	}
-	return cr
+	return m, finish
 }
 
 // applyKnobs sets a spec's knobs on the live machine: its config block
 // and every NIC's copy of the NIC part. The device layers read every
 // knob at its point of use, so this is equivalent to having built the
 // machine with the knobs, for everything that runs after this call.
-func (cr *cellRun) applyKnobs(spec Spec) {
-	spec.Knobs.apply(&cr.m.Cfg)
-	for _, nd := range cr.m.Nodes {
-		nd.NIC.SetConfig(cr.m.Cfg.NIC)
+func applyKnobs(m *machine.Machine, spec Spec) {
+	spec.Knobs.apply(&m.Cfg)
+	for _, nd := range m.Nodes {
+		nd.NIC.SetConfig(m.Cfg.NIC)
 	}
 }
 
@@ -336,15 +322,15 @@ func collectResult(m *machine.Machine, elapsed sim.Time) Result {
 	return res
 }
 
-// Run executes one spec cold and collects the account: it starts the
-// app on the as-built machine, applies the knobs, and finishes the app.
-// For a checkpointable app that puts the knobs at its phase boundary,
-// exactly where a branch forked from a shared warmup applies them.
+// Run executes one spec and collects the account: it starts the app on
+// the as-built machine, applies the knobs, and finishes the app. For
+// an app with a warmup phase, that puts the knobs at its phase
+// boundary.
 func Run(spec Spec, w *Workloads) Result {
-	cr := start(spec, w)
-	defer cr.m.Close()
-	cr.applyKnobs(spec)
-	return collectResult(cr.m, cr.finish())
+	m, finish := start(spec, w)
+	defer m.Close()
+	applyKnobs(m, spec)
+	return collectResult(m, finish())
 }
 
 // DefaultVariant returns the variant with the better speedup for an

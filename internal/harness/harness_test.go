@@ -26,6 +26,21 @@ func TestRunEveryApp(t *testing.T) {
 	}
 }
 
+// TestOceanNXMoreRanksThanRows runs quick Ocean-NX (48 interior rows)
+// on more nodes than rows, so some ranks own no rows, rank 0 among
+// them. The app validates its grid against the sequential solver and
+// panics on a mismatch.
+func TestOceanNXMoreRanksThanRows(t *testing.T) {
+	wl := QuickWorkloads()
+	for _, nodes := range []int{50, 64} {
+		for _, v := range []Variant{VariantAU, VariantDU} {
+			if res := Run(Spec{App: OceanNX, Nodes: nodes, Variant: v}, &wl); res.Elapsed <= 0 {
+				t.Errorf("Ocean-NX/%v on %d nodes: non-positive elapsed", v, nodes)
+			}
+		}
+	}
+}
+
 func TestTable1AllRows(t *testing.T) {
 	cfg := quickConfig()
 	rows := Table1(cfg)

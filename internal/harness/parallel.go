@@ -14,8 +14,8 @@ import (
 // ctx stops picking up new indexes at the next boundary; a nil ctx runs
 // to completion. Callers write results by index, so output is
 // deterministic at any width. This is the harness's only worker pool —
-// app cells, prefix groups and load cells all run on it — and this
-// file is the concurrency allowlist, so the pool lives here.
+// app cells and load cells both run on it — and this file is the
+// concurrency allowlist, so the pool lives here.
 func forEachCell(ctx context.Context, n, workers int, fn func(i int)) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -70,8 +70,7 @@ type CellCache interface {
 
 // CellRunOpts configures RunCells and RunCellSpecs.
 type CellRunOpts struct {
-	// Workers is the simulation worker-pool width (0 = GOMAXPROCS). It
-	// also bounds how many cells one prefix group takes (see planUnits).
+	// Workers is the simulation worker-pool width (0 = GOMAXPROCS).
 	Workers int
 	// Cache, when non-nil, is consulted before simulating each cell and
 	// populated after; hits skip the simulator entirely. Traced cells
@@ -86,39 +85,24 @@ type CellRunOpts struct {
 
 // RunCells executes independent simulation cells and returns their
 // results indexed exactly like cells. It is the harness's one cell
-// executor, and runs in four steps:
+// executor, and runs in three steps:
 //
 //  1. every cell is looked up in opts.Cache, all Gets before any cell
 //     simulates (hits call OnDone straight away);
-//  2. the misses are planned into units (see planUnits): cells that
-//     share a warmup prefix form groups, capped so the units still
-//     spread over the workers, and every other cell is a singleton;
-//  3. the units run on the worker pool (forEachCell), a group as one
-//     warmup plus a forked branch per cell (see prefix.go);
-//  4. each simulated result is Put into the cache and then passed to
+//  2. the misses run through Run on the worker pool (forEachCell);
+//  3. each simulated result is Put into the cache and then passed to
 //     OnDone.
 //
-// Each unit builds its own sim.Engine and machine and shares no mutable
-// state with any other, a forked branch is byte-identical to a cold
-// run, and results are written by cell index, so the output is
-// byte-identical to a serial cold run regardless of worker count,
-// grouping or completion order. At one worker, Puts arrive in unit
-// order: cell order, except that a group's later branches follow its
-// first cell.
+// Each cell builds its own sim.Engine and machine and shares no mutable
+// state with any other, and results are written by cell index, so the
+// output is byte-identical to a serial run regardless of worker count
+// or completion order. At one worker, Puts arrive in cell order.
 //
-// Cancelling ctx stops the run at the next cell boundary — including
-// between the branches of a prefix group: cells already simulated keep
-// their results, unstarted cells are left as zero values, and the
-// caller distinguishes the two via ctx.Err(). A nil ctx runs to
-// completion.
+// Cancelling ctx stops the run at the next cell boundary: cells already
+// simulated keep their results, unstarted cells are left as zero
+// values, and the caller distinguishes the two via ctx.Err(). A nil ctx
+// runs to completion.
 func RunCells(ctx context.Context, cells []Spec, w *Workloads, opts CellRunOpts) []Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]Result, len(cells))
 	keys := make([][]byte, len(cells))
 	todo := make([]int, 0, len(cells))
@@ -137,21 +121,15 @@ func RunCells(ctx context.Context, cells []Spec, w *Workloads, opts CellRunOpts)
 		}
 		todo = append(todo, i)
 	}
-	done := func(i int, r Result) {
+	forEachCell(ctx, len(todo), opts.Workers, func(k int) {
+		i := todo[k]
+		r := Run(cells[i], w)
 		results[i] = r
 		if keys[i] != nil {
 			opts.Cache.Put(keys[i], r)
 		}
 		if opts.OnDone != nil {
 			opts.OnDone(i, r)
-		}
-	}
-	units := planUnits(cells, todo, workers)
-	forEachCell(ctx, len(units), workers, func(u int) {
-		if idxs := units[u]; len(idxs) > 1 {
-			runSharedGroup(ctx, idxs, cells, w, done)
-		} else {
-			done(idxs[0], Run(cells[idxs[0]], w))
 		}
 	})
 	return results
@@ -186,8 +164,8 @@ func RunCellSpecs(ctx context.Context, cells []CellSpec, w *Workloads, opts Cell
 // configured worker count, cache and context, attaching trace
 // recorders and draining them to the sink in cell order, so trace
 // output is independent of the worker count. Traced cells bypass the
-// cache and prefix sharing: a cached Result carries no recorder, and
-// the observability contract is that every traced cell really ran.
+// cache: a cached Result carries no recorder, and the observability
+// contract is that every traced cell really ran.
 func (cfg *Config) runCells(cells []CellSpec) []Result {
 	specs, err := compileCells(cells)
 	if err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -56,20 +57,111 @@ func TestRunCellsOrdering(t *testing.T) {
 	}
 }
 
+// TestForkDeterminismExperiments pins every registered experiment's
+// rendered JSON rows at 3 and 8 workers against a serial run: worker
+// count and completion order must not show in the output. The name
+// dates from when cells forked from a shared warmup; every cell now
+// runs cold, and the test keeps its name so its history stays
+// comparable.
+func TestForkDeterminismExperiments(t *testing.T) {
+	for _, e := range Experiments() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			cfg := Config{Nodes: 4, Workloads: QuickWorkloads()}
+			var want []byte
+			for _, workers := range []int{1, 3, 8} {
+				cfg.Workers = workers
+				var buf bytes.Buffer
+				if err := EmitJSON(&buf, e.Name, e.Run(cfg)); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+					continue
+				}
+				if !bytes.Equal(want, buf.Bytes()) {
+					t.Fatalf("%s: output at %d workers diverges from serial:\nwant %s\ngot  %s",
+						e.Name, workers, want, buf.Bytes())
+				}
+			}
+		})
+	}
+}
+
+// sweepCells is a representative what-if sweep: each app with a warmup
+// phase under several knobs, plus an NX cell to cover a mixed grid.
+func sweepCells() []CellSpec {
+	var cells []CellSpec
+	for _, app := range []string{"radix-svm", "ocean-svm", "barnes-svm", "radix-vmmc"} {
+		cells = append(cells,
+			CellSpec{App: app, Nodes: 4},
+			CellSpec{App: app, Nodes: 4, Knobs: Knobs{SyscallPerSend: bptr(true)}},
+			CellSpec{App: app, Nodes: 4, Knobs: Knobs{InterruptPerMessage: bptr(true)}},
+			CellSpec{App: app, Nodes: 4, Knobs: Knobs{Combining: bptr(false)}},
+		)
+	}
+	return append(cells, CellSpec{App: "ocean-nx", Nodes: 4})
+}
+
+// TestForkDeterminismSweep pins Result equality (every field, not just
+// the rendered rows) on a representative knob sweep: RunCellSpecs at 1
+// and 8 workers against a serial loop of Run. Like
+// TestForkDeterminismExperiments it keeps the name it had when cells
+// forked from a shared warmup.
+func TestForkDeterminismSweep(t *testing.T) {
+	wl := QuickWorkloads()
+	cells := sweepCells()
+	want := make([]Result, len(cells))
+	for i, c := range cells {
+		spec, err := c.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Run(spec, &wl)
+	}
+	for _, workers := range []int{1, 8} {
+		got, err := RunCellSpecs(context.Background(), cells, &wl, CellRunOpts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d workers: cell %d (%+v) diverges from Run:\nwant %+v\ngot  %+v",
+					workers, i, cells[i], want[i], got[i])
+			}
+		}
+	}
+}
+
+// knobSweep is a what-if sweep in the style of the paper's §4.5
+// studies: one app and size, n FIFO-capacity variants.
+func knobSweep(app string, nodes, n int) []CellSpec {
+	cells := make([]CellSpec, 0, n)
+	for i := 0; i < n; i++ {
+		fifo := 4096 * (i + 1)
+		cells = append(cells, CellSpec{App: app, Nodes: nodes, Knobs: Knobs{
+			OutFIFOBytes:       iptr(fifo),
+			FIFOThresholdBytes: iptr(fifo * 3 / 4),
+			FIFOLowWaterBytes:  iptr(fifo / 4),
+		}})
+	}
+	return cells
+}
+
 // TestCancelStopsAtCellBoundary cancels a serial run as soon as the
-// first cell reports: that cell keeps its result and every later cell —
-// including the remaining branches of a shared prefix group — is left a
-// zero value.
+// first cell reports: that cell keeps its result and every later cell
+// is left a zero value.
 func TestCancelStopsAtCellBoundary(t *testing.T) {
 	wl := QuickWorkloads()
 	for _, tc := range []struct {
 		name  string
 		cells []CellSpec
 	}{
-		// Three machine sizes: no two cells share a warmup.
+		// Three machine sizes.
 		{"cold", []CellSpec{{App: "radix-vmmc", Nodes: 2},
 			{App: "radix-vmmc", Nodes: 3}, {App: "radix-vmmc", Nodes: 4}}},
-		// One prefix group of three branches.
+		// One app and size under three knob settings: cells that once
+		// shared a warmup, each now run cold.
 		{"shared", knobSweep("radix-vmmc", 2, 3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,12 +232,12 @@ func (c *recordingCache) Put(key []byte, r Result) {
 	c.log = append(c.log, fmt.Sprintf("put %d", c.index[string(key)]))
 }
 
-// TestRunCellsCacheProtocol pins the cache calls a serial run makes,
-// which per-cell timing through a never-hitting cache relies on: a Get
-// for every cell before the first Put, one Put per simulated cell in
-// unit order, no Put for a hit, and neither call for a traced cell.
-// Cells 0, 5 and 6 share a warmup but are not adjacent, so 5 and 6 Put
-// straight after 0.
+// TestRunCellsCacheProtocol pins the calls a serial run makes, which
+// perfbench's never-hitting probeCache times cells by (the gap before
+// each Put is that cell's simulation): a Get for every untraced cell,
+// all before any cell simulates, with a hit's OnDone straight after its
+// Get; then exactly one Put per miss, in cell order, each before that
+// cell's OnDone. A hit gets no Put, and a traced cell neither call.
 func TestRunCellsCacheProtocol(t *testing.T) {
 	wl := QuickWorkloads()
 	cells := []Spec{
@@ -155,10 +247,12 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 		{App: RadixVMMC, Nodes: 2, Variant: VariantDU},
 		{App: OceanNX, Nodes: 2, Variant: VariantDU},
 		{App: RadixVMMC, Nodes: 2, Variant: VariantAU, Knobs: Knobs{SyscallPerSend: bptr(true)}},
-		{App: RadixVMMC, Nodes: 2, Variant: VariantAU, Knobs: Knobs{Combining: bptr(false)}},
 	}
 	c := &recordingCache{index: map[string]int{}, hits: map[string]Result{}}
 	for i, s := range cells {
+		if s.Trace != nil {
+			continue
+		}
 		key, err := s.canonical(&wl)
 		if err != nil {
 			t.Fatal(err)
@@ -169,9 +263,10 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 	key, _ := cells[2].canonical(&wl)
 	c.hits[string(key)] = hit
 
-	got := RunCells(nil, cells, &wl, CellRunOpts{Workers: 1, Cache: c})
-	want := []string{"get 0", "get 2", "get 3", "get 4", "get 5", "get 6",
-		"put 0", "put 5", "put 6", "put 3", "put 4"}
+	got := RunCells(nil, cells, &wl, CellRunOpts{Workers: 1, Cache: c,
+		OnDone: func(i int, _ Result) { c.log = append(c.log, fmt.Sprintf("done %d", i)) }})
+	want := []string{"get 0", "get 2", "done 2", "get 3", "get 4", "get 5",
+		"put 0", "done 0", "done 1", "put 3", "done 3", "put 4", "done 4", "put 5", "done 5"}
 	if !reflect.DeepEqual(c.log, want) {
 		t.Errorf("cache calls %q, want %q", c.log, want)
 	}
@@ -181,7 +276,7 @@ func TestRunCellsCacheProtocol(t *testing.T) {
 	if got[1].Trace == nil {
 		t.Error("traced cell 1 did not run")
 	}
-	for _, i := range []int{0, 3, 4, 5, 6} {
+	for _, i := range []int{0, 3, 4, 5} {
 		if got[i].Elapsed == 0 {
 			t.Errorf("missed cell %d was not simulated", i)
 		}

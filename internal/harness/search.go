@@ -38,7 +38,7 @@ type SearchCell struct {
 // top-k by predicted elapsed time, and confirms only those with the
 // simulator (k <= 0 selects a quarter of the grid, minimum one). The
 // confirmation pass goes through cfg.runCells, so it composes with the
-// sweep's cache, workers and prefix sharing. Ties and ordering are
+// sweep's cache and workers. Ties and ordering are
 // broken by grid index, keeping the result independent of the worker
 // count.
 func TwinGuidedSearch(cfg Config, cells []CellSpec, k int) (SearchResult, error) {
@@ -74,8 +74,8 @@ func TwinGuidedSearch(cfg Config, cells []CellSpec, k int) (SearchResult, error)
 	})
 	top := preds[:k]
 	// Re-sort the shortlist by grid index so the confirmation pass runs
-	// cells in catalog order (prefix sharing groups by spec anyway, but
-	// cache keys and trace order stay stable).
+	// cells in catalog order, so cache traffic and trace order stay
+	// stable.
 	sort.Slice(top, func(i, j int) bool { return top[i].idx < top[j].idx })
 	shortlist := make([]CellSpec, k)
 	for i, s := range top {

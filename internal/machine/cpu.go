@@ -18,20 +18,18 @@ import (
 // node. Stolen time is charged at the application's next flush unless
 // it is blocked in a wait primitive, in which case the handler's
 // execution overlaps the wait.
-//
-//shrimp:state
 type CPU struct {
-	node    *Node       //shrimp:nostate wiring: back-pointer to the owning node
-	acct    *stats.Node //shrimp:nostate wiring: breakdown sink identity (application account, or a discard for handlers)
-	shadow  *CPU        //shrimp:nostate wiring: application context to steal from (handlers only), fixed at construction
+	node    *Node
+	acct    *stats.Node
+	shadow  *CPU
 	accum   [stats.NumCategories]sim.Time
 	pending sim.Time // sum of accum
 	stolen  sim.Time
-	waiting bool //shrimp:nostate asserted: Quiescent requires no CPU context marked waiting
+	waiting bool
 	// maxAccum bounds how much unflushed time may accumulate before an
 	// automatic-update store forces a flush, so AU packet timestamps
 	// stay close to their true instants.
-	maxAccum sim.Time //shrimp:nostate wiring: fixed flush-threshold knob
+	maxAccum sim.Time
 }
 
 // newHandlerCPU returns an accounting context for a handler running on

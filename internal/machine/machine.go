@@ -66,19 +66,17 @@ func MyrinetLikeConfig(n int) Config {
 }
 
 // Node is one compute node: CPU accounting, memory, memory bus, NIC.
-//
-//shrimp:state
 type Node struct {
-	ID   mesh.NodeID          //shrimp:nostate wiring: fixed node identity
-	M    *Machine             //shrimp:nostate wiring: back-pointer to the owning machine
-	Mem  *memory.AddressSpace //shrimp:nostate captured: captured by BeginSnapshot; restored through the memory.Snapshot handle
-	Bus  *sim.Resource        //shrimp:nostate asserted: Quiescent requires every memory bus idle
+	ID   mesh.NodeID
+	M    *Machine
+	Mem  *memory.AddressSpace
+	Bus  *sim.Resource
 	NIC  *nic.NIC
 	CPU  *CPU
 	Acct *stats.Node
 
-	notify func(p *sim.Proc, pkt *nic.Packet) //shrimp:nostate wiring: dispatch hook attached by the vmmc layer at construction
-	runs   []*storeRun                        //shrimp:nostate wiring: freelist of idle StoreBytes runs; a run in use belongs to a live process, and quiescence has none
+	notify func(p *sim.Proc, pkt *nic.Packet)
+	runs   []*storeRun
 }
 
 // Machine is the whole system.
@@ -87,7 +85,7 @@ type Machine struct {
 	Net   *mesh.Network
 	Nodes []*Node
 	Cfg   Config
-	Acct  *stats.Machine //shrimp:nostate captured: aliases the per-node accounts, captured individually via Node.Acct
+	Acct  *stats.Machine
 }
 
 // New builds and starts a machine: all nodes, NICs and the backplane.

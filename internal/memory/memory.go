@@ -8,8 +8,7 @@
 // so applications compute verifiable results through the simulated
 // communication subsystem. A mapped page owns no bytes until its first
 // write: it reads through one shared zero page, then takes a 4 KB
-// buffer from a process-wide pool that Release and Snapshot.Restore
-// refill.
+// buffer from a process-wide pool that Release refills.
 package memory
 
 import (
@@ -63,9 +62,8 @@ func (p Prot) String() string {
 	}
 }
 
-//shrimp:state
 type page struct {
-	data   *[PageSize]byte //shrimp:nostate captured: capture copies dirty pages into saved; Restore writes them back through own and releasePages
+	data   *[PageSize]byte
 	mapped bool
 	// dirty records that the page has private backing and may hold
 	// nonzero bytes; a clean page reads through the shared zeroPage.
@@ -84,7 +82,7 @@ var zeroPage = new([PageSize]byte)
 
 // pagePool is the process-wide freelist of private page buffers. A page
 // takes one on its first write (own) and gives it back zeroed when its
-// address space is released or rewound past it, so the pool holds at
+// address space is released, so the pool holds at
 // most as many pages as were ever written at once, whatever the sizes
 // of the address spaces that wrote them. The pool is shared by all
 // workers; the mutex is taken once per first write and once per
@@ -126,8 +124,8 @@ func releasePages(pgs []page) {
 }
 
 // PoolStats reports the page pool's footprint: resident pages hold
-// private backing for some address space (written and not yet released
-// or rewound), and free pages wait in the pool for the next first
+// private backing for some address space (written and not yet
+// released), and free pages wait in the pool for the next first
 // write. Each page is PageSize bytes.
 func PoolStats() (resident, free int) {
 	pagePool.Lock()
@@ -152,15 +150,9 @@ type AddressSpace struct {
 	// Snoop, if set, is invoked after every CPU store (not DMA stores;
 	// see DMAWrite). This is the hook the NIC's AU logic attaches to.
 	//shrimp:continuation
-	Snoop SnoopFunc //shrimp:nostate wiring: observer hook attached at construction
+	Snoop SnoopFunc
 	// Fault, if set, is invoked on protection violations.
-	Fault FaultFunc //shrimp:nostate wiring: fault handler attached at construction
-
-	// ck, when non-nil, is the active checkpoint: every write path
-	// captures a page's pristine contents before its first post-snapshot
-	// modification (see snapshot.go). Off the checkpointed path this is
-	// one nil check per write.
-	ck *Snapshot //shrimp:nostate wiring: the active-snapshot handle itself; its contents rewind the space, its identity is wiring
+	Fault FaultFunc
 }
 
 // NewAddressSpace returns an empty address space. Page zero is left
@@ -197,7 +189,6 @@ func (as *AddressSpace) Release() {
 	releasePages(as.pages)
 	as.pages = nil
 	as.brk = 0
-	as.ck = nil
 }
 
 // Pages reports the number of page slots (mapped or not).
@@ -225,14 +216,10 @@ func (as *AddressSpace) PageData(vpn int) []byte {
 	return as.own(vpn)[:]
 }
 
-// own prepares page vpn for a write and returns its bytes. The active
-// checkpoint, if any, captures the page's pristine contents first; a
-// clean page then swaps zeroPage for a zeroed buffer from the pool. It
-// is the only place a page becomes dirty.
+// own prepares page vpn for a write and returns its bytes: a clean
+// page swaps zeroPage for a zeroed buffer from the pool. It is the only
+// place a page becomes dirty.
 func (as *AddressSpace) own(vpn int) *[PageSize]byte {
-	if as.ck != nil {
-		as.ck.capture(vpn)
-	}
 	pg := &as.pages[vpn]
 	if !pg.dirty {
 		pg.data = getPage()

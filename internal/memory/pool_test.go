@@ -130,64 +130,6 @@ func TestPoolReuseIsSizeAgnostic(t *testing.T) {
 	checkZeroPageClean(t)
 }
 
-// Restore, twice over: a page clean at the snapshot goes back to the
-// zero page, a page dirty at the snapshot gets its old bytes back, and
-// pages allocated after the snapshot are unmapped with their backing
-// returned to the pool.
-func TestSnapshotRestoreRebacksPages(t *testing.T) {
-	resStart, _ := PoolStats()
-	as := NewAddressSpace()
-	base := as.Alloc(3)
-	clean, dirty := base, base+PageSize
-	as.WriteUint32(nil, dirty+12, 0xaabbccdd)
-	npages := as.Pages()
-	ck := as.BeginSnapshot()
-	res0, _ := PoolStats()
-	for round := 0; round < 2; round++ {
-		as.WriteUint32(nil, clean+4, 5)
-		as.WriteUint32(nil, dirty+12, 6)
-		as.DMAWrite(dirty+100, []byte{7})
-		extra := as.Alloc(2)
-		as.WriteUint64(nil, extra+PageSize, 8)
-		if res, _ := PoolStats(); res != res0+2 {
-			t.Fatalf("round %d: %d pages taken after the snapshot, want 2", round, res-res0)
-		}
-		ck.Restore()
-
-		if pg := as.pages[clean.VPN()]; pg.dirty || !onZeroPage(as, clean.VPN()) {
-			t.Fatalf("round %d: page clean at the snapshot is not back on the zero page", round)
-		}
-		if v := as.ReadUint32(nil, clean+4); v != 0 {
-			t.Fatalf("round %d: clean page reads %d after Restore", round, v)
-		}
-		if !as.pages[dirty.VPN()].dirty {
-			t.Fatalf("round %d: page dirty at the snapshot lost its dirty bit", round)
-		}
-		if v := as.ReadUint32(nil, dirty+12); v != 0xaabbccdd {
-			t.Fatalf("round %d: dirty page reads %#x, want its snapshot bytes", round, v)
-		}
-		if b := as.pages[dirty.VPN()].data[100]; b != 0 {
-			t.Fatalf("round %d: dirty page kept a post-snapshot DMA byte", round)
-		}
-		if as.Pages() != npages {
-			t.Fatalf("round %d: %d page slots after Restore, want %d", round, as.Pages(), npages)
-		}
-		if res, _ := PoolStats(); res != res0 {
-			t.Fatalf("round %d: Restore left %d post-snapshot pages resident", round, res-res0)
-		}
-		if again := as.Alloc(2); again != extra {
-			t.Fatalf("round %d: Alloc after Restore at %#x, want the rewound break %#x", round, again, extra)
-		}
-		ck.Restore()
-	}
-	checkZeroPageClean(t)
-	ck.Detach()
-	as.Release()
-	if res, _ := PoolStats(); res != resStart {
-		t.Fatalf("%d pages resident after Release", res-resStart)
-	}
-}
-
 // Workers share the one page pool: address spaces written and released
 // from several goroutines at once each get pages of their own, and
 // every page comes back.

@@ -92,15 +92,13 @@ func (d direction) String() string { return directionNames[d] }
 
 // link is a directed channel between adjacent routers with its own
 // occupancy horizon, used to model wormhole contention.
-//
-//shrimp:state
 type link struct {
 	freeAt sim.Time
 	// busy accumulates total occupied time for utilization statistics.
 	busy sim.Time
 	// id is the link's index within Network.links, so trace events can
 	// name the link without pointer arithmetic.
-	id int32 //shrimp:nostate wiring: fixed topology index, identical across branches
+	id int32
 }
 
 // Stats aggregates network-level counters.
@@ -112,25 +110,25 @@ type Stats struct {
 
 // Network is the mesh fabric connecting all nodes.
 type Network struct {
-	e     *sim.Engine //shrimp:nostate wiring: engine identity, same across branches
-	cfg   Config      //shrimp:nostate wiring: immutable topology configuration
-	links []link      // [router*ndirections + dir]
-	sinks []Sink      //shrimp:nostate wiring: delivery closures registered at construction
+	e     *sim.Engine
+	cfg   Config
+	links []link // [router*ndirections + dir]
+	sinks []Sink
 	stats Stats
 
 	// routes caches the X-Y path for every (src,dst) pair, filled
 	// lazily on first use. A 4x4 mesh has only 256 pairs, so Send never
 	// recomputes or allocates a path in steady state; path() remains the
 	// oracle the cache is validated against in tests.
-	routes [][]*link //shrimp:nostate wiring: deterministic pure-function cache; identical however far a branch ran
+	routes [][]*link
 
 	// pool is the Packet freelist.
-	pool []*Packet //shrimp:nostate wiring: freelist identity serves every branch; contents are dead packets
+	pool []*Packet
 
 	// tr is the attached trace recorder (nil when tracing is off);
 	// cached from the engine at construction so Send pays one nil
 	// check when disabled.
-	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration
+	tr *trace.Recorder
 }
 
 // New constructs a mesh network on engine e.

@@ -150,12 +150,12 @@ type combineState struct {
 
 // NIC is the network interface of one node.
 type NIC struct {
-	e    *sim.Engine          //shrimp:nostate wiring: engine identity, same across branches
-	id   mesh.NodeID          //shrimp:nostate wiring: fixed node identity
-	net  *mesh.Network        //shrimp:nostate wiring: fabric identity; its state rewinds via mesh's own snapshot
-	mem  *memory.AddressSpace //shrimp:nostate wiring: memory identity; rewinds via memory's own snapshot
-	bus  *sim.Resource        //shrimp:nostate wiring: resource identity; idleness is asserted at quiescence
-	acct *stats.Node          //shrimp:nostate wiring: stats identity; captured through the machine layer
+	e    *sim.Engine
+	id   mesh.NodeID
+	net  *mesh.Network
+	mem  *memory.AddressSpace
+	bus  *sim.Resource
+	acct *stats.Node
 	cfg  Config
 
 	// opt and ipt are dense, vpn-indexed tables. Address spaces are
@@ -168,35 +168,35 @@ type NIC struct {
 
 	// pktFree is the Packet freelist; packets are acquired on the emit
 	// paths and released by the receiving NIC's engine.
-	pktFree []*Packet //shrimp:nostate wiring: freelist identity serves every branch; contents are dead packets
+	pktFree []*Packet
 	// duFree is the duRequest freelist.
-	duFree []*duRequest //shrimp:nostate wiring: freelist identity; contents are dead requests
+	duFree []*duRequest
 
 	// Outgoing side.
-	duQueue   *sim.Queue[*duRequest] //shrimp:nostate asserted: Quiescent requires it drained
-	duSlots   int                    //shrimp:nostate asserted: Quiescent requires zero in-flight DU requests
-	duCond    *sim.Cond              //shrimp:nostate asserted: no waiters at quiescence (all procs finished)
-	fifo      *sim.Queue[fifoEntry]  //shrimp:nostate asserted: Quiescent requires it drained
-	fifoBytes int                    //shrimp:nostate asserted: zero once the FIFO is drained
-	fifoHigh  int                    // high-water mark observed; carried across phases as a statistic
-	stalled   bool                   //shrimp:nostate asserted: false once the FIFO is drained
-	fifoCond  *sim.Cond              //shrimp:nostate asserted: no waiters at quiescence
-	outAU     int                    //shrimp:nostate asserted: Quiescent requires zero uninjected AU packets
-	fenceCond *sim.Cond              //shrimp:nostate asserted: no waiters at quiescence
-	combine   combineState           //shrimp:nostate asserted: Quiescent requires no combine window open
+	duQueue   *sim.Queue[*duRequest]
+	duSlots   int
+	duCond    *sim.Cond
+	fifo      *sim.Queue[fifoEntry]
+	fifoBytes int
+	fifoHigh  int // high-water mark observed; carried across phases as a statistic
+	stalled   bool
+	fifoCond  *sim.Cond
+	outAU     int
+	fenceCond *sim.Cond
+	combine   combineState
 	// flushFn is the bound flushCombine method value, materialized once:
 	// re-arming the combine timer with a fresh method-value closure per
 	// snooped store used to dominate the AU path's allocation profile.
 	//shrimp:continuation
-	flushFn func() //shrimp:nostate wiring: bound method value, identical across branches
+	flushFn func()
 
 	// nicPort models the single port of the network interface chip:
 	// incoming packets and outgoing injections contend for it, which is
 	// why the outgoing FIFO cannot drain while a packet is arriving.
-	nicPort *sim.Resource //shrimp:nostate asserted: free at quiescence (all engines parked)
+	nicPort *sim.Resource
 
 	// Incoming side.
-	rxQueue *sim.Queue[*mesh.Packet] //shrimp:nostate asserted: Quiescent requires it drained
+	rxQueue *sim.Queue[*mesh.Packet]
 	dropped int64
 
 	// Continuation engines. The three device engines are event-driven
@@ -206,43 +206,43 @@ type NIC struct {
 	// and initialized by Start through one dispatch method each, so
 	// building a NIC costs two allocations per engine rather than one
 	// per step.
-	rxSeq  sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
-	duSeq  sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
-	outSeq sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
+	rxSeq  sim.Seq
+	duSeq  sim.Seq
+	outSeq sim.Seq
 
 	// In-flight engine state, the explicit continuation counterpart of
 	// what used to live in each service loop's stack frame.
-	rxCur   *Packet     //shrimp:nostate asserted: Quiescent requires the receive engine idle (nil)
-	duReq   *duRequest  //shrimp:nostate asserted: Quiescent requires the DU engine idle (nil)
-	duPkt   *Packet     //shrimp:nostate asserted: Quiescent requires the DU engine idle (nil)
-	duDst   mesh.NodeID //shrimp:nostate asserted: dead once duPkt is nil
-	duStart sim.Time    //shrimp:nostate asserted: dead once duPkt is nil; traced-only timestamp
-	outPkt  *Packet     //shrimp:nostate asserted: Quiescent requires the outgoing engine idle (nil)
-	outDst  mesh.NodeID //shrimp:nostate asserted: dead once outPkt is nil
+	rxCur   *Packet
+	duReq   *duRequest
+	duPkt   *Packet
+	duDst   mesh.NodeID
+	duStart sim.Time
+	outPkt  *Packet
+	outDst  mesh.NodeID
 
 	// Pre-built queue-delivery callbacks (bound method values,
 	// materialized once in Start so re-arming allocates nothing).
 	//shrimp:continuation
-	rxRecvFn func(*mesh.Packet) //shrimp:nostate wiring: bound method value, identical across branches
+	rxRecvFn func(*mesh.Packet)
 	//shrimp:continuation
-	duRecvFn func(*duRequest) //shrimp:nostate wiring: bound method value, identical across branches
+	duRecvFn func(*duRequest)
 	//shrimp:continuation
-	outRecvFn func(fifoEntry) //shrimp:nostate wiring: bound method value, identical across branches
+	outRecvFn func(fifoEntry)
 
 	// tr is the attached trace recorder (nil when tracing is off),
 	// cached from the engine at construction.
-	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration
+	tr *trace.Recorder
 
 	// RaiseInterrupt is invoked (non-blocking, any context) when the NIC
 	// interrupts the host CPU. Set by the machine layer. The packet is
 	// only valid for the duration of the call; retain via Clone.
 	//shrimp:continuation
-	RaiseInterrupt func(kind InterruptKind, pkt *Packet) //shrimp:nostate wiring: hook attached at construction
+	RaiseInterrupt func(kind InterruptKind, pkt *Packet)
 	// OnDeliver is invoked in receive-engine context after a packet's
 	// payload has been written to host memory. Set by the VMMC layer.
 	// It must not block or retain the packet.
 	//shrimp:continuation
-	OnDeliver func(pkt *Packet) //shrimp:nostate wiring: hook attached at construction
+	OnDeliver func(pkt *Packet)
 }
 
 // New constructs a NIC for node id, attached to net and backed by the
@@ -275,6 +275,19 @@ func (n *NIC) ID() mesh.NodeID { return n.id }
 
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }
+
+// SetConfig replaces the NIC's knob block. The harness uses this to
+// apply a cell's knobs at the app's phase boundary: every knob in
+// Config is read at use time by the engines, so swapping the block
+// between phases is equivalent to having built the NIC with it, for
+// everything that runs afterwards. It panics on a DU queue depth below
+// one, with which every deliberate-update transfer would wait forever.
+func (n *NIC) SetConfig(cfg Config) {
+	if cfg.DUQueueDepth < 1 {
+		panic("nic: DUQueueDepth must be >= 1")
+	}
+	n.cfg = cfg
+}
 
 // FIFOHighWater reports the maximum outgoing FIFO occupancy observed.
 func (n *NIC) FIFOHighWater() int { return n.fifoHigh }

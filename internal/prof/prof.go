@@ -1,8 +1,7 @@
 // Package prof holds the command-line binaries' shared observability
 // flags and output. It wires Go's runtime profilers to command-line
-// flags — both binaries expose -cpuprofile, -memprofile and
-// -blockprofile through it, so a hot run can be inspected with
-// `go tool pprof` without editing the source or wrapping the workload
+// flags — both binaries expose -cpuprofile and -memprofile through
+// it, so a hot run can be inspected with `go tool pprof` without editing the source or wrapping the workload
 // in a test — and defines the simulated-time trace flags (-trace,
 // -trace-ndjson, -trace-filter, -trace-max, -metrics), turning them
 // into recorder options and writing the trace files.
@@ -23,14 +22,14 @@ import (
 // Flags holds the values of the flags registered by RegisterFlags,
 // ready to use once the flag set is parsed.
 type Flags struct {
-	cpu, mem, block        *string
+	cpu, mem               *string
 	chrome, ndjson, filter *string
 	maxEvents              *int
 	metrics                *bool
 }
 
 // RegisterFlags installs the standard profiler flags (-cpuprofile,
-// -memprofile, -blockprofile) and the simulated-time trace flags
+// -memprofile) and the simulated-time trace flags
 // (-trace, -trace-ndjson, -trace-filter, -trace-max, -metrics) on fs.
 // Both command-line binaries share this one definition instead of
 // repeating the flag blocks.
@@ -38,7 +37,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		cpu:       fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		mem:       fs.String("memprofile", "", "write a heap profile to this file at exit"),
-		block:     fs.String("blockprofile", "", "write a blocking profile to this file at exit"),
 		chrome:    fs.String("trace", "", "write a Chrome trace-event JSON timeline of every cell to this file"),
 		ndjson:    fs.String("trace-ndjson", "", "write the raw trace event stream as NDJSON to this file"),
 		filter:    fs.String("trace-filter", "", "comma-separated event kinds to trace (default: all)"),
@@ -71,12 +69,9 @@ func (f *Flags) Metrics() bool { return *f.metrics }
 //
 // The CPU profile streams while the workload runs; the heap profile is a
 // point-in-time snapshot written at stop after a forced GC, so it shows
-// steady-state retention rather than transient garbage; the block
-// profile records everything from Start to stop with full sampling
-// (rate 1), which is affordable here because the simulator parks on
-// channels in a controlled way.
+// steady-state retention rather than transient garbage.
 func (f *Flags) Start() (stop func(), err error) {
-	cpuPath, memPath, blockPath := *f.cpu, *f.mem, *f.block
+	cpuPath, memPath := *f.cpu, *f.mem
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
@@ -88,39 +83,30 @@ func (f *Flags) Start() (stop func(), err error) {
 			return nil, fmt.Errorf("prof: start cpu profile: %w", err)
 		}
 	}
-	if blockPath != "" {
-		runtime.SetBlockProfileRate(1)
-	}
 	return func() {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
 		if memPath != "" {
-			writeProfile("heap", memPath, true)
-		}
-		if blockPath != "" {
-			writeProfile("block", blockPath, false)
-			runtime.SetBlockProfileRate(0)
+			writeHeapProfile(memPath)
 		}
 	}, nil
 }
 
-// writeProfile snapshots a named runtime profile to path, reporting
-// failures on stderr rather than aborting: a profile write error at exit
-// must not discard the workload's results.
-func writeProfile(name, path string, gcFirst bool) {
+// writeHeapProfile writes the heap profile to path, reporting failures
+// on stderr rather than aborting: a profile write error at exit must
+// not discard the workload's results.
+func writeHeapProfile(path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "prof: %v\n", err)
 		return
 	}
 	defer f.Close()
-	if gcFirst {
-		runtime.GC() // flush recently freed objects out of the heap profile
-	}
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "prof: write %s profile: %v\n", name, err)
+	runtime.GC() // flush recently freed objects out of the heap profile
+	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "prof: write heap profile: %v\n", err)
 	}
 }
 

@@ -54,22 +54,22 @@ type Config struct {
 // called from the sending node's process, read-side methods from the
 // receiving node's process.
 type Ring struct {
-	cfg  Config //shrimp:nostate wiring: immutable construction parameters
-	size int    //shrimp:nostate wiring: derived from cfg at construction
+	cfg  Config
+	size int
 
-	sndEP *vmmc.Endpoint //shrimp:nostate wiring: endpoint identity; its state rewinds via the vmmc layer
-	rcvEP *vmmc.Endpoint //shrimp:nostate wiring: endpoint identity; its state rewinds via the vmmc layer
+	sndEP *vmmc.Endpoint
+	rcvEP *vmmc.Endpoint
 
 	// Receiver side.
-	dataExp    *vmmc.Export //shrimp:nostate wiring: mapping identity; delivery counters rewind via the vmmc layer
-	creditImp  *vmmc.Import //shrimp:nostate wiring: mapping identity, fixed at construction
+	dataExp    *vmmc.Export
+	creditImp  *vmmc.Import
 	readPos    uint64
 	uncredited int
 
 	// Sender side.
-	dataImp   *vmmc.Import //shrimp:nostate wiring: mapping identity, fixed at construction
-	creditExp *vmmc.Export //shrimp:nostate wiring: mapping identity; delivery counters rewind via the vmmc layer
-	mirror    memory.Addr  //shrimp:nostate wiring: sender-local image address, allocated once at construction
+	dataImp   *vmmc.Import
+	creditExp *vmmc.Export
+	mirror    memory.Addr
 	writePos  uint64
 	credit    uint64 // last credit value read
 	published uint64 // DU position updates sent; picks the staging word

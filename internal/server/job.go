@@ -42,8 +42,7 @@ type JobRequest struct {
 	Quick bool `json:"quick,omitempty"`
 	// SharePrefix is kept so older clients' requests still decode.
 	//
-	// Deprecated: accepted and ignored. The harness shares warmup
-	// prefixes on its own whenever that saves work.
+	// Deprecated: accepted and ignored. Every cell runs cold.
 	SharePrefix bool `json:"share_prefix,omitempty"`
 }
 

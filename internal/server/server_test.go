@@ -449,9 +449,8 @@ func TestBadKnobRefused(t *testing.T) {
 
 // TestSharePrefixIgnored pins the compatibility promise for the
 // deprecated share_prefix field: jobs that set it true, set it false
-// or omit it are all accepted and stream the bytes of a cold run (a
-// worker per cell). Cells 0, 2 and 3 share a warmup, so the one-worker
-// server forks them from one checkpoint.
+// or omit it are all accepted and stream the bytes of a direct run
+// through RunCellSpecs: every cell runs cold whatever the field says.
 func TestSharePrefixIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{SimWorkers: 1})
 	yes := true

@@ -78,33 +78,33 @@ func less(a, b *event) bool {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []*event //shrimp:nostate asserted: Quiescent requires an empty heap; there is nothing to copy
-	nowq   []*event //shrimp:nostate asserted: Quiescent requires an empty same-instant FIFO; Restore re-empties it
-	nowqAt int      //shrimp:nostate asserted: head index of the asserted-empty FIFO; Restore zeroes it
+	events []*event
+	nowq   []*event
+	nowqAt int
 
 	// free is the event freelist.
-	free []*event //shrimp:nostate wiring: freelist identity serves every branch; contents are dead events
+	free []*event
 
 	// limit bounds event timestamps during RunUntil.
-	limit   Time //shrimp:nostate wiring: set afresh by every RunUntil call
-	limited bool //shrimp:nostate wiring: set afresh by every RunUntil call
+	limit   Time
+	limited bool
 
 	// handoff names the process a parking process found next on the
 	// calendar; the run loop resumes it. It is nil when the parked
 	// process yielded because the calendar drained or Stop took effect.
-	handoff *Proc //shrimp:nostate asserted: only set inside a Run, and Quiescent requires no Run in progress
+	handoff *Proc
 
-	live    int     //shrimp:nostate asserted: Quiescent requires zero live processes
-	blocked int     //shrimp:nostate asserted: Quiescent requires zero blocked processes
-	all     []*Proc // procs spawned and not yet finished are forbidden at quiescence; Restore truncates
+	live    int
+	blocked int
+	all     []*Proc // every proc spawned, for UnfinishedNames and Shutdown
 
-	running bool //shrimp:nostate asserted: Quiescent requires no Run in progress
-	stopped bool //shrimp:nostate captured: quiescence implies false; Restore resets it explicitly
+	running bool
+	stopped bool
 
 	// tr is the attached trace recorder, or nil when tracing is off.
 	// Hardware and protocol layers cache it at construction; the engine
 	// itself only records process lifecycle events.
-	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration, not rewindable state
+	tr *trace.Recorder
 
 	census Census
 }

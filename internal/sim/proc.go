@@ -486,6 +486,3 @@ func (r *Resource) Release() {
 
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.held }
-
-// QueueLen reports the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.queue) }

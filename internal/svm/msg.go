@@ -32,12 +32,10 @@ type msg struct {
 }
 
 // msgParser incrementally reassembles messages from a stream.
-//
-//shrimp:state
 type msgParser struct {
-	haveHdr bool //shrimp:nostate asserted: Quiescent requires the parser between messages; Restore zeroes the struct
-	m       msg  //shrimp:nostate asserted: dead once haveHdr is false; Restore zeroes the struct
-	need    int  //shrimp:nostate asserted: Quiescent requires zero outstanding payload words
+	haveHdr bool
+	m       msg
+	need    int
 }
 
 // encodeMsg renders a message for the wire.

@@ -94,17 +94,16 @@ const (
 	pgDirty              // write-mapped since the last release
 )
 
-//shrimp:state
 type pageState struct {
 	status pageStatus
-	twin   []byte //shrimp:nostate asserted: Quiescent requires every twin flushed; Restore nils it
+	twin   []byte
 }
 
 // System is the shared-memory system spanning all nodes.
 type System struct {
-	sys   *vmmc.System //shrimp:nostate wiring: vmmc identity; its state rewinds via the vmmc layer
-	cfg   Config       //shrimp:nostate wiring: fixed at construction
-	Pages int          //shrimp:nostate wiring: fixed region extent
+	sys   *vmmc.System
+	cfg   Config
+	Pages int
 	nodes []*Runtime
 	locks []*lockState // manager-side state, indexed by lock id (lives on lock home)
 	// brk is the shared-region bump allocator (byte offset).
@@ -112,8 +111,6 @@ type System struct {
 }
 
 // lockState lives on the lock's manager node.
-//
-//shrimp:state
 type lockState struct {
 	held    bool
 	holder  int
@@ -129,49 +126,47 @@ type lockState struct {
 }
 
 // Runtime is the per-node SVM library instance.
-//
-//shrimp:state
 type Runtime struct {
-	s    *System        //shrimp:nostate wiring: back-pointer to the owning system
-	rank int            //shrimp:nostate wiring: fixed rank identity
-	node *machine.Node  //shrimp:nostate wiring: node identity, fixed at construction
-	ep   *vmmc.Endpoint //shrimp:nostate wiring: endpoint identity, fixed at construction
+	s    *System
+	rank int
+	node *machine.Node
+	ep   *vmmc.Endpoint
 
-	base  memory.Addr //shrimp:nostate wiring: region placement, fixed at construction
+	base  memory.Addr
 	state []pageState
-	dirty []int //shrimp:nostate asserted: Quiescent requires no unreleased dirty pages; Restore truncates
+	dirty []int
 	// sinceBarrier accumulates every page dirtied since the last
 	// barrier (across lock releases): a barrier is a global acquire, so
 	// its invalidations must subsume lock-interval write notices.
-	sinceBarrier map[int]bool //shrimp:nostate asserted: Quiescent requires write notices carried to a barrier; Restore re-empties it
+	sinceBarrier map[int]bool
 
-	regionExp *vmmc.Export   //shrimp:nostate wiring: mapping identity; delivery state rewinds via the vmmc layer
-	regionImp []*vmmc.Import //shrimp:nostate wiring: mapping identities, fixed at construction
+	regionExp *vmmc.Export
+	regionImp []*vmmc.Import
 
-	reqIn  []*ring.Ring //shrimp:nostate captured: aliases — reqIn[dst][src] is the same Ring as reqOut[src][dst], which eachRing snapshots
+	reqIn  []*ring.Ring
 	reqOut []*ring.Ring // request channels to each peer
-	repIn  []*ring.Ring //shrimp:nostate captured: aliases — repIn[dst][src] is the same Ring as repOut[src][dst], which eachRing snapshots
+	repIn  []*ring.Ring
 	repOut []*ring.Ring // reply channels to each peer
 
-	reqParse []msgParser   //shrimp:nostate asserted: Quiescent requires every parser between messages; Restore zeroes them wholesale
-	repParse []msgParser   //shrimp:nostate asserted: Quiescent requires every parser between messages; Restore zeroes them wholesale
-	svc      *sim.Resource //shrimp:nostate asserted: Quiescent requires the request service idle
+	reqParse []msgParser
+	repParse []msgParser
+	svc      *sim.Resource
 
 	// Barrier manager state (rank 0 only).
 	bar *barrierState
 
 	// barWait lets the local application block for barrier release.
-	barWait   *sim.Cond //shrimp:nostate asserted: Quiescent requires no procs parked at a barrier
+	barWait   *sim.Cond
 	barEpoch  int
-	pendInval []invalidation //shrimp:nostate asserted: Quiescent requires no pending invalidations; Restore nils it
+	pendInval []invalidation
 
 	// Lock grants destined for this node's own application (when it is
 	// the lock manager).
-	localGrants []localGrant //shrimp:nostate asserted: Quiescent requires no pending local grants; Restore nils it
-	lockCond    *sim.Cond    //shrimp:nostate asserted: Quiescent requires no procs parked on a lock grant
+	localGrants []localGrant
+	lockCond    *sim.Cond
 
 	// tr is the attached trace recorder (nil when tracing is off).
-	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration
+	tr *trace.Recorder
 }
 
 // trace records one protocol event for this rank when a recorder is

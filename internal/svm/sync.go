@@ -151,12 +151,11 @@ func (rt *Runtime) grantLock(p *sim.Proc, lock, to int) {
 // notices, merges them into a global invalidation list annotated with
 // sole-writer information, and releases everyone.
 
-//shrimp:state
 type barrierState struct {
-	n       int //shrimp:nostate wiring: fixed participant count
+	n       int
 	epoch   int
-	arrived int                  //shrimp:nostate asserted: Quiescent requires zero arrivals held; Restore zeroes it
-	writers map[int]map[int]bool //shrimp:nostate asserted: Quiescent requires no held write notices; Restore re-empties it
+	arrived int
+	writers map[int]map[int]bool
 }
 
 func newBarrierState(n int) *barrierState {

@@ -25,7 +25,7 @@ import (
 // System holds one Endpoint per node and wires delivery and
 // notification dispatch into the machine.
 type System struct {
-	M   *machine.Machine //shrimp:nostate wiring: machine identity; its state rewinds via the machine layer
+	M   *machine.Machine
 	EPs []*Endpoint
 }
 
@@ -51,8 +51,8 @@ func (s *System) EP(i int) *Endpoint { return s.EPs[i] }
 
 // Endpoint is the per-node VMMC library instance.
 type Endpoint struct {
-	Node *machine.Node //shrimp:nostate wiring: node identity, fixed at construction
-	sys  *System       //shrimp:nostate wiring: back-pointer to the owning system
+	Node *machine.Node
+	sys  *System
 
 	// pageToExport maps a local vpn to the export covering it. It is a
 	// dense slice rather than a map because onDeliver consults it once
@@ -62,14 +62,14 @@ type Endpoint struct {
 	nextExport   int
 
 	deliveries int64
-	recvCond   *sim.Cond //shrimp:nostate asserted: Quiescent requires no parked WaitAnyUpdate waiters
+	recvCond   *sim.Cond
 
 	// Notification blocking (§2.2): while blocked, notifications queue.
 	notifyBlocked bool
-	notifyQueue   []*nic.Packet //shrimp:nostate asserted: Quiescent requires no queued notifications; Restore re-empties it
+	notifyQueue   []*nic.Packet
 
 	// tr is the attached trace recorder (nil when tracing is off).
-	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration
+	tr *trace.Recorder
 }
 
 // Deliveries reports packets delivered to any export on this endpoint.
@@ -96,15 +96,13 @@ func (ep *Endpoint) WaitAnyUpdate(p *sim.Proc, already int64) int64 {
 
 // Export is an exported receive buffer: a run of pinned, contiguous
 // virtual pages that remote importers can deliver into.
-//
-//shrimp:state
 type Export struct {
-	ep         *Endpoint   //shrimp:nostate wiring: back-pointer to the owning endpoint
-	id         int         //shrimp:nostate wiring: fixed export identity
-	Base       memory.Addr //shrimp:nostate wiring: pinned buffer placement, fixed at export time
-	PageCnt    int         //shrimp:nostate wiring: pinned buffer extent, fixed at export time
-	Size       int         //shrimp:nostate wiring: pinned buffer extent, fixed at export time
-	recvCond   *sim.Cond   //shrimp:nostate asserted: Quiescent requires no parked WaitUpdate waiters
+	ep         *Endpoint
+	id         int
+	Base       memory.Addr
+	PageCnt    int
+	Size       int
+	recvCond   *sim.Cond
 	deliveries int64
 
 	notify func(p *sim.Proc, ex *Export, off int)

@@ -4,7 +4,7 @@ package workload
 // owns a private splitmix64 generator whose seed is derived from the
 // canonical cell key plus the stream index, so the generated request
 // trace is a pure function of the cell — byte-identical at any
-// -parallel width, across prefix sharing, and across record/replay.
+// -parallel width and across record/replay.
 // math/rand is deliberately not used: shrimpvet's unseededrand rule
 // bans the globally-seeded generator sim-side, and an explicit tiny
 // generator keeps the draw sequence stable across Go releases.

@@ -12,11 +12,8 @@
 #
 # The sweep runs at -parallel 1 and -parallel 4 and requires both to
 # match the same digest, so the check also covers the cross-worker
-# determinism invariant. The committed digests were taken from cold
-# runs, before sweeps shared warmup prefixes, so they also pin that a
-# branch forked from a shared warmup (every prefix group at -parallel
-# 1, capped groups at 4) is byte-identical to a cold run. Used by
-# `make golden` and the CI "Golden output" step.
+# determinism invariant. Used by `make golden` and the CI "Golden
+# output" step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,4 +76,4 @@ if [ "$NEW" != "$(cat "$GOLDEN")" ]; then
     echo "together with an explanation of the behavioral change." >&2
     exit 1
 fi
-echo "golden: output matches $GOLDEN (text+json+load+default-size load+calib, -parallel 1 and 4, shared warmups vs cold digests)"
+echo "golden: output matches $GOLDEN (text+json+load+default-size load+calib, -parallel 1 and 4)"
