@@ -3,7 +3,7 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all lint test bench-smoke golden calibrate trace-smoke serve-smoke perf perf-test clean
+.PHONY: all lint test bench-smoke fuzz-smoke golden calibrate trace-smoke serve-smoke perf perf-test clean
 
 all: lint test
 
@@ -25,6 +25,19 @@ test:
 # benchmarks that panic or rot, with no timing thresholds.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
+
+# fuzz-smoke runs every Fuzz* target in the module for FUZZTIME each:
+# a short coverage-guided pass that catches decoder panics and
+# round-trip breaks. Failing inputs land in the package's
+# testdata/fuzz/ directory, where `go test` replays them afterwards.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for pkg in $$(go list ./...); do \
+		for f in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f"; \
+			go test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # golden hashes the full `shrimpbench -exp all -quick` output (text and
 # JSON, -parallel 1 and 4) against scripts/golden.sha256: any change to

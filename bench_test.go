@@ -1,10 +1,12 @@
-// Benchmarks: one per table and figure of the paper's evaluation. Each
-// benchmark iteration regenerates the corresponding experiment on a
-// reduced configuration (4 nodes, small workloads) so `go test -bench=.`
-// completes quickly; `cmd/shrimpbench` runs the full 16-node versions.
+// Benchmarks: BenchmarkExperiments has one sub-benchmark per table and
+// figure of the paper's evaluation (one per registry experiment). Each
+// iteration regenerates the experiment on a reduced configuration (4
+// nodes, small workloads) so `go test -bench=.` completes quickly;
+// `cmd/shrimpbench` runs the full 16-node versions.
 package repro_test
 
 import (
+	"reflect"
 	"testing"
 
 	"shrimp/internal/harness"
@@ -16,117 +18,46 @@ func benchConfig() harness.Config {
 	return harness.Config{Nodes: 4, Workloads: harness.QuickWorkloads()}
 }
 
-// BenchmarkLatency regenerates the §4.1/§4.2 microbenchmarks (6 us DU,
-// 3.71 us AU, <2 us send overhead, ~10 us Myrinet-like).
-func BenchmarkLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		got := harness.Latency()
-		if got.DUSmall <= 0 {
-			b.Fatal("bad latency")
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates the sequential execution times.
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkExperiments regenerates every registry experiment, one
+// sub-benchmark per entry (hidden ones included), and checks that each
+// produced its rows. The Figure 4 entries also check the paper's headline
+// directions: AURC beats HLRC on Radix-SVM, and Radix-VMMC runs faster
+// under automatic update than deliberate update.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.Table1(cfg); len(rows) != int(harness.NumApps) {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the speedup curves.
-func BenchmarkFigure3(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if curves := harness.Figure3(cfg); len(curves) != 6 {
-			b.Fatal("missing curves")
-		}
-	}
-}
-
-// BenchmarkFigure4SVM regenerates the HLRC / HLRC-AU / AURC comparison.
-func BenchmarkFigure4SVM(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows := harness.Figure4SVM(cfg)
-		gains := harness.AURCGain(rows)
-		if gains[harness.RadixSVM] <= 0 {
-			b.Fatal("AURC regression")
-		}
-	}
-}
-
-// BenchmarkFigure4AUDU regenerates the AU-vs-DU application comparison.
-func BenchmarkFigure4AUDU(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows := harness.Figure4AUDU(cfg)
-		if rows[0].AUSpeedup <= 1 {
-			b.Fatal("Radix-VMMC AU regression")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the system-call-per-send what-if.
-func BenchmarkTable2(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.Table2(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the notification-usage characterization.
-func BenchmarkTable3(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.Table3(cfg); len(rows) != int(harness.NumApps) {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates the interrupt-per-message what-if.
-func BenchmarkTable4(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.Table4(cfg); len(rows) != int(harness.NumApps) {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkCombining regenerates the §4.5.1 AU-combining study.
-func BenchmarkCombining(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.Combining(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFIFO regenerates the §4.5.2 outgoing-FIFO-capacity study.
-func BenchmarkFIFO(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.FIFO(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkDUQueue regenerates the §4.5.3 DU-queueing study.
-func BenchmarkDUQueue(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if rows := harness.DUQueue(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
+	// One row (or curve) per application, where the grid covers them all.
+	wantRows := map[string]int{"table1": int(harness.NumApps), "table3": int(harness.NumApps),
+		"table4": int(harness.NumApps), "figure3": 6}
+	for _, e := range harness.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows := e.Run(cfg)
+				if v := reflect.ValueOf(rows); v.Kind() == reflect.Slice {
+					if want, ok := wantRows[e.Name]; ok && v.Len() != want {
+						b.Fatalf("%d rows, want %d", v.Len(), want)
+					}
+					if v.Len() == 0 {
+						b.Fatal("no rows")
+					}
+				}
+				switch rs := rows.(type) {
+				case harness.LatencyResult:
+					if rs.DUSmall <= 0 {
+						b.Fatal("bad latency")
+					}
+				case []harness.Figure4SVMRow:
+					if harness.AURCGain(rs)[harness.RadixSVM] <= 0 {
+						b.Fatal("AURC regression")
+					}
+				case []harness.Figure4AUDURow:
+					for _, r := range rs {
+						if r.App == harness.RadixVMMC && r.AUSpeedup <= 1 {
+							b.Fatal("Radix-VMMC AU regression")
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

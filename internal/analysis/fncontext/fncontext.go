@@ -80,14 +80,6 @@ var blockingMethods = map[string]map[string]bool{
 	"Proc":     {"Sleep": true, "SleepUntil": true, "SleepThen": true},
 }
 
-// spawnAllowed mirrors the nogoroutine analyzer's Spawn confinement:
-// inside these packages a Spawn from fn-event context is the designed
-// interrupt-handler pattern, not a bug.
-var spawnAllowed = map[string]bool{
-	simPath:                   true,
-	"shrimp/internal/machine": true,
-}
-
 type checker struct {
 	pass *analysis.Pass
 
@@ -590,7 +582,9 @@ func (c *checker) primitiveLabel(fn *types.Func) string {
 	}
 	recv := recvTypeName(fn)
 	if recv == "Engine" && (fn.Name() == "Spawn" || fn.Name() == "SpawnAt") {
-		if spawnAllowed[c.pass.Pkg.Path()] {
+		// Inside these packages a Spawn from fn-event context is the
+		// designed interrupt-handler pattern, not a bug.
+		if analysis.MaySpawn(c.pass.Pkg.Path()) {
 			return ""
 		}
 		return shortName(fn.FullName()) + " (goroutine spawn outside sim/machine)"

@@ -45,15 +45,6 @@ var allowedFiles = []string{
 // simPkgPath is the package whose Engine type owns Spawn/SpawnAt.
 const simPkgPath = "shrimp/internal/sim"
 
-// spawnAllowedPkgs may create simulation processes. Everything below
-// the machine layer runs as continuation state machines; tests are
-// exempt everywhere (driving a scenario with a blocking script is fine
-// off the hot path).
-var spawnAllowedPkgs = map[string]bool{
-	"shrimp/internal/sim":     true, // Spawn's own implementation and timers
-	"shrimp/internal/machine": true, // app processes: the blocking style is the API
-}
-
 // Analyzer is the nogoroutine rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "nogoroutine",
@@ -66,7 +57,10 @@ func run(pass *analysis.Pass) error {
 	if analysis.IsHostSide(pass.Pkg.Path()) {
 		return nil
 	}
-	spawnOK := spawnAllowedPkgs[pass.Pkg.Path()]
+	// Only analysis.MaySpawn packages may create simulation processes;
+	// tests are exempt everywhere (driving a scenario with a blocking
+	// script is fine off the hot path).
+	spawnOK := analysis.MaySpawn(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue

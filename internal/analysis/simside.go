@@ -44,6 +44,15 @@ var hostSidePkgs = map[string]bool{
 	"internal/server":      true, // HTTP job queue and streaming API
 }
 
+// spawnPkgs names the packages that may create simulation processes
+// (sim.Engine.Spawn/SpawnAt). Everything below the machine layer runs
+// as continuation state machines. Keys are module-relative paths of
+// exactly these packages; subpackages are not included.
+var spawnPkgs = map[string]bool{
+	"internal/sim":     true, // Spawn's own implementation and timers
+	"internal/machine": true, // app processes: the blocking style is the API
+}
+
 const (
 	modulePrefix   = "shrimp/"
 	internalPrefix = "shrimp/internal/"
@@ -83,4 +92,13 @@ func IsHostSide(importPath string) bool {
 		}
 		rest = rest[:i]
 	}
+}
+
+// MaySpawn reports whether code in the package at importPath may create
+// simulation processes. nogoroutine confines Spawn to these packages,
+// and fncontext accepts a Spawn from fn-event context inside them (the
+// interrupt-handler pattern) instead of flagging it.
+func MaySpawn(importPath string) bool {
+	rest, ok := strings.CutPrefix(importPath, modulePrefix)
+	return ok && spawnPkgs[rest]
 }

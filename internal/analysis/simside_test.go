@@ -66,6 +66,26 @@ func TestBoundaryClassification(t *testing.T) {
 	}
 }
 
+// TestMaySpawn pins the packages allowed to create simulation
+// processes: sim and machine exactly, nothing else.
+func TestMaySpawn(t *testing.T) {
+	for path, want := range map[string]bool{
+		"shrimp/internal/sim":         true,
+		"shrimp/internal/machine":     true,
+		"shrimp/internal/machine/sub": false,
+		"shrimp/internal/vmmc":        false,
+		"shrimp/internal/harness":     false,
+		"othermod/internal/sim":       false,
+	} {
+		if got := MaySpawn(path); got != want {
+			t.Errorf("MaySpawn(%q) = %v, want %v", path, got, want)
+		}
+	}
+	for p := range spawnPkgs {
+		requireDir(t, filepath.Join("..", "..", p))
+	}
+}
+
 func requireDir(t *testing.T, dir string) {
 	t.Helper()
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {

@@ -13,9 +13,9 @@ import (
 // CellSpec is the serializable form of one simulation cell: the same
 // request a Spec expresses, but as plain data, so it can cross an API
 // boundary, be hashed for the result cache, and round-trip through
-// JSON. The harness's experiment drivers build their grids from
-// CellSpecs, which is what lets a cell produced by any path — CLI
-// flags, the experiment registry, or a shrimpd job — share one cache.
+// JSON. The harness's experiments build their grids from CellSpecs,
+// which is what lets a cell produced by any path — CLI flags, the
+// experiment registry, or a shrimpd job — share one cache.
 type CellSpec struct {
 	// App is an application name: either the display name ("Barnes-SVM")
 	// or its lowercase CLI alias ("barnes-svm"); see ParseApp.

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"shrimp/internal/sim"
 	"shrimp/internal/svm"
@@ -49,15 +50,15 @@ type Config struct {
 	Nodes     int // the paper's system is 16 nodes
 	Workloads Workloads
 	// Workers is the number of simulation cells run concurrently by each
-	// experiment driver (0 = GOMAXPROCS, 1 = serial). Whatever the value,
+	// experiment (0 = GOMAXPROCS, 1 = serial). Whatever the value,
 	// results are deterministic and identical to a serial run: cells are
 	// independent simulations collected by index.
 	Workers int
 	// Trace, when non-nil, attaches a recorder to every cell the sweep
 	// runs (cells that already request their own tracing keep it).
 	Trace *trace.Options
-	// TraceSink receives each traced cell's recorder after its driver's
-	// cells complete, in cell order — deterministic for any Workers
+	// TraceSink receives each traced cell's recorder after its
+	// experiment's cells complete, in cell order — deterministic for any Workers
 	// setting. Nil discards the recorders.
 	TraceSink func(cell Spec, rec *trace.Recorder)
 	// Cache, when non-nil, is consulted for every cell before it is
@@ -69,13 +70,59 @@ type Config struct {
 	// Ctx cancels an in-flight sweep at the next cell boundary (nil =
 	// run to completion). Rows computed from a cancelled sweep are
 	// meaningless — unstarted cells read as zero — so callers must check
-	// Ctx.Err() before using any driver's return value.
+	// Ctx.Err() before using any experiment's rows.
 	Ctx context.Context
 }
 
 // DefaultExperimentConfig mirrors the paper's 16-node system.
 func DefaultExperimentConfig() Config {
 	return Config{Nodes: 16, Workloads: DefaultWorkloads()}
+}
+
+// ---- Grid layout ---------------------------------------------------------
+//
+// Every table and figure below is one grid function: it builds the
+// experiment's cells and returns the row builder for their results,
+// closing over the same locals, so the layout is declared once. The
+// registry derives Experiment.Cells and Experiment.Run from it (see
+// gridExperiment and runGrid).
+
+// appGrid lays out an app-major grid: cells(a) lists each app's cells,
+// and row(a, res) turns that app's results, in the same order, into its
+// row. No experiment walks result indexes itself.
+func appGrid[R any](apps []App, cells func(App) []CellSpec, row func(App, []Result) R) ([]CellSpec, func([]Result) []R) {
+	var all []CellSpec
+	start := make([]int, len(apps)+1)
+	for i, a := range apps {
+		all = append(all, cells(a)...)
+		start[i+1] = len(all)
+	}
+	return all, func(res []Result) []R {
+		rows := make([]R, len(apps))
+		for i, a := range apps {
+			rows[i] = row(a, res[start[i]:start[i+1]])
+		}
+		return rows
+	}
+}
+
+// knobCells builds one cell per knob set, each a copy of base.
+func knobCells(base CellSpec, knobs ...Knobs) []CellSpec {
+	cells := make([]CellSpec, len(knobs))
+	for i, k := range knobs {
+		cells[i] = base
+		cells[i].Knobs = k
+	}
+	return cells
+}
+
+// defaultCell is app a on n nodes in its default variant.
+func defaultCell(a App, n int) CellSpec {
+	return CellSpec{App: a.String(), Nodes: n, Variant: DefaultVariant(a).String()}
+}
+
+func percentIncrease(base, mod sim.Time) float64 {
+	return (float64(mod) - float64(base)) / float64(base) * 100
 }
 
 // ---- Table 1 ------------------------------------------------------------
@@ -89,33 +136,21 @@ type Table1Row struct {
 	PaperSec float64 // -1 when illegible in the source text
 }
 
-// Table1Cells builds the Table 1 grid: every application at one node.
-func Table1Cells(cfg Config) []CellSpec {
-	cells := make([]CellSpec, 0, len(AllApps()))
-	for _, a := range AllApps() {
+// table1 measures sequential (single-node) execution times: every
+// application at one node.
+func table1(cfg Config) ([]CellSpec, func([]Result) []Table1Row) {
+	return appGrid(AllApps(), func(a App) []CellSpec {
 		nodes := 1
 		if a == OceanNX {
 			// Ocean-NX does not run on a uniprocessor in the paper; the
 			// two-node time is given, and we follow suit.
 			nodes = 2
 		}
-		cells = append(cells, CellSpec{App: a.String(), Nodes: nodes,
-			Variant: DefaultVariant(a).String()})
-	}
-	return cells
-}
-
-// Table1 measures sequential (single-node) execution times.
-func Table1(cfg Config) []Table1Row {
-	res := cfg.runCells(Table1Cells(cfg))
-	rows := make([]Table1Row, 0, len(AllApps()))
-	for i, a := range AllApps() {
-		rows = append(rows, Table1Row{
-			App: a, API: a.API(), Size: cfg.Workloads.SizeString(a),
-			SeqTime: res[i].Elapsed, PaperSec: paperSeqTime[a],
-		})
-	}
-	return rows
+		return []CellSpec{defaultCell(a, nodes)}
+	}, func(a App, res []Result) Table1Row {
+		return Table1Row{App: a, API: a.API(), Size: cfg.Workloads.SizeString(a),
+			SeqTime: res[0].Elapsed, PaperSec: paperSeqTime[a]}
+	})
 }
 
 // ---- Figure 3 -----------------------------------------------------------
@@ -128,66 +163,30 @@ type Figure3Curve struct {
 	Speedups []float64
 }
 
-// figure3Apps are the applications plotted in Figure 3.
-func figure3Apps() []App {
-	return []App{OceanNX, RadixVMMC, BarnesNX, RadixSVM, OceanSVM, BarnesSVM}
-}
-
-// figure3Points are the machine sizes of the Figure 3 curves.
-func figure3Points(cfg Config) []int {
-	points := []int{1, 2, 4, 8}
-	if cfg.Nodes >= 16 {
-		points = append(points, 16)
-	}
-	return points
-}
-
-// Figure3Cells builds the speedup grid: one cell per (app, node count),
-// the 1-node run doubling as the base.
-func Figure3Cells(cfg Config) []CellSpec {
-	points := figure3Points(cfg)
-	cells := make([]CellSpec, 0, len(figure3Apps())*len(points))
-	for _, a := range figure3Apps() {
-		v := DefaultVariant(a).String()
-		cells = append(cells, CellSpec{App: a.String(), Nodes: 1, Variant: v})
-		for _, n := range points {
-			if n > cfg.Nodes {
-				break
-			}
-			if n > 1 {
-				cells = append(cells, CellSpec{App: a.String(), Nodes: n, Variant: v})
-			}
+// figure3 measures speedup curves, plotting the better of the AU and DU
+// versions as the paper does: one cell per (app, machine size up to
+// cfg.Nodes), the 1-node run doubling as the base.
+func figure3(cfg Config) ([]CellSpec, func([]Result) []Figure3Curve) {
+	points := []int{1}
+	for _, n := range []int{2, 4, 8, 16} {
+		if n <= cfg.Nodes {
+			points = append(points, n)
 		}
 	}
-	return cells
-}
-
-// Figure3 measures speedup curves, plotting the better of the AU and DU
-// versions as the paper does.
-func Figure3(cfg Config) []Figure3Curve {
-	points := figure3Points(cfg)
-	res := cfg.runCells(Figure3Cells(cfg))
-	curves := make([]Figure3Curve, 0, len(figure3Apps()))
-	i := 0
-	for _, a := range figure3Apps() {
-		base := res[i].Elapsed
-		i++
-		c := Figure3Curve{App: a, Variant: DefaultVariant(a)}
-		for _, n := range points {
-			if n > cfg.Nodes {
-				break
-			}
-			el := base
-			if n > 1 {
-				el = res[i].Elapsed
-				i++
-			}
-			c.Nodes = append(c.Nodes, n)
-			c.Speedups = append(c.Speedups, float64(base)/float64(el))
+	apps := []App{OceanNX, RadixVMMC, BarnesNX, RadixSVM, OceanSVM, BarnesSVM}
+	return appGrid(apps, func(a App) []CellSpec {
+		cells := make([]CellSpec, len(points))
+		for i, n := range points {
+			cells[i] = defaultCell(a, n)
 		}
-		curves = append(curves, c)
-	}
-	return curves
+		return cells
+	}, func(a App, res []Result) Figure3Curve {
+		c := Figure3Curve{App: a, Variant: DefaultVariant(a), Nodes: slices.Clone(points)}
+		for _, r := range res {
+			c.Speedups = append(c.Speedups, float64(res[0].Elapsed)/float64(r.Elapsed))
+		}
+		return c
+	})
 }
 
 // ---- Figure 4 (left): SVM protocol comparison ---------------------------
@@ -200,48 +199,34 @@ type Figure4SVMRow struct {
 	Breakdown [5]float64 // normalized to the HLRC total
 }
 
-// figure4Protocols are the bars per application, HLRC (the base) first.
-var figure4Protocols = []svm.Protocol{svm.HLRC, svm.HLRCAU, svm.AURC}
-
-// Figure4SVMCells builds the protocol-comparison grid.
-func Figure4SVMCells(cfg Config) []CellSpec {
-	apps := []App{BarnesSVM, OceanSVM, RadixSVM}
-	cells := make([]CellSpec, 0, len(apps)*len(figure4Protocols))
-	for _, a := range apps {
-		for _, proto := range figure4Protocols {
-			cells = append(cells, CellSpec{App: a.String(), Nodes: cfg.Nodes,
-				Protocol: proto.String()})
-		}
-	}
-	return cells
-}
-
-// Figure4SVM compares HLRC, HLRC-AU and AURC on the three SVM
+// figure4SVM compares HLRC, HLRC-AU and AURC on the three SVM
 // applications.
-func Figure4SVM(cfg Config) []Figure4SVMRow {
-	apps := []App{BarnesSVM, OceanSVM, RadixSVM}
-	res := cfg.runCells(Figure4SVMCells(cfg))
-	rows := make([]Figure4SVMRow, 0, len(res))
-	i := 0
-	for _, a := range apps {
-		base := float64(res[i].Elapsed) // HLRC comes first
-		for _, proto := range figure4Protocols {
-			r := res[i]
-			row := Figure4SVMRow{App: a, Protocol: proto, Elapsed: r.Elapsed}
-			total := float64(r.Breakdown.Total())
-			for j := 0; j < 5; j++ {
-				frac := float64(r.Breakdown[j]) / total
-				row.Breakdown[j] = frac * float64(r.Elapsed) / base
-			}
-			rows = append(rows, row)
-			i++
+func figure4SVM(cfg Config) ([]CellSpec, func([]Result) []Figure4SVMRow) {
+	protos := []svm.Protocol{svm.HLRC, svm.HLRCAU, svm.AURC} // HLRC, the base, first
+	cells, perApp := appGrid([]App{BarnesSVM, OceanSVM, RadixSVM}, func(a App) []CellSpec {
+		cells := make([]CellSpec, len(protos))
+		for i, p := range protos {
+			cells[i] = CellSpec{App: a.String(), Nodes: cfg.Nodes, Protocol: p.String()}
 		}
-	}
-	return rows
+		return cells
+	}, func(a App, res []Result) []Figure4SVMRow {
+		base := float64(res[0].Elapsed)
+		rows := make([]Figure4SVMRow, len(res))
+		for i, r := range res {
+			rows[i] = Figure4SVMRow{App: a, Protocol: protos[i], Elapsed: r.Elapsed}
+			total := float64(r.Breakdown.Total())
+			for j := range rows[i].Breakdown {
+				frac := float64(r.Breakdown[j]) / total
+				rows[i].Breakdown[j] = frac * float64(r.Elapsed) / base
+			}
+		}
+		return rows
+	})
+	return cells, func(res []Result) []Figure4SVMRow { return slices.Concat(perApp(res)...) }
 }
 
-// AURCGain computes the AURC-vs-HLRC improvement per app from Figure4SVM
-// rows, for comparison with the paper's 9.1% / 30.2% / 79.3%.
+// AURCGain computes the AURC-vs-HLRC improvement per app from the
+// figure4svm rows, for comparison with the paper's 9.1% / 30.2% / 79.3%.
 func AURCGain(rows []Figure4SVMRow) map[App]float64 {
 	base := map[App]float64{}
 	gain := map[App]float64{}
@@ -269,40 +254,26 @@ type Figure4AUDURow struct {
 	PaperNote string
 }
 
-// Figure4AUDUCells builds the AU-vs-DU grid.
-func Figure4AUDUCells(cfg Config) []CellSpec {
-	apps := []App{RadixVMMC, OceanNX, BarnesNX}
-	cells := make([]CellSpec, 0, 2*len(apps))
-	for _, a := range apps {
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: "AU"},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: "DU"})
-	}
-	return cells
-}
-
-// Figure4AUDU compares automatic vs deliberate update for Radix-VMMC,
+// figure4AUDU compares automatic vs deliberate update for Radix-VMMC,
 // Ocean-NX and Barnes-NX.
-func Figure4AUDU(cfg Config) []Figure4AUDURow {
-	apps := []App{RadixVMMC, OceanNX, BarnesNX}
-	res := cfg.runCells(Figure4AUDUCells(cfg))
-	rows := make([]Figure4AUDURow, 0, len(apps))
-	for i, a := range apps {
-		au := res[2*i].Elapsed
-		du := res[2*i+1].Elapsed
+func figure4AUDU(cfg Config) ([]CellSpec, func([]Result) []Figure4AUDURow) {
+	return appGrid([]App{RadixVMMC, OceanNX, BarnesNX}, func(a App) []CellSpec {
+		return []CellSpec{
+			{App: a.String(), Nodes: cfg.Nodes, Variant: "AU"},
+			{App: a.String(), Nodes: cfg.Nodes, Variant: "DU"},
+		}
+	}, func(a App, res []Result) Figure4AUDURow {
+		au, du := res[0].Elapsed, res[1].Elapsed
 		note := ""
 		if a == RadixVMMC {
 			note = fmt.Sprintf("paper: AU %.1fx better", paperRadixAUFactor)
 		}
-		rows = append(rows, Figure4AUDURow{
-			App: a, ElapsedAU: au, ElapsedDU: du,
-			AUSpeedup: float64(du) / float64(au), PaperNote: note,
-		})
-	}
-	return rows
+		return Figure4AUDURow{App: a, ElapsedAU: au, ElapsedDU: du,
+			AUSpeedup: float64(du) / float64(au), PaperNote: note}
+	})
 }
 
-// ---- Table 2: system call per send --------------------------------------
+// ---- Tables 2 and 4: baseline vs one knob --------------------------------
 
 // WhatIfRow is a baseline-vs-modified comparison for one application.
 type WhatIfRow struct {
@@ -313,65 +284,43 @@ type WhatIfRow struct {
 	Paper    float64 // paper's percentage (-1 if not reported)
 }
 
-func percentIncrease(base, mod sim.Time) float64 {
-	return (float64(mod) - float64(base)) / float64(base) * 100
-}
-
-// whatIfCells builds a baseline-plus-knobs pair of cells per app
-// (interleaved pairwise).
-func whatIfCells(cfg Config, apps []App, nodesFor func(App) int, knobs Knobs) []CellSpec {
-	cells := make([]CellSpec, 0, 2*len(apps))
-	for _, a := range apps {
-		n := cfg.Nodes
-		if nodesFor != nil {
-			n = nodesFor(a)
-		}
-		v := DefaultVariant(a).String()
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: n, Variant: v},
-			CellSpec{App: a.String(), Nodes: n, Variant: v, Knobs: knobs})
-	}
-	return cells
-}
-
-// whatIf runs a baseline and a knob-mutated configuration per app and
-// assembles the comparison rows.
-func whatIf(cfg Config, apps []App, nodesFor func(App) int, knobs Knobs, paper map[App]float64) []WhatIfRow {
-	res := cfg.runCells(whatIfCells(cfg, apps, nodesFor, knobs))
-	rows := make([]WhatIfRow, 0, len(apps))
-	for i, a := range apps {
-		base := res[2*i].Elapsed
-		mod := res[2*i+1].Elapsed
+// whatIf runs each app in its default variant on nodes(a) nodes, as
+// built and with knobs set, and compares the two.
+func whatIf(apps []App, nodes func(App) int, knobs Knobs, paper map[App]float64) ([]CellSpec, func([]Result) []WhatIfRow) {
+	return appGrid(apps, func(a App) []CellSpec {
+		return knobCells(defaultCell(a, nodes(a)), Knobs{}, knobs)
+	}, func(a App, res []Result) WhatIfRow {
+		base, mod := res[0].Elapsed, res[1].Elapsed
 		p, ok := paper[a]
 		if !ok {
 			p = -1
 		}
-		rows = append(rows, WhatIfRow{App: a, Baseline: base, Modified: mod,
-			Percent: percentIncrease(base, mod), Paper: p})
-	}
-	return rows
+		return WhatIfRow{App: a, Baseline: base, Modified: mod,
+			Percent: percentIncrease(base, mod), Paper: p}
+	})
 }
 
-// table2Apps are the applications of the paper's Table 2.
-func table2Apps() []App {
+// table2 measures the cost of requiring a kernel trap per message send.
+func table2(cfg Config) ([]CellSpec, func([]Result) []WhatIfRow) {
 	var apps []App
 	for _, a := range AllApps() {
-		if a == DFSSockets {
-			continue // not reported in the paper's Table 2
+		if a != DFSSockets { // not reported in the paper's Table 2
+			apps = append(apps, a)
 		}
-		apps = append(apps, a)
 	}
-	return apps
+	return whatIf(apps, func(App) int { return cfg.Nodes },
+		Knobs{SyscallPerSend: bptr(true)}, paperSyscall)
 }
 
-// Table2Cells builds the syscall-per-send grid.
-func Table2Cells(cfg Config) []CellSpec {
-	return whatIfCells(cfg, table2Apps(), nil, Knobs{SyscallPerSend: bptr(true)})
-}
-
-// Table2 measures the cost of requiring a kernel trap per message send.
-func Table2(cfg Config) []WhatIfRow {
-	return whatIf(cfg, table2Apps(), nil, Knobs{SyscallPerSend: bptr(true)}, paperSyscall)
+// table4 measures the cost of taking an interrupt on every arriving
+// message. Barnes-NX runs on at most 8 nodes, as in the paper.
+func table4(cfg Config) ([]CellSpec, func([]Result) []WhatIfRow) {
+	return whatIf(AllApps(), func(a App) int {
+		if a == BarnesNX && cfg.Nodes > 8 {
+			return 8
+		}
+		return cfg.Nodes
+	}, Knobs{InterruptPerMessage: bptr(true)}, paperInterrupt)
 }
 
 // ---- Table 3: notification usage ----------------------------------------
@@ -386,56 +335,21 @@ type Table3Row struct {
 	PaperMsgs     int64
 }
 
-// Table3Cells builds the notification-count grid.
-func Table3Cells(cfg Config) []CellSpec {
-	cells := make([]CellSpec, 0, len(AllApps()))
-	for _, a := range AllApps() {
-		cells = append(cells, CellSpec{App: a.String(), Nodes: cfg.Nodes,
-			Variant: DefaultVariant(a).String()})
-	}
-	return cells
-}
-
-// Table3 counts notifications and total messages at full machine size.
-func Table3(cfg Config) []Table3Row {
-	res := cfg.runCells(Table3Cells(cfg))
-	rows := make([]Table3Row, 0, len(AllApps()))
-	for i, a := range AllApps() {
-		c := res[i].Counters
+// table3 counts notifications and total messages at full machine size.
+func table3(cfg Config) ([]CellSpec, func([]Result) []Table3Row) {
+	return appGrid(AllApps(), func(a App) []CellSpec {
+		return []CellSpec{defaultCell(a, cfg.Nodes)}
+	}, func(a App, res []Result) Table3Row {
+		c := res[0].Counters
 		pct := 0.0
 		if c.MessagesSent > 0 {
 			pct = float64(c.Notifications) / float64(c.MessagesSent) * 100
 		}
 		ref := paperNotify[a]
-		rows = append(rows, Table3Row{App: a, Notifications: c.Notifications,
+		return Table3Row{App: a, Notifications: c.Notifications,
 			Messages: c.MessagesSent, Percent: pct,
-			PaperNotif: ref[0], PaperMsgs: ref[1]})
-	}
-	return rows
-}
-
-// ---- Table 4: interrupt per message -------------------------------------
-
-// table4Nodes caps Barnes-NX at 8 nodes, as in the paper.
-func table4Nodes(cfg Config) func(App) int {
-	return func(a App) int {
-		if a == BarnesNX && cfg.Nodes > 8 {
-			return 8
-		}
-		return cfg.Nodes
-	}
-}
-
-// Table4Cells builds the interrupt-per-message grid.
-func Table4Cells(cfg Config) []CellSpec {
-	return whatIfCells(cfg, AllApps(), table4Nodes(cfg), Knobs{InterruptPerMessage: bptr(true)})
-}
-
-// Table4 measures the cost of taking an interrupt on every arriving
-// message. Barnes-NX runs on 8 nodes, as in the paper.
-func Table4(cfg Config) []WhatIfRow {
-	return whatIf(cfg, AllApps(), table4Nodes(cfg),
-		Knobs{InterruptPerMessage: bptr(true)}, paperInterrupt)
+			PaperNotif: ref[0], PaperMsgs: ref[1]}
+	})
 }
 
 // ---- §4.5.1: automatic-update combining ----------------------------------
@@ -449,29 +363,15 @@ type CombiningRow struct {
 	PaperNote string
 }
 
-// combiningApps are the §4.5.1 configurations, all forced onto AU.
-var combiningApps = []App{RadixVMMC, RadixSVM, OceanSVM, BarnesSVM, DFSSockets}
-
-// CombiningCells builds the combining-on/off grid.
-func CombiningCells(cfg Config) []CellSpec {
-	cells := make([]CellSpec, 0, 2*len(combiningApps))
-	for _, a := range combiningApps {
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: "AU",
-				Knobs: Knobs{Combining: bptr(true)}},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: "AU",
-				Knobs: Knobs{Combining: bptr(false)}})
-	}
-	return cells
-}
-
-// Combining evaluates AU combining: negligible for the sparse-writing
-// AU applications, about 2x for bulk transfers forced onto AU.
-func Combining(cfg Config) []CombiningRow {
-	apps := combiningApps
-	res := cfg.runCells(CombiningCells(cfg))
-	rows := make([]CombiningRow, 0, len(apps))
-	for i, a := range apps {
+// combining evaluates AU combining, every configuration forced onto AU:
+// negligible for the sparse-writing AU applications, about 2x for bulk
+// transfers.
+func combining(cfg Config) ([]CellSpec, func([]Result) []CombiningRow) {
+	apps := []App{RadixVMMC, RadixSVM, OceanSVM, BarnesSVM, DFSSockets}
+	return appGrid(apps, func(a App) []CellSpec {
+		return knobCells(CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: "AU"},
+			Knobs{Combining: bptr(true)}, Knobs{Combining: bptr(false)})
+	}, func(a App, res []Result) CombiningRow {
 		name := a.String() + " (AU)"
 		note := "paper: <1% effect"
 		if a == DFSSockets {
@@ -479,13 +379,9 @@ func Combining(cfg Config) []CombiningRow {
 			name = "DFS-sockets (forced AU)"
 			note = "paper: ~2x slower uncombined"
 		}
-		rows = append(rows, CombiningRow{
-			Name: name, With: res[2*i].Elapsed, Without: res[2*i+1].Elapsed,
-			Percent:   percentIncrease(res[2*i].Elapsed, res[2*i+1].Elapsed),
-			PaperNote: note,
-		})
-	}
-	return rows
+		return CombiningRow{Name: name, With: res[0].Elapsed, Without: res[1].Elapsed,
+			Percent: percentIncrease(res[0].Elapsed, res[1].Elapsed), PaperNote: note}
+	})
 }
 
 // ---- §4.5.2: outgoing FIFO capacity --------------------------------------
@@ -499,38 +395,21 @@ type FIFORow struct {
 	HighWater int // max occupancy observed with the large FIFO
 }
 
-// fifoApps are the §4.5.2 applications.
-var fifoApps = []App{RadixVMMC, RadixSVM, OceanSVM, DFSSockets}
-
-// FIFOCells builds the FIFO-capacity grid (32 KB vs 1 KB).
-func FIFOCells(cfg Config) []CellSpec {
+// fifo evaluates shrinking the outgoing FIFO from 32 KB to 1 KB; the
+// paper found no detectable difference.
+func fifo(cfg Config) ([]CellSpec, func([]Result) []FIFORow) {
 	small := Knobs{
 		OutFIFOBytes:       iptr(1024),
 		FIFOThresholdBytes: iptr(768),
 		FIFOLowWaterBytes:  iptr(256),
 	}
-	cells := make([]CellSpec, 0, 2*len(fifoApps))
-	for _, a := range fifoApps {
-		v := DefaultVariant(a).String()
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: v},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: v, Knobs: small})
-	}
-	return cells
-}
-
-// FIFO evaluates shrinking the outgoing FIFO from 32 KB to 1 KB; the
-// paper found no detectable difference.
-func FIFO(cfg Config) []FIFORow {
-	apps := fifoApps
-	res := cfg.runCells(FIFOCells(cfg))
-	rows := make([]FIFORow, 0, len(apps))
-	for i, a := range apps {
-		large, small := res[2*i], res[2*i+1]
-		rows = append(rows, FIFORow{App: a, Large: large.Elapsed, Small: small.Elapsed,
-			Percent: percentIncrease(large.Elapsed, small.Elapsed), HighWater: large.FIFOHigh})
-	}
-	return rows
+	return appGrid([]App{RadixVMMC, RadixSVM, OceanSVM, DFSSockets}, func(a App) []CellSpec {
+		return knobCells(defaultCell(a, cfg.Nodes), Knobs{}, small)
+	}, func(a App, res []Result) FIFORow {
+		large, small := res[0], res[1]
+		return FIFORow{App: a, Large: large.Elapsed, Small: small.Elapsed,
+			Percent: percentIncrease(large.Elapsed, small.Elapsed), HighWater: large.FIFOHigh}
+	})
 }
 
 // ---- §4.5.3: deliberate-update queueing ----------------------------------
@@ -543,34 +422,18 @@ type DUQueueRow struct {
 	Percent float64 // improvement from the deeper queue
 }
 
-// DUQueueCells builds the DU request-queue grid: the deliberate-update
-// protocol (HLRC) at queue depth 1 and 2.
-func DUQueueCells(cfg Config) []CellSpec {
-	apps := []App{BarnesSVM, OceanSVM, RadixSVM}
-	proto := svm.HLRC.String()
-	cells := make([]CellSpec, 0, 2*len(apps))
-	for _, a := range apps {
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Protocol: proto},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Protocol: proto,
-				Knobs: Knobs{DUQueueDepth: iptr(2)}})
-	}
-	return cells
-}
-
-// DUQueue evaluates a 2-deep transfer-request queue against the shipped
-// depth of 1, using the SVM applications (small transfers), as the
-// paper did; the effect was within 1%.
-func DUQueue(cfg Config) []DUQueueRow {
-	apps := []App{BarnesSVM, OceanSVM, RadixSVM}
-	res := cfg.runCells(DUQueueCells(cfg))
-	rows := make([]DUQueueRow, 0, len(apps))
-	for i, a := range apps {
-		d1, d2 := res[2*i].Elapsed, res[2*i+1].Elapsed
-		rows = append(rows, DUQueueRow{App: a, Depth1: d1, Depth2: d2,
-			Percent: percentIncrease(d2, d1)})
-	}
-	return rows
+// duQueue evaluates a 2-deep transfer-request queue against the shipped
+// depth of 1, using the SVM applications (small transfers) under the
+// deliberate-update protocol (HLRC), as the paper did; the effect was
+// within 1%.
+func duQueue(cfg Config) ([]CellSpec, func([]Result) []DUQueueRow) {
+	return appGrid([]App{BarnesSVM, OceanSVM, RadixSVM}, func(a App) []CellSpec {
+		return knobCells(CellSpec{App: a.String(), Nodes: cfg.Nodes, Protocol: svm.HLRC.String()},
+			Knobs{}, Knobs{DUQueueDepth: iptr(2)})
+	}, func(a App, res []Result) DUQueueRow {
+		d1, d2 := res[0].Elapsed, res[1].Elapsed
+		return DUQueueRow{App: a, Depth1: d1, Depth2: d2, Percent: percentIncrease(d2, d1)}
+	})
 }
 
 // ---- Extension: interrupt per packet vs per message ----------------------
@@ -589,30 +452,14 @@ type PerPacketRow struct {
 	PktPct     float64
 }
 
-// InterruptPerPacketCells builds the per-message/per-packet grid.
-func InterruptPerPacketCells(cfg Config) []CellSpec {
-	cells := make([]CellSpec, 0, 3*len(AllApps()))
-	for _, a := range AllApps() {
-		v := DefaultVariant(a).String()
-		cells = append(cells,
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: v},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: v,
-				Knobs: Knobs{InterruptPerMessage: bptr(true)}},
-			CellSpec{App: a.String(), Nodes: cfg.Nodes, Variant: v,
-				Knobs: Knobs{InterruptPerPacket: bptr(true)}})
-	}
-	return cells
-}
-
-// InterruptPerPacket measures both interrupt designs per application.
-func InterruptPerPacket(cfg Config) []PerPacketRow {
-	res := cfg.runCells(InterruptPerPacketCells(cfg))
-	rows := make([]PerPacketRow, 0, len(AllApps()))
-	for i, a := range AllApps() {
-		base, msg, pkt := res[3*i].Elapsed, res[3*i+1].Elapsed, res[3*i+2].Elapsed
-		rows = append(rows, PerPacketRow{App: a, Baseline: base,
-			PerMessage: msg, PerPacket: pkt,
-			MsgPct: percentIncrease(base, msg), PktPct: percentIncrease(base, pkt)})
-	}
-	return rows
+// perPacket measures both interrupt designs per application.
+func perPacket(cfg Config) ([]CellSpec, func([]Result) []PerPacketRow) {
+	return appGrid(AllApps(), func(a App) []CellSpec {
+		return knobCells(defaultCell(a, cfg.Nodes), Knobs{},
+			Knobs{InterruptPerMessage: bptr(true)}, Knobs{InterruptPerPacket: bptr(true)})
+	}, func(a App, res []Result) PerPacketRow {
+		base, msg, pkt := res[0].Elapsed, res[1].Elapsed, res[2].Elapsed
+		return PerPacketRow{App: a, Baseline: base, PerMessage: msg, PerPacket: pkt,
+			MsgPct: percentIncrease(base, msg), PktPct: percentIncrease(base, pkt)}
+	})
 }

@@ -1,7 +1,7 @@
-// Package harness drives the paper's evaluation: one driver per table
-// and figure, each of which configures machines, runs the applications,
-// and reports measured values side by side with the paper's published
-// numbers. The absolute numbers come from a simulator rather than the
+// Package harness drives the paper's evaluation: one registry entry per
+// table and figure, each of which configures machines, runs the
+// applications, and reports measured values side by side with the
+// paper's published numbers. The absolute numbers come from a simulator rather than the
 // authors' testbed; the *shapes* (who wins, by what factor, where the
 // effects vanish) are the reproduction targets.
 package harness

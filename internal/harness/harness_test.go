@@ -43,7 +43,7 @@ func TestOceanNXMoreRanksThanRows(t *testing.T) {
 
 func TestTable1AllRows(t *testing.T) {
 	cfg := quickConfig()
-	rows := Table1(cfg)
+	rows := runGrid(cfg, table1)
 	if len(rows) != int(NumApps) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -56,7 +56,7 @@ func TestTable1AllRows(t *testing.T) {
 
 func TestFigure3SpeedupsReasonable(t *testing.T) {
 	cfg := quickConfig()
-	curves := Figure3(cfg)
+	curves := runGrid(cfg, figure3)
 	if len(curves) != 6 {
 		t.Fatalf("curves = %d", len(curves))
 	}
@@ -75,7 +75,7 @@ func TestFigure3SpeedupsReasonable(t *testing.T) {
 
 func TestFigure4SVMShape(t *testing.T) {
 	cfg := quickConfig()
-	rows := Figure4SVM(cfg)
+	rows := runGrid(cfg, figure4SVM)
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -113,7 +113,7 @@ func TestFigure4SVMShape(t *testing.T) {
 
 func TestFigure4AUDUShape(t *testing.T) {
 	cfg := quickConfig()
-	rows := Figure4AUDU(cfg)
+	rows := runGrid(cfg, figure4AUDU)
 	for _, r := range rows {
 		switch r.App {
 		case RadixVMMC:
@@ -134,7 +134,7 @@ func TestFigure4AUDUShape(t *testing.T) {
 
 func TestTable2SyscallsHurt(t *testing.T) {
 	cfg := quickConfig()
-	rows := Table2(cfg)
+	rows := runGrid(cfg, table2)
 	for _, r := range rows {
 		if r.Percent < -1 {
 			t.Errorf("%v: syscall-per-send made the app faster (%.1f%%)", r.App, r.Percent)
@@ -158,7 +158,7 @@ func TestTable2SyscallsHurt(t *testing.T) {
 
 func TestTable3NotificationShares(t *testing.T) {
 	cfg := quickConfig()
-	rows := Table3(cfg)
+	rows := runGrid(cfg, table3)
 	byApp := map[App]Table3Row{}
 	for _, r := range rows {
 		byApp[r.App] = r
@@ -181,7 +181,7 @@ func TestTable3NotificationShares(t *testing.T) {
 
 func TestTable4InterruptsHurt(t *testing.T) {
 	cfg := quickConfig()
-	rows := Table4(cfg)
+	rows := runGrid(cfg, table4)
 	byApp := map[App]float64{}
 	for _, r := range rows {
 		byApp[r.App] = r.Percent
@@ -204,7 +204,7 @@ func TestTable4InterruptsHurt(t *testing.T) {
 
 func TestCombiningShape(t *testing.T) {
 	cfg := quickConfig()
-	rows := Combining(cfg)
+	rows := runGrid(cfg, combining)
 	last := rows[len(rows)-1] // DFS forced AU
 	if last.Percent < 30 {
 		t.Errorf("DFS uncombined slowdown %.1f%% too small (paper ~2x)", last.Percent)
@@ -220,7 +220,7 @@ func TestCombiningShape(t *testing.T) {
 
 func TestFIFOShape(t *testing.T) {
 	cfg := quickConfig()
-	rows := FIFO(cfg)
+	rows := runGrid(cfg, fifo)
 	for _, r := range rows {
 		if r.Percent > 5 || r.Percent < -5 {
 			t.Errorf("%v: FIFO size changed time by %.2f%% (paper: none)", r.App, r.Percent)
@@ -232,7 +232,7 @@ func TestFIFOShape(t *testing.T) {
 
 func TestDUQueueShape(t *testing.T) {
 	cfg := quickConfig()
-	rows := DUQueue(cfg)
+	rows := runGrid(cfg, duQueue)
 	for _, r := range rows {
 		if r.Percent > 3 || r.Percent < -3 {
 			t.Errorf("%v: queueing effect %.2f%% outside paper's ~1%%", r.App, r.Percent)
@@ -267,7 +267,7 @@ func TestLatencyMatchesPaper(t *testing.T) {
 
 func TestInterruptPerPacketWorse(t *testing.T) {
 	cfg := quickConfig()
-	rows := InterruptPerPacket(cfg)
+	rows := runGrid(cfg, perPacket)
 	worse := 0
 	for _, r := range rows {
 		if r.PktPct >= r.MsgPct-0.5 {

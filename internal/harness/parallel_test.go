@@ -24,15 +24,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	par.Workers = 4
 
 	t.Run("table1", func(t *testing.T) {
-		want := Table1(serial)
-		got := Table1(par)
+		want := runGrid(serial, table1)
+		got := runGrid(par, table1)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallel Table1 diverged from serial:\ngot  %+v\nwant %+v", got, want)
 		}
 	})
 	t.Run("figure3", func(t *testing.T) {
-		want := Figure3(serial)
-		got := Figure3(par)
+		want := runGrid(serial, figure3)
+		got := runGrid(par, figure3)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallel Figure3 diverged from serial:\ngot  %+v\nwant %+v", got, want)
 		}

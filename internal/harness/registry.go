@@ -5,12 +5,12 @@ import (
 	"io"
 )
 
-// Experiment is one entry of the evaluation catalog: a named driver
-// that reproduces a table or figure of the paper. The registry is the
-// single source shared by shrimpbench (-exp selection, -exp list) and
-// shrimpd (GET /v1/experiments, named-experiment jobs), so a driver
-// added here is simultaneously a CLI experiment and a service job
-// type.
+// Experiment is one entry of the evaluation catalog: a named
+// experiment that reproduces a table or figure of the paper. The
+// registry is the single source shared by shrimpbench (-exp selection,
+// -exp list) and shrimpd (GET /v1/experiments, named-experiment jobs),
+// so an experiment added here is simultaneously a CLI experiment and a
+// service job type.
 type Experiment struct {
 	// Name is the CLI/API identifier ("table1", "figure3", ...).
 	Name string
@@ -18,12 +18,12 @@ type Experiment struct {
 	Desc string
 	// Cells returns the cell grid the experiment simulates, as
 	// serializable specs (nil for experiments not built from cells —
-	// the latency microbenchmark). Run executes exactly this grid, so
-	// Cells is also the experiment's cache footprint.
+	// the latency microbenchmark and the load family). Run executes
+	// exactly this grid, so Cells is also the experiment's cache
+	// footprint.
 	Cells func(cfg Config) []CellSpec
-	// Run executes the experiment and returns its typed row slice —
-	// the same value the matching harness driver returns, suitable for
-	// EmitJSON.
+	// Run executes the experiment and returns its typed row slice,
+	// suitable for EmitJSON.
 	Run func(cfg Config) any
 	// Print renders the rows as the human-readable report table.
 	Print func(w io.Writer, cfg Config, rows any)
@@ -32,6 +32,33 @@ type Experiment struct {
 	// families start hidden so their output is pinned by their own
 	// digests instead of perturbing the long-lived all-sweep ones.
 	Hidden bool
+}
+
+// gridExperiment registers a grid experiment. g is its one declaration:
+// it builds the cells and the row builder for their results, so Cells
+// and Run cannot drift apart.
+func gridExperiment[R any](name, desc string, g func(Config) ([]CellSpec, func([]Result) R), print func(io.Writer, Config, R)) Experiment {
+	return Experiment{
+		Name: name,
+		Desc: desc,
+		Cells: func(cfg Config) []CellSpec {
+			cells, _ := g(cfg)
+			return cells
+		},
+		Run:   func(cfg Config) any { return runGrid(cfg, g) },
+		Print: func(w io.Writer, cfg Config, rows any) { print(w, cfg, rows.(R)) },
+	}
+}
+
+// runGrid simulates a grid experiment's cells and builds its rows.
+func runGrid[R any](cfg Config, g func(Config) ([]CellSpec, func([]Result) R)) R {
+	cells, rows := g(cfg)
+	return rows(cfg.runCells(cells))
+}
+
+// rowsOnly adapts a printer that needs no Config.
+func rowsOnly[R any](print func(io.Writer, R)) func(io.Writer, Config, R) {
+	return func(w io.Writer, _ Config, rows R) { print(w, rows) }
 }
 
 // experimentList is the catalog in report order.
@@ -44,96 +71,32 @@ var experimentList = []Experiment{
 			PrintLatency(w, rows.(LatencyResult))
 		},
 	},
-	{
-		Name:  "table1",
-		Desc:  "Table 1: applications, problem sizes, sequential execution times",
-		Cells: Table1Cells,
-		Run:   func(cfg Config) any { return Table1(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintTable1(w, rows.([]Table1Row), &cfg.Workloads)
-		},
-	},
-	{
-		Name:  "figure3",
-		Desc:  "Figure 3: speedup curves, better of AU/DU per application",
-		Cells: Figure3Cells,
-		Run:   func(cfg Config) any { return Figure3(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintFigure3(w, rows.([]Figure3Curve))
-		},
-	},
-	{
-		Name:  "figure4svm",
-		Desc:  "Figure 4 (left): HLRC vs HLRC-AU vs AURC protocol comparison",
-		Cells: Figure4SVMCells,
-		Run:   func(cfg Config) any { return Figure4SVM(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintFigure4SVM(w, rows.([]Figure4SVMRow))
-		},
-	},
-	{
-		Name:  "figure4audu",
-		Desc:  "Figure 4 (right): automatic vs deliberate update per application",
-		Cells: Figure4AUDUCells,
-		Run:   func(cfg Config) any { return Figure4AUDU(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintFigure4AUDU(w, rows.([]Figure4AUDURow))
-		},
-	},
-	{
-		Name:  "table2",
-		Desc:  "Table 2: cost of a kernel trap on every message send",
-		Cells: Table2Cells,
-		Run:   func(cfg Config) any { return Table2(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintWhatIf(w, "Table 2: system call per message send", rows.([]WhatIfRow))
-		},
-	},
-	{
-		Name:  "table3",
-		Desc:  "Table 3: notification counts vs total messages",
-		Cells: Table3Cells,
-		Run:   func(cfg Config) any { return Table3(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintTable3(w, rows.([]Table3Row))
-		},
-	},
-	{
-		Name:  "table4",
-		Desc:  "Table 4: cost of an interrupt on every arriving message",
-		Cells: Table4Cells,
-		Run:   func(cfg Config) any { return Table4(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintWhatIf(w, "Table 4: interrupt per arriving message", rows.([]WhatIfRow))
-		},
-	},
-	{
-		Name:  "combining",
-		Desc:  "§4.5.1: automatic-update combining on vs off",
-		Cells: CombiningCells,
-		Run:   func(cfg Config) any { return Combining(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintCombining(w, rows.([]CombiningRow))
-		},
-	},
-	{
-		Name:  "fifo",
-		Desc:  "§4.5.2: outgoing FIFO capacity, 32 KB vs 1 KB",
-		Cells: FIFOCells,
-		Run:   func(cfg Config) any { return FIFO(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintFIFO(w, rows.([]FIFORow))
-		},
-	},
-	{
-		Name:  "duqueue",
-		Desc:  "§4.5.3: deliberate-update request queue, depth 1 vs 2",
-		Cells: DUQueueCells,
-		Run:   func(cfg Config) any { return DUQueue(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintDUQueue(w, rows.([]DUQueueRow))
-		},
-	},
+	gridExperiment("table1", "Table 1: applications, problem sizes, sequential execution times",
+		table1, func(w io.Writer, cfg Config, rows []Table1Row) {
+			PrintTable1(w, rows, &cfg.Workloads)
+		}),
+	gridExperiment("figure3", "Figure 3: speedup curves, better of AU/DU per application",
+		figure3, rowsOnly(PrintFigure3)),
+	gridExperiment("figure4svm", "Figure 4 (left): HLRC vs HLRC-AU vs AURC protocol comparison",
+		figure4SVM, rowsOnly(PrintFigure4SVM)),
+	gridExperiment("figure4audu", "Figure 4 (right): automatic vs deliberate update per application",
+		figure4AUDU, rowsOnly(PrintFigure4AUDU)),
+	gridExperiment("table2", "Table 2: cost of a kernel trap on every message send",
+		table2, func(w io.Writer, _ Config, rows []WhatIfRow) {
+			PrintWhatIf(w, "Table 2: system call per message send", rows)
+		}),
+	gridExperiment("table3", "Table 3: notification counts vs total messages",
+		table3, rowsOnly(PrintTable3)),
+	gridExperiment("table4", "Table 4: cost of an interrupt on every arriving message",
+		table4, func(w io.Writer, _ Config, rows []WhatIfRow) {
+			PrintWhatIf(w, "Table 4: interrupt per arriving message", rows)
+		}),
+	gridExperiment("combining", "§4.5.1: automatic-update combining on vs off",
+		combining, rowsOnly(PrintCombining)),
+	gridExperiment("fifo", "§4.5.2: outgoing FIFO capacity, 32 KB vs 1 KB",
+		fifo, rowsOnly(PrintFIFO)),
+	gridExperiment("duqueue", "§4.5.3: deliberate-update request queue, depth 1 vs 2",
+		duQueue, rowsOnly(PrintDUQueue)),
 	{
 		Name:   "load",
 		Desc:   "Open-loop traffic: goodput vs offered load per service class (internal/workload)",
@@ -143,15 +106,8 @@ var experimentList = []Experiment{
 			PrintLoad(w, cfg, rows.([]LoadRow))
 		},
 	},
-	{
-		Name:  "perpacket",
-		Desc:  "Extension (§4.4): interrupt per packet vs per message",
-		Cells: InterruptPerPacketCells,
-		Run:   func(cfg Config) any { return InterruptPerPacket(cfg) },
-		Print: func(w io.Writer, cfg Config, rows any) {
-			PrintPerPacket(w, rows.([]PerPacketRow))
-		},
-	},
+	gridExperiment("perpacket", "Extension (§4.4): interrupt per packet vs per message",
+		perPacket, rowsOnly(PrintPerPacket)),
 }
 
 // Experiments returns the catalog in report order. The slice is shared;

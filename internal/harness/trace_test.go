@@ -170,7 +170,7 @@ func TestConfigTraceSinkOrder(t *testing.T) {
 			}
 			labels = append(labels, cell.Label())
 		}
-		Figure4AUDU(cfg)
+		runGrid(cfg, figure4AUDU)
 		return labels
 	}
 	serial := run(1)

@@ -36,19 +36,9 @@ type Predictor struct {
 // are part of a cell's identity, exactly as for the simulator).
 func NewPredictor(w *Workloads) *Predictor { return &Predictor{w: w} }
 
-// machineConfig resolves the machine a spec describes, with the
-// interrupt stall filled in as machine.New fills it.
-func (tp *Predictor) machineConfig(spec Spec) machine.Config {
-	cfg := spec.machineConfig()
-	if cfg.NIC.InterruptStall <= 0 {
-		cfg.NIC.InterruptStall = cfg.Cost.InterruptCost
-	}
-	return cfg
-}
-
 // PredictSpec returns the twin's elapsed-time estimate for one cell.
 func (tp *Predictor) PredictSpec(spec Spec) sim.Time {
-	m := twin.New(tp.machineConfig(spec))
+	m := twin.New(spec.machineConfig())
 	pf := tp.profile(spec, m)
 	return compose(m, pf, spec.Nodes)
 }
@@ -208,19 +198,18 @@ func (tp *Predictor) profile(spec Spec, m *twin.Model) profile {
 	n := spec.Nodes
 	w := tp.w
 	var pf profile
-	pf.overlap = overlapFor(spec.App, spec.Variant)
 	cost := m.Config().Cost
 	switch spec.App {
 	case RadixVMMC:
 		pf = tp.radixVMMC(spec, n, cost)
 	case OceanNX:
-		pf = tp.oceanNX(w.OceanNX, n, cost)
+		pf = tp.oceanNX(w.OceanNX, n, m)
 	case BarnesNX:
-		pf = tp.barnesNX(w.BarnesNX, n, cost)
+		pf = tp.barnesNX(w.BarnesNX, n, m)
 	case DFSSockets:
 		pf = tp.dfsSockets(w.DFS, n, spec.Variant, cost)
 	case RenderSockets:
-		pf = tp.renderSockets(w.Render, n, cost)
+		pf = tp.renderSockets(w.Render, n, m)
 	case RadixSVM:
 		pf = tp.radixSVM(w.Radix, n, resolveProto(spec), cost)
 	case OceanSVM:
@@ -228,9 +217,7 @@ func (tp *Predictor) profile(spec Spec, m *twin.Model) profile {
 	case BarnesSVM:
 		pf = tp.barnesSVM(w.BarnesSVM, n, resolveProto(spec), cost)
 	}
-	if pf.overlap == 0 {
-		pf.overlap = overlapFor(spec.App, spec.Variant)
-	}
+	pf.overlap = overlapFor(spec.App, spec.Variant)
 	return pf
 }
 
@@ -270,7 +257,7 @@ func (tp *Predictor) radixVMMC(spec Spec, n int, cost machine.CostModel) profile
 	return pf
 }
 
-func (tp *Predictor) oceanNX(pr ocean.Params, n int, cost machine.CostModel) profile {
+func (tp *Predictor) oceanNX(pr ocean.Params, n int, m *twin.Model) profile {
 	stride := pr.N + 2
 	rowsPer := ceilDiv(pr.N, n)
 	var pf profile
@@ -294,12 +281,12 @@ func (tp *Predictor) oceanNX(pr ocean.Params, n int, cost machine.CostModel) pro
 	pf.copyBytes = 2 * exchanges * rowBytes
 	// Final gather: rank 0 receives every remote row.
 	remoteRows := float64(pr.N - rowsPer)
-	m := twin.New(machine.DefaultConfig(n))
+	cost := m.Config().Cost
 	pf.serial = sim.Time(remoteRows * float64(m.RxService(int(rowBytes))+cost.CopyTime(int(rowBytes))))
 	return pf
 }
 
-func (tp *Predictor) barnesNX(pr barnes.Params, n int, cost machine.CostModel) profile {
+func (tp *Predictor) barnesNX(pr barnes.Params, n int, m *twin.Model) profile {
 	const bodyWire = 7 * 8
 	var pf profile
 	inter := barnes.Interactions(pr)
@@ -321,7 +308,7 @@ func (tp *Predictor) barnesNX(pr barnes.Params, n int, cost machine.CostModel) p
 	pf.recvs = pf.msgs
 	pf.copyBytes = 2 * pf.msgs * pf.msgBytes
 	// Final gather at rank 0.
-	m := twin.New(machine.DefaultConfig(n))
+	cost := m.Config().Cost
 	pf.serial = sim.Time(float64(n-1) * float64(m.RxService(bodiesPer*bodyWire)+cost.CopyTime(bodiesPer*bodyWire)))
 	return pf
 }
@@ -370,7 +357,7 @@ func (tp *Predictor) dfsSockets(pr dfs.Params, n int, v Variant, cost machine.Co
 	return pf
 }
 
-func (tp *Predictor) renderSockets(pr render.Params, n int, cost machine.CostModel) profile {
+func (tp *Predictor) renderSockets(pr render.Params, n int, m *twin.Model) profile {
 	var pf profile
 	samples := render.Samples(pr)
 	if n == 1 {
@@ -393,7 +380,7 @@ func (tp *Predictor) renderSockets(pr render.Params, n int, cost machine.CostMod
 	// Controller: ship the volume to every worker at connect, then
 	// field every task request and land every tile.
 	vol := pr.VolumeDim * pr.VolumeDim * pr.VolumeDim
-	m := twin.New(machine.DefaultConfig(n))
+	cost := m.Config().Cost
 	perTile := float64(m.RxService(5+tileBytes)) + float64(cost.CopyTime(tileBytes))
 	pf.serial = sim.Time(float64(workers)*float64(cost.CopyTime(vol)+m.DUEngineService(vol)) +
 		float64(tiles)*perTile)
@@ -539,7 +526,8 @@ type TwinLoadRow struct {
 // (rho-1) x T/2 — the average wait when the queue grows linearly over
 // the run. Utilization reports the bottleneck rho either way.
 func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
-	if _, err := c.spec(); err != nil {
+	spec, err := c.spec()
+	if err != nil {
 		return nil, err
 	}
 	cfg := machine.DefaultConfig(c.Nodes)
@@ -585,15 +573,8 @@ func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
 	resp := float64(p.RPCRespBytes)
 	switch c.Config {
 	case "rpc/polling", "rpc/notified":
-		big := p.Streams / 4
-		if big < 1 {
-			big = 1
-		}
-		small := p.Streams - big
-		if small < 1 {
-			small = 1
-		}
-		base := (2 * sim.Microsecond).Seconds() // rpc.Config.ServiceCost
+		small, big := spec.Classes[0].Streams, spec.Classes[1].Streams
+		base := c.serviceConfig().RPC.ServiceCost.Seconds()
 		if c.Config == "rpc/notified" {
 			base += cfg.Cost.NotifyDispatchCost.Seconds()
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shrimp/internal/sim"
+	"shrimp/internal/twin"
 )
 
 // within reports whether got is within frac of want (relative error).
@@ -68,6 +69,25 @@ func TestTwinTwoNodeCells(t *testing.T) {
 		if !within(pred, meas, 0.35) {
 			t.Errorf("%s: twin %v, sim %v (>35%% apart)", spec.Label(), pred, meas)
 		}
+	}
+}
+
+// TestTwinRenderUsesCellKnobs checks that Render's serial term, which
+// ships the volume through the DU engine, is priced on the cell's own
+// machine: a 2-deep DU queue pipelines the engine, so serial falls.
+func TestTwinRenderUsesCellKnobs(t *testing.T) {
+	wl := QuickWorkloads()
+	tp := NewPredictor(&wl)
+	serial := func(knobs Knobs) sim.Time {
+		spec, err := CellSpec{App: RenderSockets.String(), Nodes: 8, Knobs: knobs}.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp.profile(spec, twin.New(spec.machineConfig())).serial
+	}
+	d1, d2 := serial(Knobs{}), serial(Knobs{DUQueueDepth: iptr(2)})
+	if d2 >= d1 {
+		t.Errorf("Render serial at du_queue_depth 2 = %v, want below depth 1's %v", d2, d1)
 	}
 }
 

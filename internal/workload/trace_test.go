@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,6 +185,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad := append([]string{}, lines...)
 	bad[reqStart] = strings.Join(f, " ")
 	corrupt["stream range"] = strings.Join(bad, "\n") + "\n"
+	// A machine with no nodes, and so no requests to target.
+	var empty []string
+	for _, l := range lines {
+		if strings.HasPrefix(l, "requests ") {
+			break
+		}
+		empty = append(empty, strings.Replace(l, "nodes 4", "nodes 0", 1))
+	}
+	corrupt["no nodes"] = strings.Join(append(empty, "requests 0", "end"), "\n") + "\n"
+	// A request count far past the lines that follow must fail as a
+	// truncation, not size an allocation from the header.
+	huge := append([]string{}, lines...)
+	huge[reqStart-1] = "requests 1152921504606846976"
+	corrupt["huge count"] = strings.Join(huge, "\n") + "\n"
 	// Swap two request lines to break the canonical order.
 	swapped := append([]string{}, lines...)
 	swapped[reqStart], swapped[reqStart+1] = swapped[reqStart+1], swapped[reqStart]
@@ -210,4 +225,43 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid spec", i)
 		}
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to the trace decoder. Decode must
+// never panic, and any trace it accepts must re-encode to an artifact
+// that decodes to an equal trace.
+func FuzzDecode(f *testing.F) {
+	for _, spec := range []*Spec{rpcSpec(4), dfsSpec(4)} {
+		// Short seeds: the fuzzer minimizes each seed before mutating,
+		// and a few requests per class already cover every line kind.
+		for i := range spec.Classes {
+			spec.Classes[i].Requests = 2
+		}
+		tr, err := Generate(spec, 42)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatalf("re-encoded trace decodes differently:\nfirst  %+v\nsecond %+v", tr, again)
+		}
+	})
 }

@@ -27,6 +27,9 @@ import (
 
 const traceMagic = "shrimp-workload-trace v1"
 
+// maxPreallocReqs caps the request slice Decode sizes from the header.
+const maxPreallocReqs = 1 << 16
+
 // Encode writes the canonical artifact.
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -91,6 +94,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	if _, err := fmt.Sscanf(nodesLine, "nodes %d", &t.Nodes); err != nil {
 		return nil, fmt.Errorf("workload: line %d: want \"nodes N\", got %q", line, nodesLine)
 	}
+	if t.Nodes < 1 {
+		return nil, fmt.Errorf("workload: line %d: node count %d < 1", line, t.Nodes)
+	}
 
 	var nreq int
 	for {
@@ -124,7 +130,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	}
 
 	streams := t.Streams()
-	t.Reqs = make([]Request, 0, nreq)
+	// The header's count is untrusted until the lines are read: cap the
+	// preallocation so a corrupt count cannot demand memory up front.
+	t.Reqs = make([]Request, 0, min(nreq, maxPreallocReqs))
 	var prev Request
 	for i := 0; i < nreq; i++ {
 		l, err := next()
