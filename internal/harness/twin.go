@@ -573,17 +573,15 @@ func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
 	resp := float64(p.RPCRespBytes)
 	switch c.Config {
 	case "rpc/polling", "rpc/notified":
-		small, big := spec.Classes[0].Streams, spec.Classes[1].Streams
 		base := c.serviceConfig().RPC.ServiceCost.Seconds()
 		if c.Config == "rpc/notified" {
 			base += cfg.Cost.NotifyDispatchCost.Seconds()
 		}
 		// Server occupancy: service charge CopyTime(args+resp), ring
-		// read copy of args, ring write copy of resp.
+		// read copy of args, ring write copy of resp. The occupancy is
+		// affine in the argument size, so it inherits the size variance
+		// E[X^2] = m^2 (1 + cv^2).
 		occ := func(req float64) float64 { return base + copyT(2*req+2*resp) }
-		// small: uniform on [m/2, 3m/2] -> E[X^2] = 13/12 m^2; the
-		// affine occupancy inherits the size variance.
-		sm := float64(p.RPCSmallBytes)
 		a, b := base+copyT(2*resp), 2/copyBW
 		s2 := func(m1, m2 float64) float64 { return a*a + 2*a*b*m1 + b*b*m2 }
 		trans := func(req, rsp float64) float64 {
@@ -591,11 +589,12 @@ func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
 				m.DUMessage(hops, int(rsp)).Seconds() + copyT(rsp) +
 				p.ClientCost.Seconds()
 		}
-		classes = append(classes, classArr{"small", float64(small), gap,
-			occ(sm), s2(sm, 13.0/12.0*sm*sm), 1, trans(sm, resp)})
-		bm := float64(p.RPCBigBytes)
-		classes = append(classes, classArr{"big", float64(big), 4 * gap,
-			occ(bm), s2(bm, bm*bm), 1, trans(bm, resp)})
+		for _, k := range spec.Classes {
+			m1, cv, ca := k.Size.Mean, k.Size.CV(), k.Interarrival.CV()
+			classes = append(classes, classArr{k.Name, float64(k.Streams),
+				k.Interarrival.Mean / float64(sim.Second),
+				occ(m1), s2(m1, m1*m1*(1+cv*cv)), ca * ca, trans(m1, resp)})
+		}
 	case "socket/du", "socket/au":
 		// Server occupancy: service charge CopyTime(size) plus the ring
 		// write copy of the size-byte response.

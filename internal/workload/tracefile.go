@@ -27,9 +27,6 @@ import (
 
 const traceMagic = "shrimp-workload-trace v1"
 
-// maxPreallocReqs caps the request slice Decode sizes from the header.
-const maxPreallocReqs = 1 << 16
-
 // Encode writes the canonical artifact.
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -130,9 +127,6 @@ func Decode(r io.Reader) (*Trace, error) {
 	}
 
 	streams := t.Streams()
-	// The header's count is untrusted until the lines are read: cap the
-	// preallocation so a corrupt count cannot demand memory up front.
-	t.Reqs = make([]Request, 0, min(nreq, maxPreallocReqs))
 	var prev Request
 	for i := 0; i < nreq; i++ {
 		l, err := next()
