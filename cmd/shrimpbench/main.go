@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"shrimp/internal/harness"
+	"shrimp/internal/machine"
 	"shrimp/internal/prof"
 	"shrimp/internal/trace"
 )
@@ -46,6 +47,10 @@ func main() {
 			"the twin scans the knob grid, the simulator confirms the top quarter")
 	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if *nodes < 1 || *nodes > machine.MaxNodes {
+		fmt.Fprintf(os.Stderr, "shrimpbench: -nodes %d outside 1..%d\n", *nodes, machine.MaxNodes)
+		os.Exit(2)
+	}
 
 	if *exp == "list" {
 		harness.PrintCatalog(os.Stdout)

@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	"shrimp/internal/harness"
+	"shrimp/internal/machine"
 	"shrimp/internal/prof"
 	"shrimp/internal/stats"
 	"shrimp/internal/trace"
@@ -51,7 +52,7 @@ import (
 )
 
 func main() {
-	appNames := flag.String("app", "", "application(s) to run, comma separated")
+	appList := flag.String("app", "", "application(s) to run, comma separated")
 	nodes := flag.Int("nodes", 16, "machine size")
 	variant := flag.String("variant", "", "au or du (default: the app's best)")
 	protocol := flag.String("protocol", "", "SVM protocol: hlrc, hlrc-au, aurc")
@@ -72,6 +73,10 @@ func main() {
 	loadReplay := flag.String("load-replay", "", "replay a recorded request trace from this file (-load)")
 	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if *nodes < 1 || *nodes > machine.MaxNodes {
+		fmt.Fprintf(os.Stderr, "shrimpsim: -nodes %d outside 1..%d\n", *nodes, machine.MaxNodes)
+		os.Exit(2)
+	}
 
 	stopProf, err := profFlags.Start()
 	if err != nil {
@@ -111,7 +116,7 @@ func main() {
 	}
 
 	var cells []harness.Spec
-	for _, name := range strings.Split(*appNames, ",") {
+	for _, name := range strings.Split(*appList, ",") {
 		spec, err := harness.CellSpec{App: name, Nodes: *nodes, Variant: *variant,
 			Protocol: *protocol, Knobs: knobs}.Compile()
 		if err != nil {

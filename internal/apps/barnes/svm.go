@@ -23,6 +23,13 @@ type svmLayout struct {
 	maxCells int
 }
 
+// SVMRegionBytes sizes the shared region a Barnes-SVM run needs: the
+// bodies and cell pool layoutSVM allocates, with slack for page
+// rounding and the control page.
+func SVMRegionBytes(pr Params) int {
+	return pr.Bodies*80 + (4*pr.Bodies+64)*96 + 1<<16
+}
+
 func layoutSVM(s *svm.System, pr Params) *svmLayout {
 	l := &svmLayout{}
 	l.maxCells = 4*pr.Bodies + 64
@@ -104,129 +111,114 @@ func readCell(p *sim.Proc, rt *svm.Runtime, l *svmLayout, i int) cell {
 // demand, the pattern behind Barnes-SVM's large notification share
 // (Table 3). Results are validated against the sequential reference.
 func RunSVM(s *svm.System, pr Params) sim.Time {
-	return StartSVM(s, pr).Finish()
+	return StartSVM(s, pr)()
 }
 
-// SVMRun is a Barnes-SVM instance that has completed its warmup prefix
-// (shared layout, body initialization, and the first barrier) and
-// stands at the boundary where knobs land. Finish runs the time steps
-// and validation.
-type SVMRun struct {
-	s    *svm.System
-	pr   Params
-	l    *svmLayout
-	warm sim.Time
-}
-
-// StartSVM runs the warmup prefix of Barnes-SVM: shared layout, each
-// rank's body-block initialization, and the first barrier.
-func StartSVM(s *svm.System, pr Params) *SVMRun {
+// StartSVM runs the warmup prefix of Barnes-SVM (shared layout, each
+// rank's body-block initialization, and the first barrier), which
+// leaves the run at the boundary where knobs land. The returned body
+// runs the time steps and validation and returns the total parallel
+// execution time (warmup plus body).
+func StartSVM(s *svm.System, pr Params) func() sim.Time {
 	nprocs := s.Nodes()
-	run := &SVMRun{s: s, pr: pr, l: layoutSVM(s, pr)}
+	l := layoutSVM(s, pr)
 	ref := generate(pr)
 
-	run.warm = s.M().RunParallel("barnes-svm-init", func(nd *machine.Node, p *sim.Proc) {
+	warm := s.M().RunParallel("barnes-svm-init", func(nd *machine.Node, p *sim.Proc) {
 		rt := s.Runtime(int(nd.ID))
 		lo, hi := split(pr.Bodies, nprocs, rt.Rank())
 		// Initialize own block.
 		for i := lo; i < hi; i++ {
-			writeBody(p, rt, run.l, i, &ref[i])
+			writeBody(p, rt, l, i, &ref[i])
 		}
 		rt.Barrier(p)
 	})
-	return run
-}
-
-// Finish runs the simulation steps and validation, returning the total
-// parallel execution time (warmup plus body).
-func (run *SVMRun) Finish() sim.Time {
-	s, pr, l := run.s, run.pr, run.l
-	nprocs := s.Nodes()
-
-	elapsed := s.M().RunParallel("barnes-svm", func(nd *machine.Node, p *sim.Proc) {
-		rt := s.Runtime(int(nd.ID))
-		rank := rt.Rank()
-		lo, hi := split(pr.Bodies, nprocs, rank)
-		cpu := nd.CPUFor(p)
-		for step := 0; step < pr.Steps; step++ {
-			// Phase 1: bounding box. Rank 0 resets, then everyone merges
-			// its local extent under a lock.
-			if rank == 0 {
+	return func() sim.Time {
+		elapsed := s.M().RunParallel("barnes-svm", func(nd *machine.Node, p *sim.Proc) {
+			rt := s.Runtime(int(nd.ID))
+			rank := rt.Rank()
+			lo, hi := split(pr.Bodies, nprocs, rank)
+			cpu := nd.CPUFor(p)
+			for step := 0; step < pr.Steps; step++ {
+				// Phase 1: bounding box. Rank 0 resets, then everyone merges
+				// its local extent under a lock.
+				if rank == 0 {
+					for d := 0; d < 3; d++ {
+						rt.WriteFloat64(p, l.bboxOff(d), math.Inf(1))
+						rt.WriteFloat64(p, l.bboxOff(3+d), math.Inf(-1))
+					}
+				}
+				rt.Barrier(p)
+				var lob, hib [3]float64
 				for d := 0; d < 3; d++ {
-					rt.WriteFloat64(p, l.bboxOff(d), math.Inf(1))
-					rt.WriteFloat64(p, l.bboxOff(3+d), math.Inf(-1))
+					lob[d], hib[d] = math.Inf(1), math.Inf(-1)
 				}
-			}
-			rt.Barrier(p)
-			var lob, hib [3]float64
-			for d := 0; d < 3; d++ {
-				lob[d], hib[d] = math.Inf(1), math.Inf(-1)
-			}
-			for i := lo; i < hi; i++ {
+				for i := lo; i < hi; i++ {
+					for d := 0; d < 3; d++ {
+						v := rt.ReadFloat64(p, l.bodyOff(i)+8+8*d)
+						lob[d] = math.Min(lob[d], v)
+						hib[d] = math.Max(hib[d], v)
+					}
+				}
+				rt.Acquire(p, bboxLock)
 				for d := 0; d < 3; d++ {
-					v := rt.ReadFloat64(p, l.bodyOff(i)+8+8*d)
-					lob[d] = math.Min(lob[d], v)
-					hib[d] = math.Max(hib[d], v)
+					rt.WriteFloat64(p, l.bboxOff(d),
+						math.Min(rt.ReadFloat64(p, l.bboxOff(d)), lob[d]))
+					rt.WriteFloat64(p, l.bboxOff(3+d),
+						math.Max(rt.ReadFloat64(p, l.bboxOff(3+d)), hib[d]))
 				}
-			}
-			rt.Acquire(p, bboxLock)
-			for d := 0; d < 3; d++ {
-				rt.WriteFloat64(p, l.bboxOff(d),
-					math.Min(rt.ReadFloat64(p, l.bboxOff(d)), lob[d]))
-				rt.WriteFloat64(p, l.bboxOff(3+d),
-					math.Max(rt.ReadFloat64(p, l.bboxOff(3+d)), hib[d]))
-			}
-			rt.ReleaseLock(p, bboxLock)
-			rt.Barrier(p)
+				rt.ReleaseLock(p, bboxLock)
+				rt.Barrier(p)
 
-			// Phase 2: rank 0 rebuilds the shared tree.
-			if rank == 0 {
-				bodies := make([]Body, pr.Bodies)
-				for i := range bodies {
-					bodies[i] = readBody(p, rt, l, i)
+				// Phase 2: rank 0 rebuilds the shared tree.
+				if rank == 0 {
+					bodies := make([]Body, pr.Bodies)
+					for i := range bodies {
+						bodies[i] = readBody(p, rt, l, i)
+					}
+					t := build(bodies)
+					cpu.Charge(sim.Time(pr.Bodies) * pr.InsertCost)
+					if len(t.cells) > l.maxCells {
+						panic("barnes: cell pool exhausted")
+					}
+					for i := range t.cells {
+						writeCell(p, rt, l, i, &t.cells[i])
+					}
+					rt.WriteUint32(p, l.cellCountOff(), uint32(len(t.cells)))
 				}
-				t := build(bodies)
-				cpu.Charge(sim.Time(pr.Bodies) * pr.InsertCost)
-				if len(t.cells) > l.maxCells {
-					panic("barnes: cell pool exhausted")
+				rt.Barrier(p)
+
+				// Phase 3: forces over the shared tree for the local block.
+				accs := make([][3]float64, hi-lo)
+				for i := lo; i < hi; i++ {
+					accs[i-lo] = svmForce(p, rt, l, int32(i), pr, cpu)
 				}
-				for i := range t.cells {
-					writeCell(p, rt, l, i, &t.cells[i])
+				rt.Barrier(p)
+
+				// Phase 4: advance own block.
+				for i := lo; i < hi; i++ {
+					b := readBody(p, rt, l, i)
+					advance(&b, accs[i-lo], pr.Dt)
+					writeBody(p, rt, l, i, &b)
 				}
-				rt.WriteUint32(p, l.cellCountOff(), uint32(len(t.cells)))
+				rt.Barrier(p)
 			}
-			rt.Barrier(p)
+		})
 
-			// Phase 3: forces over the shared tree for the local block.
-			accs := make([][3]float64, hi-lo)
-			for i := lo; i < hi; i++ {
-				accs[i-lo] = svmForce(p, rt, l, int32(i), pr, cpu)
+		// Gather and validate through rank 0.
+		got := make([]Body, pr.Bodies)
+		s.M().RunParallel("barnes-svm-check", func(nd *machine.Node, p *sim.Proc) {
+			if nd.ID != 0 {
+				return
 			}
-			rt.Barrier(p)
-
-			// Phase 4: advance own block.
-			for i := lo; i < hi; i++ {
-				b := readBody(p, rt, l, i)
-				advance(&b, accs[i-lo], pr.Dt)
-				writeBody(p, rt, l, i, &b)
+			rt := s.Runtime(0)
+			for i := range got {
+				got[i] = readBody(p, rt, l, i)
 			}
-			rt.Barrier(p)
-		}
-	})
-
-	// Gather and validate through rank 0.
-	got := make([]Body, pr.Bodies)
-	s.M().RunParallel("barnes-svm-check", func(nd *machine.Node, p *sim.Proc) {
-		if nd.ID != 0 {
-			return
-		}
-		rt := s.Runtime(0)
-		for i := range got {
-			got[i] = readBody(p, rt, l, i)
-		}
-	})
-	validate(pr, got)
-	return run.warm + elapsed
+		})
+		validate(pr, got)
+		return warm + elapsed
+	}
 }
 
 // svmForce computes the acceleration on body bi by traversing the

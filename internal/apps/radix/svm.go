@@ -12,130 +12,116 @@ import (
 // of the destination array, the pattern that induces page-granularity
 // write-write false sharing (§3).
 func RunSVM(s *svm.System, pr Params) sim.Time {
-	return StartSVM(s, pr).Finish()
+	return StartSVM(s, pr)()
 }
 
-// SVMRun is a Radix-SVM instance that has completed its warmup prefix
-// (shared layout, key initialization, and the first barrier) and
-// stands at the boundary where knobs land. Finish runs the sort body
-// and validation.
-type SVMRun struct {
-	s       *svm.System
-	pr      Params
-	keys    []uint32
-	offA    int
-	offB    int
-	offHist int
-	histRow int
-	warm    sim.Time
+// SVMRegionBytes sizes the shared region a Radix-SVM run needs: the two
+// key arrays StartSVM allocates, a fixed 512 KB for the per-rank
+// histogram rows, and slack for page rounding.
+func SVMRegionBytes(pr Params) int {
+	return 8*pr.Keys + 64*8192 + 1<<16
 }
 
-// StartSVM runs the warmup prefix of Radix-SVM: shared layout, each
-// rank's key initialization, and the first barrier.
-func StartSVM(s *svm.System, pr Params) *SVMRun {
+// StartSVM runs the warmup prefix of Radix-SVM (shared layout, each
+// rank's key initialization, and the first barrier), which leaves the
+// run at the boundary where knobs land. The returned body runs the sort
+// passes and validation and returns the total parallel execution time
+// (warmup plus body).
+func StartSVM(s *svm.System, pr Params) func() sim.Time {
 	n := pr.Keys
 	nprocs := s.Nodes()
-	r := &SVMRun{s: s, pr: pr, keys: generate(pr)}
+	keys := generate(pr)
 
 	// Shared layout: two key arrays (ping-pong) and the histogram
 	// matrix, one page-aligned row per rank to keep the histogram
 	// exchange itself from false sharing.
-	r.offA = s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
-	r.offB = s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
-	r.histRow = (4*pr.Radix + svm.PageSize - 1) / svm.PageSize * svm.PageSize
-	r.offHist = s.AllocPages(r.histRow / svm.PageSize * nprocs)
+	offA := s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
+	offB := s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
+	histRow := (4*pr.Radix + svm.PageSize - 1) / svm.PageSize * svm.PageSize
+	offHist := s.AllocPages(histRow / svm.PageSize * nprocs)
 
-	r.warm = s.M().RunParallel("radix-svm-init", func(nd *machine.Node, p *sim.Proc) {
+	warm := s.M().RunParallel("radix-svm-init", func(nd *machine.Node, p *sim.Proc) {
 		rt := s.Runtime(int(nd.ID))
 		lo, hi := split(n, nprocs, rt.Rank())
 		// Initialization: each rank writes its share of the source keys.
 		for i := lo; i < hi; i++ {
-			rt.WriteUint32(p, r.offA+4*i, r.keys[i])
+			rt.WriteUint32(p, offA+4*i, keys[i])
 		}
 		rt.Barrier(p)
 	})
-	return r
-}
-
-// Finish runs the sort passes and validation, returning the total
-// parallel execution time (warmup plus body).
-func (run *SVMRun) Finish() sim.Time {
-	s, pr, keys := run.s, run.pr, run.keys
-	n := pr.Keys
-	nprocs := s.Nodes()
-	offA, offB, offHist, histRow := run.offA, run.offB, run.offHist, run.histRow
-
-	elapsed := s.M().RunParallel("radix-svm", func(nd *machine.Node, p *sim.Proc) {
-		rt := s.Runtime(int(nd.ID))
-		rank := rt.Rank()
-		lo, hi := split(n, nprocs, rank)
-		src, dst := offA, offB
-		for pass := 0; pass < pr.Iters; pass++ {
-			// Phase 1: local histogram over this rank's keys.
-			hist := make([]int, pr.Radix)
-			for i := lo; i < hi; i++ {
-				k := rt.ReadUint32(p, src+4*i)
-				hist[digit(k, pass, pr.Radix)]++
-				nd.CPUFor(p).Charge(pr.KeyCost / 4)
-			}
-			// Publish the histogram row.
-			myRow := offHist + rank*histRow
-			for d := 0; d < pr.Radix; d++ {
-				rt.WriteUint32(p, myRow+4*d, uint32(hist[d]))
-			}
-			rt.Barrier(p)
-
-			// Phase 2: global prefix — every rank reads all rows and
-			// computes its write offsets.
-			offsets := make([]int, pr.Radix)
-			pos := 0
-			for d := 0; d < pr.Radix; d++ {
-				for r := 0; r < nprocs; r++ {
-					c := int(rt.ReadUint32(p, offHist+r*histRow+4*d))
-					if r == rank {
-						offsets[d] = pos
-					}
-					pos += c
+	return func() sim.Time {
+		elapsed := s.M().RunParallel("radix-svm", func(nd *machine.Node, p *sim.Proc) {
+			rt := s.Runtime(int(nd.ID))
+			rank := rt.Rank()
+			lo, hi := split(n, nprocs, rank)
+			src, dst := offA, offB
+			for pass := 0; pass < pr.Iters; pass++ {
+				// Phase 1: local histogram over this rank's keys.
+				hist := make([]int, pr.Radix)
+				for i := lo; i < hi; i++ {
+					k := rt.ReadUint32(p, src+4*i)
+					hist[digit(k, pass, pr.Radix)]++
+					nd.CPUFor(p).Charge(pr.KeyCost / 4)
 				}
-			}
-			rt.Barrier(p)
+				// Publish the histogram row.
+				myRow := offHist + rank*histRow
+				for d := 0; d < pr.Radix; d++ {
+					rt.WriteUint32(p, myRow+4*d, uint32(hist[d]))
+				}
+				rt.Barrier(p)
 
-			// Phase 3: permutation — the scattered, false-sharing-heavy
-			// writes the paper highlights.
-			for i := lo; i < hi; i++ {
-				k := rt.ReadUint32(p, src+4*i)
-				d := digit(k, pass, pr.Radix)
-				rt.WriteUint32(p, dst+4*offsets[d], k)
-				offsets[d]++
-				nd.CPUFor(p).Charge(3 * pr.KeyCost / 4)
-			}
-			rt.Barrier(p)
-			src, dst = dst, src
-		}
-	})
+				// Phase 2: global prefix — every rank reads all rows and
+				// computes its write offsets.
+				offsets := make([]int, pr.Radix)
+				pos := 0
+				for d := 0; d < pr.Radix; d++ {
+					for r := 0; r < nprocs; r++ {
+						c := int(rt.ReadUint32(p, offHist+r*histRow+4*d))
+						if r == rank {
+							offsets[d] = pos
+						}
+						pos += c
+					}
+				}
+				rt.Barrier(p)
 
-	// Validate through rank 0's view of the final array.
-	final := make([]uint32, n)
-	rt0 := s.Runtime(0)
-	s.M().RunParallel("radix-svm-check", func(nd *machine.Node, p *sim.Proc) {
-		if nd.ID != 0 {
-			return
+				// Phase 3: permutation — the scattered, false-sharing-heavy
+				// writes the paper highlights.
+				for i := lo; i < hi; i++ {
+					k := rt.ReadUint32(p, src+4*i)
+					d := digit(k, pass, pr.Radix)
+					rt.WriteUint32(p, dst+4*offsets[d], k)
+					offsets[d]++
+					nd.CPUFor(p).Charge(3 * pr.KeyCost / 4)
+				}
+				rt.Barrier(p)
+				src, dst = dst, src
+			}
+		})
+
+		// Validate through rank 0's view of the final array.
+		final := make([]uint32, n)
+		rt0 := s.Runtime(0)
+		s.M().RunParallel("radix-svm-check", func(nd *machine.Node, p *sim.Proc) {
+			if nd.ID != 0 {
+				return
+			}
+			src := offA
+			if pr.Iters%2 == 1 {
+				src = offB
+			}
+			for i := 0; i < n; i++ {
+				final[i] = rt0.ReadUint32(p, src+4*i)
+			}
+		})
+		if err := checkSorted(final); err != nil {
+			panic(err)
 		}
-		src := offA
-		if pr.Iters%2 == 1 {
-			src = offB
+		if countKeys(final) != countKeys(keys) {
+			panic("radix: keys lost or duplicated in SVM sort")
 		}
-		for i := 0; i < n; i++ {
-			final[i] = rt0.ReadUint32(p, src+4*i)
-		}
-	})
-	if err := checkSorted(final); err != nil {
-		panic(err)
+		return warm + elapsed
 	}
-	if countKeys(final) != countKeys(keys) {
-		panic("radix: keys lost or duplicated in SVM sort")
-	}
-	return run.warm + elapsed
 }
 
 // countKeys returns an order-independent checksum of a key multiset.

@@ -54,35 +54,22 @@ type vmmcRank struct {
 // RunVMMC executes Radix-VMMC over a machine using the given mechanism
 // and returns the parallel execution time.
 func RunVMMC(sys *vmmc.System, mech Mechanism, pr Params) sim.Time {
-	return StartVMMC(sys, mech, pr).Finish()
+	return StartVMMC(sys, mech, pr)()
 }
 
-// VMMCRun is a Radix-VMMC instance that has completed its warmup prefix
-// (exports, imports, AU bindings, and the first barrier) and stands at
-// the boundary where knobs land. Finish runs the sort body and
-// validation.
-type VMMCRun struct {
-	sys         *vmmc.System
-	mech        Mechanism
-	pr          Params
-	keys        []uint32
-	ranks       []*vmmcRank
-	gatherBlock int
-	warm        sim.Time
-}
-
-// StartVMMC runs the warmup prefix of Radix-VMMC: buffer exports and
-// imports, AU bindings, and the first barrier.
-func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) *VMMCRun {
+// StartVMMC runs the warmup prefix of Radix-VMMC (buffer exports and
+// imports, AU bindings, and the first barrier), which leaves the run at
+// the boundary where knobs land. The returned body runs the sort passes
+// and validation and returns the total parallel execution time (warmup
+// plus body).
+func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 	nprocs := len(sys.EPs)
 	n := pr.Keys
 	radix := pr.Radix
 
 	histRowWords := radix + 1 // counts + arrival flag
-	run := &VMMCRun{
-		sys: sys, mech: mech, pr: pr, keys: generate(pr),
-		gatherBlock: (n/nprocs + 1) * 8, // worst-case (idx,key) pairs from one sender
-	}
+	keys := generate(pr)
+	gatherBlock := (n/nprocs + 1) * 8 // worst-case (idx,key) pairs from one sender
 
 	// Setup: exports first, then imports and AU bindings.
 	ranks := make([]*vmmcRank, nprocs)
@@ -92,8 +79,8 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) *VMMCRun {
 		rk.dstExp = rk.ep.Export(nil, (4*(hi-lo)+memory.PageSize-1)/memory.PageSize+1)
 		rk.histExp = rk.ep.Export(nil, (4*histRowWords*nprocs+memory.PageSize-1)/memory.PageSize+1)
 		rk.syncExp = rk.ep.Export(nil, 1)
-		rk.gatherExp = rk.ep.Export(nil, (run.gatherBlock*nprocs+memory.PageSize-1)/memory.PageSize+1)
-		rk.scratch = rk.nd.Mem.AllocBytes(run.gatherBlock + memory.PageSize)
+		rk.gatherExp = rk.ep.Export(nil, (gatherBlock*nprocs+memory.PageSize-1)/memory.PageSize+1)
+		rk.scratch = rk.nd.Mem.AllocBytes(gatherBlock + memory.PageSize)
 		ranks[r] = rk
 	}
 	for r := 0; r < nprocs; r++ {
@@ -118,113 +105,100 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) *VMMCRun {
 			}
 		}
 	}
-	run.ranks = ranks
-
-	run.warm = sys.M.RunParallel("radix-vmmc-init", func(nd *machine.Node, p *sim.Proc) {
+	warm := sys.M.RunParallel("radix-vmmc-init", func(nd *machine.Node, p *sim.Proc) {
 		r := int(nd.ID)
 		ranks[r].barrier(p, nprocs, r)
 	})
-	return run
-}
+	return func() sim.Time {
+		final := make([][]uint32, nprocs)
+		elapsed := sys.M.RunParallel("radix-vmmc", func(nd *machine.Node, p *sim.Proc) {
+			r := int(nd.ID)
+			rk := ranks[r]
+			cpu := nd.CPUFor(p)
+			mine := append([]uint32(nil), keys[rk.segLo:rk.segHi]...)
 
-// Finish runs the sort passes and validation, returning the total
-// parallel execution time (warmup plus body).
-func (run *VMMCRun) Finish() sim.Time {
-	sys, mech, pr, keys := run.sys, run.mech, run.pr, run.keys
-	ranks, gatherBlock := run.ranks, run.gatherBlock
-	nprocs := len(sys.EPs)
-	n := pr.Keys
-	radix := pr.Radix
-	histRowWords := radix + 1
-
-	final := make([][]uint32, nprocs)
-	elapsed := sys.M.RunParallel("radix-vmmc", func(nd *machine.Node, p *sim.Proc) {
-		r := int(nd.ID)
-		rk := ranks[r]
-		cpu := nd.CPUFor(p)
-		mine := append([]uint32(nil), keys[rk.segLo:rk.segHi]...)
-
-		for pass := 0; pass < pr.Iters; pass++ {
-			// Local histogram.
-			hist := make([]uint32, radix)
-			for _, k := range mine {
-				hist[digit(k, pass, radix)]++
-				cpu.Charge(pr.KeyCost / 4)
-			}
-			// Exchange histogram rows (each row ends with a flag word).
-			rowOff := r * histRowWords * 4
-			row := make([]byte, histRowWords*4)
-			for d, c := range hist {
-				binary.LittleEndian.PutUint32(row[4*d:], c)
-			}
-			binary.LittleEndian.PutUint32(row[4*radix:], uint32(pass+1))
-			// Stage locally, then deliberate-update to every peer.
-			rk.stage(p, row)
-			for o := 0; o < nprocs; o++ {
-				if o == r {
-					nd.Mem.DMAWrite(rk.histExp.Base+memory.Addr(rowOff), row)
-					continue
+			for pass := 0; pass < pr.Iters; pass++ {
+				// Local histogram.
+				hist := make([]uint32, radix)
+				for _, k := range mine {
+					hist[digit(k, pass, radix)]++
+					cpu.Charge(pr.KeyCost / 4)
 				}
-				rk.histImp[o].Send(p, rk.scratch, rowOff, len(row), vmmc.SendOpts{})
-			}
-			// Wait for all rows of this pass (poll the flag words).
-			allHist := rk.waitHistRows(p, nprocs, histRowWords, pass+1)
-
-			// Global offsets for my keys.
-			offsets := make([]int, radix)
-			pos := 0
-			for d := 0; d < radix; d++ {
+				// Exchange histogram rows (each row ends with a flag word).
+				rowOff := r * histRowWords * 4
+				row := make([]byte, histRowWords*4)
+				for d, c := range hist {
+					binary.LittleEndian.PutUint32(row[4*d:], c)
+				}
+				binary.LittleEndian.PutUint32(row[4*radix:], uint32(pass+1))
+				// Stage locally, then deliberate-update to every peer.
+				rk.stage(p, row)
 				for o := 0; o < nprocs; o++ {
 					if o == r {
-						offsets[d] = pos
+						nd.Mem.DMAWrite(rk.histExp.Base+memory.Addr(rowOff), row)
+						continue
 					}
-					pos += int(allHist[o][d])
+					rk.histImp[o].Send(p, rk.scratch, rowOff, len(row), vmmc.SendOpts{})
 				}
-			}
+				// Wait for all rows of this pass (poll the flag words).
+				allHist := rk.waitHistRows(p, nprocs, histRowWords, pass+1)
 
-			// Distribute keys, then publish per-destination completion
-			// flags on the same channel as the data so they cannot
-			// overtake it (the ordering discipline §4.2 requires when
-			// mixing AU and DU).
-			switch mech {
-			case AU:
-				rk.distributeAU(p, mine, pass, radix, offsets, ranks, pr)
-				rk.ep.FenceAU(p)
-			case DU:
-				rk.distributeDU(p, mine, pass, radix, offsets, ranks, pr, gatherBlock)
-			}
-			rk.publishDone(p, nprocs, pass, ranks)
-			rk.waitSenders(p, nprocs, pass)
-			if mech == DU {
-				rk.scatterDU(p, nprocs, gatherBlock, pr)
-			}
+				// Global offsets for my keys.
+				offsets := make([]int, radix)
+				pos := 0
+				for d := 0; d < radix; d++ {
+					for o := 0; o < nprocs; o++ {
+						if o == r {
+							offsets[d] = pos
+						}
+						pos += int(allHist[o][d])
+					}
+				}
 
-			// My new working set is my destination segment.
-			mine = mine[:0]
-			for i := 0; i < rk.segHi-rk.segLo; i++ {
-				mine = append(mine, nd.Mem.ReadUint32(p, rk.dstExp.Base+memory.Addr(4*i)))
-				cpu.Charge(nd.M.Cfg.Cost.LoadCost)
+				// Distribute keys, then publish per-destination completion
+				// flags on the same channel as the data so they cannot
+				// overtake it (the ordering discipline §4.2 requires when
+				// mixing AU and DU).
+				switch mech {
+				case AU:
+					rk.distributeAU(p, mine, pass, radix, offsets, ranks, pr)
+					rk.ep.FenceAU(p)
+				case DU:
+					rk.distributeDU(p, mine, pass, radix, offsets, ranks, pr, gatherBlock)
+				}
+				rk.publishDone(p, nprocs, pass, ranks)
+				rk.waitSenders(p, nprocs, pass)
+				if mech == DU {
+					rk.scatterDU(p, nprocs, gatherBlock, pr)
+				}
+
+				// My new working set is my destination segment.
+				mine = mine[:0]
+				for i := 0; i < rk.segHi-rk.segLo; i++ {
+					mine = append(mine, nd.Mem.ReadUint32(p, rk.dstExp.Base+memory.Addr(4*i)))
+					cpu.Charge(nd.M.Cfg.Cost.LoadCost)
+				}
+				rk.barrier(p, nprocs, r)
 			}
-			rk.barrier(p, nprocs, r)
+			final[r] = mine
+		})
+
+		// Validate the concatenation.
+		var all []uint32
+		for _, seg := range final {
+			all = append(all, seg...)
 		}
-		final[r] = mine
-	})
-
-	// Validate the concatenation.
-	var all []uint32
-	for _, seg := range final {
-		all = append(all, seg...)
+		if len(all) != n {
+			panic(fmt.Sprintf("radix-vmmc: %d keys out, %d in", len(all), n))
+		}
+		if err := checkSorted(all); err != nil {
+			panic(err)
+		}
+		if countKeys(all) != countKeys(keys) {
+			panic("radix-vmmc: key multiset changed")
+		}
+		return warm + elapsed
 	}
-	if len(all) != n {
-		panic(fmt.Sprintf("radix-vmmc: %d keys out, %d in", len(all), n))
-	}
-	if err := checkSorted(all); err != nil {
-		panic(err)
-	}
-	if countKeys(all) != countKeys(keys) {
-		panic("radix-vmmc: key multiset changed")
-	}
-	return run.warm + elapsed
 }
 
 // distributeAU writes each key directly into its destination segment

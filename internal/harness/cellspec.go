@@ -20,7 +20,7 @@ type CellSpec struct {
 	// App is an application name: either the display name ("Barnes-SVM")
 	// or its lowercase CLI alias ("barnes-svm"); see ParseApp.
 	App string `json:"app"`
-	// Nodes is the machine size (>= 1).
+	// Nodes is the machine size, 1..machine.MaxNodes.
 	Nodes int `json:"nodes"`
 	// Variant is "AU", "DU" or "" for the application's default
 	// (DefaultVariant). Case-insensitive.
@@ -113,25 +113,12 @@ func (s Spec) checkKnobs() error {
 func bptr(b bool) *bool { return &b }
 func iptr(i int) *int   { return &i }
 
-// appAliases maps the lowercase CLI names to applications; display
-// names are also accepted by ParseApp (case-insensitively).
-var appAliases = map[string]App{
-	"barnes-svm": BarnesSVM,
-	"ocean-svm":  OceanSVM,
-	"radix-svm":  RadixSVM,
-	"radix-vmmc": RadixVMMC,
-	"barnes-nx":  BarnesNX,
-	"ocean-nx":   OceanNX,
-	"dfs":        DFSSockets,
-	"render":     RenderSockets,
-}
-
 // AppAliases returns the sorted lowercase application names ParseApp
 // accepts, for usage and error text.
 func AppAliases() []string {
-	names := make([]string, 0, len(appAliases))
-	for n := range appAliases {
-		names = append(names, n)
+	names := make([]string, 0, len(appDecls))
+	for _, d := range appDecls {
+		names = append(names, d.alias)
 	}
 	sort.Strings(names)
 	return names
@@ -141,12 +128,9 @@ func AppAliases() []string {
 // or CLI alias ("barnes-svm"), case-insensitively.
 func ParseApp(name string) (App, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
-	if a, ok := appAliases[n]; ok {
-		return a, nil
-	}
-	for _, a := range AllApps() {
-		if strings.EqualFold(name, a.String()) {
-			return a, nil
+	for a, d := range appDecls {
+		if n == d.alias || strings.EqualFold(name, d.name) {
+			return App(a), nil
 		}
 	}
 	return 0, fmt.Errorf("harness: unknown app %q (want one of: %s)",
@@ -186,15 +170,16 @@ func ParseProtocol(s string) (p svm.Protocol, ok bool, err error) {
 // Compile resolves a CellSpec into a runnable Spec. Defaults are
 // filled exactly as the CLI tools fill them: empty Variant selects
 // DefaultVariant, empty Protocol applies no override, and unset knobs
-// leave the as-built machine configuration alone. Knob values are
-// checked against the resolved machine (see checkKnobs).
+// leave the as-built machine configuration alone. Nodes is checked
+// first, against 1..machine.MaxNodes, and knob values against the
+// resolved machine (see checkKnobs).
 func (c CellSpec) Compile() (Spec, error) {
+	if c.Nodes < 1 || c.Nodes > machine.MaxNodes {
+		return Spec{}, fmt.Errorf("harness: cell %s: nodes must be in 1..%d, got %d", c.App, machine.MaxNodes, c.Nodes)
+	}
 	app, err := ParseApp(c.App)
 	if err != nil {
 		return Spec{}, err
-	}
-	if c.Nodes < 1 {
-		return Spec{}, fmt.Errorf("harness: cell %s: nodes must be >= 1, got %d", c.App, c.Nodes)
 	}
 	spec := Spec{App: app, Nodes: c.Nodes, Variant: DefaultVariant(app)}
 	if v, ok, err := ParseVariant(c.Variant); err != nil {
@@ -257,36 +242,20 @@ func (c CellSpec) Canonical(w *Workloads) ([]byte, error) {
 // tracer has no encoding, so RunCells never caches a traced spec.
 func (s Spec) canonical(w *Workloads) ([]byte, error) {
 	cc := canonicalCell{
-		Version: cellEncodingVersion,
-		App:     s.App.String(),
-		Nodes:   s.Nodes,
-		Machine: s.machineConfig(),
+		Version:  cellEncodingVersion,
+		App:      s.App.String(),
+		Nodes:    s.Nodes,
+		Machine:  s.machineConfig(),
+		Workload: appDecls[s.App].workload(w),
 	}
-	switch s.App {
-	case BarnesSVM, OceanSVM, RadixSVM:
+	if s.App.API() == "SVM" {
 		// SVM cells are fully described by their protocol: the variant
 		// only selects one (AU -> AURC, DU -> HLRC), and an explicit
 		// Protocol overrides it. Encoding the resolved protocol makes
 		// {variant: AU} and {protocol: AURC} the same cell.
 		cc.Protocol = resolveProto(s).String()
-	default:
+	} else {
 		cc.Variant = s.Variant.String()
-	}
-	switch s.App {
-	case BarnesSVM:
-		cc.Workload = w.BarnesSVM
-	case OceanSVM:
-		cc.Workload = w.OceanSVM
-	case RadixSVM, RadixVMMC:
-		cc.Workload = w.Radix
-	case BarnesNX:
-		cc.Workload = w.BarnesNX
-	case OceanNX:
-		cc.Workload = w.OceanNX
-	case DFSSockets:
-		cc.Workload = w.DFS
-	case RenderSockets:
-		cc.Workload = w.Render
 	}
 	return json.Marshal(cc)
 }

@@ -40,26 +40,117 @@ const (
 	NumApps
 )
 
-var appNames = [NumApps]string{
-	"Barnes-SVM", "Ocean-SVM", "Radix-SVM", "Radix-VMMC",
-	"Barnes-NX", "Ocean-NX", "DFS-sockets", "Render-sockets",
+// appDecl declares one application: everything the harness knows about
+// it. appDecls holds one entry per App, so adding or changing an
+// application means editing one declaration.
+type appDecl struct {
+	name  string // display name, as the paper's tables print it
+	alias string // lowercase CLI name
+	api   string // communication API family: SVM, VMMC, NX or Sockets
+	// variant is the shipped configuration (DefaultVariant).
+	variant Variant
+	// workload returns the problem parameters the app runs under, which
+	// the canonical cell encoding embeds.
+	workload func(w *Workloads) any
+	// size describes the problem size for Table 1.
+	size func(w *Workloads) string
+	// start builds the app on sys and runs its warmup prefix, if it has
+	// one, returning the body to run once the cell's knobs have landed.
+	start func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time
 }
 
-func (a App) String() string { return appNames[a] }
+// appDecls declares the paper's eight applications. The shipped
+// variants are Figure 3's annotations: Ocean-NX (AU), Radix-VMMC (AU),
+// Barnes-NX (DU), Radix-SVM (AU), Ocean-SVM (AU), Barnes-SVM (AU); the
+// sockets applications ship on deliberate update.
+var appDecls = [NumApps]appDecl{
+	BarnesSVM: {
+		name: "Barnes-SVM", alias: "barnes-svm", api: "SVM", variant: VariantAU,
+		workload: func(w *Workloads) any { return w.BarnesSVM },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%d bodies, %d steps", w.BarnesSVM.Bodies, w.BarnesSVM.Steps)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return barnes.StartSVM(newSVM(sys, spec, barnes.SVMRegionBytes(w.BarnesSVM)), w.BarnesSVM)
+		},
+	},
+	OceanSVM: {
+		name: "Ocean-SVM", alias: "ocean-svm", api: "SVM", variant: VariantAU,
+		workload: func(w *Workloads) any { return w.OceanSVM },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%dx%d, %d iters", w.OceanSVM.N+2, w.OceanSVM.N+2, w.OceanSVM.Iters)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return ocean.StartSVM(newSVM(sys, spec, ocean.SVMRegionBytes(w.OceanSVM)), w.OceanSVM)
+		},
+	},
+	RadixSVM: {
+		name: "Radix-SVM", alias: "radix-svm", api: "SVM", variant: VariantAU,
+		workload: func(w *Workloads) any { return w.Radix },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%dK keys, %d iters", w.Radix.Keys/1024, w.Radix.Iters)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return radix.StartSVM(newSVM(sys, spec, radix.SVMRegionBytes(w.Radix)), w.Radix)
+		},
+	},
+	RadixVMMC: {
+		name: "Radix-VMMC", alias: "radix-vmmc", api: "VMMC", variant: VariantAU,
+		workload: func(w *Workloads) any { return w.Radix },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%dK keys, %d iters", w.Radix.Keys/1024, w.Radix.Iters)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			mech := radix.AU
+			if spec.Variant == VariantDU {
+				mech = radix.DU
+			}
+			return radix.StartVMMC(sys, mech, w.Radix)
+		},
+	},
+	BarnesNX: {
+		name: "Barnes-NX", alias: "barnes-nx", api: "NX", variant: VariantDU,
+		workload: func(w *Workloads) any { return w.BarnesNX },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%d bodies, %d steps", w.BarnesNX.Bodies, w.BarnesNX.Steps)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return func() sim.Time { return barnes.RunNX(newNX(sys, spec), w.BarnesNX) }
+		},
+	},
+	OceanNX: {
+		name: "Ocean-NX", alias: "ocean-nx", api: "NX", variant: VariantAU,
+		workload: func(w *Workloads) any { return w.OceanNX },
+		size: func(w *Workloads) string {
+			return fmt.Sprintf("%dx%d, %d iters", w.OceanNX.N+2, w.OceanNX.N+2, w.OceanNX.Iters)
+		},
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return func() sim.Time { return ocean.RunNX(newNX(sys, spec), w.OceanNX) }
+		},
+	},
+	DFSSockets: {
+		name: "DFS-sockets", alias: "dfs", api: "Sockets", variant: VariantDU,
+		workload: func(w *Workloads) any { return w.DFS },
+		// Clients run on half the nodes of the paper's 16-node machine.
+		size: func(*Workloads) string { return fmt.Sprintf("%d clients", 16/2) },
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return func() sim.Time { return dfs.Run(sys, socketConfig(spec), w.DFS) }
+		},
+	},
+	RenderSockets: {
+		name: "Render-sockets", alias: "render", api: "Sockets", variant: VariantDU,
+		workload: func(w *Workloads) any { return w.Render },
+		size:     func(w *Workloads) string { return fmt.Sprintf("%d^2 image", w.Render.ImageSize) },
+		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {
+			return func() sim.Time { return render.Run(sys, socketConfig(spec), w.Render) }
+		},
+	},
+}
+
+func (a App) String() string { return appDecls[a].name }
 
 // API reports the communication API an application uses.
-func (a App) API() string {
-	switch a {
-	case BarnesSVM, OceanSVM, RadixSVM:
-		return "SVM"
-	case RadixVMMC:
-		return "VMMC"
-	case BarnesNX, OceanNX:
-		return "NX"
-	default:
-		return "Sockets"
-	}
-}
+func (a App) API() string { return appDecls[a].api }
 
 // AllApps lists every application.
 func AllApps() []App {
@@ -145,25 +236,7 @@ func QuickWorkloads() Workloads {
 }
 
 // SizeString describes an app's configured problem size (Table 1 left).
-func (w *Workloads) SizeString(a App) string {
-	switch a {
-	case BarnesSVM:
-		return fmt.Sprintf("%d bodies, %d steps", w.BarnesSVM.Bodies, w.BarnesSVM.Steps)
-	case OceanSVM:
-		return fmt.Sprintf("%dx%d, %d iters", w.OceanSVM.N+2, w.OceanSVM.N+2, w.OceanSVM.Iters)
-	case RadixSVM, RadixVMMC:
-		return fmt.Sprintf("%dK keys, %d iters", w.Radix.Keys/1024, w.Radix.Iters)
-	case BarnesNX:
-		return fmt.Sprintf("%d bodies, %d steps", w.BarnesNX.Bodies, w.BarnesNX.Steps)
-	case OceanNX:
-		return fmt.Sprintf("%dx%d, %d iters", w.OceanNX.N+2, w.OceanNX.N+2, w.OceanNX.Iters)
-	case DFSSockets:
-		// Clients run on half the nodes of the paper's 16-node machine.
-		return fmt.Sprintf("%d clients", 16/2)
-	default:
-		return fmt.Sprintf("%d^2 image", w.Render.ImageSize)
-	}
-}
+func (w *Workloads) SizeString(a App) string { return appDecls[a].size(w) }
 
 // Spec is one run request.
 type Spec struct {
@@ -206,20 +279,6 @@ type Result struct {
 	Trace *trace.Recorder `json:"-"`
 }
 
-// svmRegionBytes sizes the shared region for an SVM application.
-func svmRegionBytes(a App, w *Workloads) int {
-	switch a {
-	case RadixSVM:
-		return 8*w.Radix.Keys + 64*8192 + 1<<16
-	case OceanSVM:
-		s := w.OceanSVM.N + 2
-		return 8*s*s + 1<<16
-	default:
-		pr := w.BarnesSVM
-		return pr.Bodies*80 + (4*pr.Bodies+64)*96 + 1<<16
-	}
-}
-
 // resolveProto resolves the SVM protocol a spec runs: the variant
 // implies one (AU -> AURC, DU -> HLRC) and an explicit Protocol
 // overrides it — the same resolution Canonical encodes.
@@ -234,73 +293,32 @@ func resolveProto(spec Spec) svm.Protocol {
 	return proto
 }
 
-// start builds the as-built machine (no knobs: applyKnobs sets them,
-// the way the paper reprograms the as-built firmware) and starts the
-// spec's app. The SVM apps and Radix-VMMC run their warmup here and
-// stop at their phase boundary, where knobs land; the NX and sockets
-// apps have not begun. finish runs the rest of the app — it spawns the
-// processes for the body, or builds the NX or sockets library and runs
-// the whole app — and returns the elapsed time.
-func start(spec Spec, w *Workloads) (m *machine.Machine, finish func() sim.Time) {
-	cfg := machine.DefaultConfig(spec.Nodes)
-	if spec.Trace != nil {
-		cfg.Trace = trace.NewRecorder(*spec.Trace)
-	}
-	m = machine.New(cfg)
-	sys := vmmc.NewSystem(m)
-	switch spec.App {
-	case BarnesSVM, OceanSVM, RadixSVM:
-		s := svm.New(sys, svm.DefaultConfig(resolveProto(spec), svmRegionBytes(spec.App, w)))
-		switch spec.App {
-		case BarnesSVM:
-			finish = barnes.StartSVM(s, w.BarnesSVM).Finish
-		case OceanSVM:
-			finish = ocean.StartSVM(s, w.OceanSVM).Finish
-		default:
-			finish = radix.StartSVM(s, w.Radix).Finish
-		}
-	case RadixVMMC:
-		mech := radix.AU
-		if spec.Variant == VariantDU {
-			mech = radix.DU
-		}
-		finish = radix.StartVMMC(sys, mech, w.Radix).Finish
-	case BarnesNX, OceanNX:
-		mode := ring.AU
-		if spec.Variant == VariantDU {
-			mode = ring.DU
-		}
-		finish = func() sim.Time {
-			c := nx.New(sys, nx.Config{Mode: mode, RingBytes: 128 * 1024})
-			if spec.App == BarnesNX {
-				return barnes.RunNX(c, w.BarnesNX)
-			}
-			return ocean.RunNX(c, w.OceanNX)
-		}
-	default:
-		scfg := socketlib.DefaultConfig()
-		if spec.Variant == VariantAU {
-			scfg.Mode = ring.AU
-		}
-		finish = func() sim.Time {
-			if spec.App == DFSSockets {
-				return dfs.Run(sys, scfg, w.DFS)
-			}
-			return render.Run(sys, scfg, w.Render)
-		}
-	}
-	return m, finish
+// newSVM builds an SVM app's shared-memory system: the protocol the
+// spec resolves to, over a region of the app's size.
+func newSVM(sys *vmmc.System, spec Spec, regionBytes int) *svm.System {
+	return svm.New(sys, svm.DefaultConfig(resolveProto(spec), regionBytes))
 }
 
-// applyKnobs sets a spec's knobs on the live machine: its config block
-// and every NIC's copy of the NIC part. The device layers read every
-// knob at its point of use, so this is equivalent to having built the
-// machine with the knobs, for everything that runs after this call.
-func applyKnobs(m *machine.Machine, spec Spec) {
-	spec.Knobs.apply(&m.Cfg)
-	for _, nd := range m.Nodes {
-		nd.NIC.SetConfig(m.Cfg.NIC)
+// ringMode is the bulk-transfer mode of the NX and sockets libraries a
+// variant selects.
+func (v Variant) ringMode() ring.Mode {
+	if v == VariantDU {
+		return ring.DU
 	}
+	return ring.AU
+}
+
+// newNX builds the NX library in the spec's transfer mode.
+func newNX(sys *vmmc.System, spec Spec) *nx.Comm {
+	return nx.New(sys, nx.Config{Mode: spec.Variant.ringMode(), RingBytes: 128 * 1024})
+}
+
+// socketConfig is the sockets library configuration in the spec's
+// transfer mode.
+func socketConfig(spec Spec) socketlib.Config {
+	scfg := socketlib.DefaultConfig()
+	scfg.Mode = spec.Variant.ringMode()
+	return scfg
 }
 
 // collectResult assembles a Result from a finished machine.
@@ -322,29 +340,32 @@ func collectResult(m *machine.Machine, elapsed sim.Time) Result {
 	return res
 }
 
-// Run executes one spec and collects the account: it starts the app on
-// the as-built machine, applies the knobs, and finishes the app. For
-// an app with a warmup phase, that puts the knobs at its phase
-// boundary.
+// Run executes one spec and collects the account. It builds the
+// as-built machine (no knobs yet: they land the way the paper
+// reprograms the as-built firmware) and starts the spec's app: the SVM
+// apps and Radix-VMMC run their warmup and stop at their phase
+// boundary, and the NX and sockets apps have not begun. Then it sets
+// the knobs on the live machine, its config block and every NIC's copy
+// of the NIC part, and runs the app's body. The device layers read
+// every knob at its point of use, so this is equivalent to having built
+// the machine with the knobs, for everything after the warmup.
 func Run(spec Spec, w *Workloads) Result {
-	m, finish := start(spec, w)
+	cfg := machine.DefaultConfig(spec.Nodes)
+	if spec.Trace != nil {
+		cfg.Trace = trace.NewRecorder(*spec.Trace)
+	}
+	m := machine.New(cfg)
 	defer m.Close()
-	applyKnobs(m, spec)
-	return collectResult(m, finish())
+	body := appDecls[spec.App].start(vmmc.NewSystem(m), spec, w)
+	spec.Knobs.apply(&m.Cfg)
+	for _, nd := range m.Nodes {
+		nd.NIC.SetConfig(m.Cfg.NIC)
+	}
+	return collectResult(m, body())
 }
 
 // DefaultVariant returns the variant with the better speedup for an
 // app — the paper plots the better of automatic and deliberate update
 // in Figure 3 — which is also the configuration used for the what-if
 // tables: the shipped system's preferred mechanism per application.
-func DefaultVariant(a App) Variant {
-	switch a {
-	// Figure 3 annotations: Ocean-NX (AU), Radix-VMMC (AU), Barnes-NX
-	// (DU), Radix-SVM (AU), Ocean-SVM (AU), Barnes-SVM (AU). The
-	// sockets applications ship on deliberate update.
-	case BarnesNX, DFSSockets, RenderSockets:
-		return VariantDU
-	default:
-		return VariantAU
-	}
-}
+func DefaultVariant(a App) Variant { return appDecls[a].variant }

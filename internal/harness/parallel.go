@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -16,6 +18,11 @@ import (
 // deterministic at any width. This is the harness's only worker pool —
 // app cells and load cells both run on it — and this file is the
 // concurrency allowlist, so the pool lives here.
+//
+// A panicking fn stops the pool handing out indexes. Once the workers
+// have drained, forEachCell re-panics on the caller's goroutine with
+// the lowest panicking index, its panic value and the worker's stack,
+// so a caller can recover from a failed cell.
 func forEachCell(ctx context.Context, n, workers int, fn func(i int)) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -26,35 +33,52 @@ func forEachCell(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
 	var next atomic.Int64
 	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
+	var (
+		failed atomic.Bool
+		mu     sync.Mutex
+		first  = -1
+		msg    string
+	)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.Store(true)
+				mu.Lock()
+				if first < 0 || i < first {
+					first, msg = i, fmt.Sprintf("harness: cell %d: %v\n\nworker stack:\n%s", i, r, debug.Stack())
 				}
-				i := next.Add(1)
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
+				mu.Unlock()
 			}
 		}()
+		fn(i)
 	}
-	wg.Wait()
+	work := func() {
+		for ctx.Err() == nil && !failed.Load() {
+			i := next.Add(1)
+			if i >= int64(n) {
+				return
+			}
+			run(int(i))
+		}
+	}
+	if workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for k := 0; k < workers; k++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if first >= 0 {
+		panic(msg)
+	}
 }
 
 // CellCache is a content-addressed store of cell results, keyed by the

@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelMatchesSerial is the paper-fidelity invariant of the
@@ -53,6 +55,44 @@ func TestRunCellsOrdering(t *testing.T) {
 	for i := range cells {
 		if got[i].Elapsed != want[i].Elapsed || got[i].Counters != want[i].Counters {
 			t.Errorf("cell %d (%v on %d nodes): parallel result diverged", i, cells[i].App, cells[i].Nodes)
+		}
+	}
+}
+
+// explodingCell is a cell body for TestForEachCellPanicReachesCaller:
+// cells 5 and 6 panic, the others take a millisecond.
+func explodingCell(i int) {
+	if i == 5 || i == 6 {
+		panic(fmt.Sprintf("boom at %d", i))
+	}
+	time.Sleep(time.Millisecond)
+}
+
+// TestForEachCellPanicReachesCaller checks that a panicking cell fails
+// its caller instead of the process: the pool stops handing out
+// indexes, drains, and re-panics on the caller's goroutine with the
+// lowest panicking index and the worker's stack. Indexes go out in
+// order, so cell 5 has always started when cell 6 has, and the report
+// names cell 5 at any width.
+func TestForEachCellPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			forEachCell(nil, 64, workers, func(i int) {
+				ran.Add(1)
+				explodingCell(i)
+			})
+			return nil
+		}()
+		msg, _ := got.(string)
+		for _, want := range []string{"harness: cell 5: boom at 5\n", "worker stack", "harness.explodingCell"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%d workers: panic %q lacks %q", workers, got, want)
+			}
+		}
+		if n := ran.Load(); n >= 64 {
+			t.Errorf("%d workers: the pool ran all %d cells after a panic", workers, n)
 		}
 	}
 }

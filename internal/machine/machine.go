@@ -33,14 +33,20 @@ type Config struct {
 	Trace *trace.Recorder `json:"-"`
 }
 
+// MaxNodes bounds a machine's size: 64x the paper's 16-node system.
+// Every front end (CLI flags, cell specs, load cells, trace files,
+// shrimpd requests) rejects a larger machine before building one.
+const MaxNodes = 1024
+
 // DefaultConfig returns an n-node SHRIMP system as built (AU enabled,
-// combining on, 32 KB FIFO, DU queue depth 1, no kernel knobs).
+// combining on, 32 KB FIFO, DU queue depth 1, no kernel knobs). It
+// panics unless 1 <= n <= MaxNodes.
 func DefaultConfig(n int) Config {
 	mc := mesh.DefaultConfig()
 	// Shrink the mesh to fit small systems so hop counts stay sensible
 	// for the speedup experiments.
-	if n <= 0 {
-		panic("machine: need at least one node")
+	if n <= 0 || n > MaxNodes {
+		panic(fmt.Sprintf("machine: %d nodes outside 1..%d", n, MaxNodes))
 	}
 	w := 1
 	for w*w < n {

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"log"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -201,6 +205,19 @@ func (s *Server) runJob(j *job) {
 	}
 	s.met.jobsStarted.Add(1)
 	s.observeQueueWait(j.started.Sub(j.submitted))
+	// A panicking cell fails its job, not the daemon. The harness
+	// re-panics a pool worker's panic here with the cell index and the
+	// worker's stack; the job error keeps the first line, the log the
+	// rest. The failed cell was never Put to the cache.
+	defer func() {
+		if r := recover(); r != nil {
+			full := fmt.Sprint(r)
+			log.Printf("job %s panicked: %s\n\njob runner stack:\n%s", j.id, full, debug.Stack())
+			first, _, _ := strings.Cut(full, "\n")
+			j.finish(StateFailed, "panic: "+first)
+			s.met.jobsFailed.Add(1)
+		}
+	}()
 
 	ctx := j.ctx
 	var err error

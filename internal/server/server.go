@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"shrimp/internal/harness"
+	"shrimp/internal/machine"
 	"shrimp/internal/resultcache"
 )
 
@@ -154,14 +155,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// Request bounds. A body is at most maxBodyBytes, and a machine at most
-// maxNodes nodes: 64x the paper's 16-node system, and past the largest
-// size any front end defaults to. Both keep one request from taking
-// the daemon's memory, and with it every job in flight.
-const (
-	maxBodyBytes = 1 << 20
-	maxNodes     = 1024
-)
+// maxBodyBytes bounds a request body. With the machine-size bound
+// (machine.MaxNodes, which CellSpec.Compile enforces for every cell) it
+// keeps one request from taking the daemon's memory, and with it every
+// job in flight.
+const maxBodyBytes = 1 << 20
 
 // decodeRequest decodes a JSON request body into v, refusing unknown
 // fields and bodies over maxBodyBytes. On failure it writes the error
@@ -198,8 +196,8 @@ func validate(req *JobRequest) error {
 		return fmt.Errorf("set one of cells and experiment")
 	case req.Nodes < 0:
 		return fmt.Errorf("nodes must be positive")
-	case req.Nodes > maxNodes:
-		return fmt.Errorf("nodes %d exceeds the limit of %d", req.Nodes, maxNodes)
+	case req.Nodes > machine.MaxNodes:
+		return fmt.Errorf("nodes %d exceeds the limit of %d", req.Nodes, machine.MaxNodes)
 	}
 	if req.Experiment != "" {
 		if _, ok := harness.FindExperiment(req.Experiment); !ok {
@@ -208,9 +206,6 @@ func validate(req *JobRequest) error {
 		return nil
 	}
 	for i := range req.Cells {
-		if n := req.Cells[i].Nodes; n > maxNodes {
-			return fmt.Errorf("cell %d: nodes %d exceeds the limit of %d", i, n, maxNodes)
-		}
 		if _, err := req.Cells[i].Compile(); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}

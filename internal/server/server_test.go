@@ -447,6 +447,45 @@ func TestBadKnobRefused(t *testing.T) {
 	}
 }
 
+// TestPanickingCellFailsJob posts a cell whose application self-check
+// panics: the job must end failed with the panic message, the failed
+// cell must stay out of the cache, and the daemon must keep serving.
+// The reproducer is the HLRC Barnes-SVM bug (body positions drift at 64
+// nodes); once HLRC is fixed this test needs another panicking input.
+func TestPanickingCellFailsJob(t *testing.T) {
+	cache, err := resultcache.New(64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{SimWorkers: 2, Cache: cache})
+	bad := harness.CellSpec{App: "barnes-svm", Nodes: 64, Variant: "du"}
+	st := submit(t, ts, JobRequest{Cells: []harness.CellSpec{bad, {App: "radix-vmmc", Nodes: 2}}, Quick: true})
+	st = waitFor(t, ts, st.ID, "a terminal state", func(s jobStatus) bool { return s.State.terminal() })
+	if st.State != StateFailed || !strings.Contains(st.Error, "barnes: body 0") {
+		t.Fatalf("panicking job ended %s with error %q, want failed with the barnes panic", st.State, st.Error)
+	}
+	wl := harness.QuickWorkloads()
+	key, err := bad.Canonical(&wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Error("the panicking cell's result was cached")
+	}
+	if resp, _ := call(t, ts, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a panicking job: status %d, want 200", resp.StatusCode)
+	}
+	_, met := call(t, ts, http.MethodGet, "/metrics", nil)
+	if !strings.Contains(string(met), "\nshrimpd_jobs_failed_total 1\n") {
+		t.Error("metrics do not count the failed job")
+	}
+	good := submit(t, ts, JobRequest{Cells: quickCells(), Quick: true})
+	waitFor(t, ts, good.ID, "done", func(s jobStatus) bool { return s.State == StateDone })
+	if got, want := streamResults(t, ts, good.ID), directRows(t, quickCells(), 1); !bytes.Equal(got, want) {
+		t.Errorf("job after the panic streamed %s, want %s", got, want)
+	}
+}
+
 // TestSharePrefixIgnored pins the compatibility promise for the
 // deprecated share_prefix field: jobs that set it true, set it false
 // or omit it are all accepted and stream the bytes of a direct run

@@ -194,6 +194,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		empty = append(empty, strings.Replace(l, "nodes 4", "nodes 0", 1))
 	}
 	corrupt["no nodes"] = strings.Join(append(empty, "requests 0", "end"), "\n") + "\n"
+	// A machine past machine.MaxNodes, which no front end may build.
+	corrupt["nodes 1025"] = strings.Replace(good, "nodes 4\n", "nodes 1025\n", 1)
 	// A request count far past the lines that follow must fail as a
 	// truncation, not size an allocation from the header.
 	huge := append([]string{}, lines...)

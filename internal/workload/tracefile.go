@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"shrimp/internal/machine"
 	"shrimp/internal/sim"
 )
 
@@ -91,8 +92,8 @@ func Decode(r io.Reader) (*Trace, error) {
 	if _, err := fmt.Sscanf(nodesLine, "nodes %d", &t.Nodes); err != nil {
 		return nil, fmt.Errorf("workload: line %d: want \"nodes N\", got %q", line, nodesLine)
 	}
-	if t.Nodes < 1 {
-		return nil, fmt.Errorf("workload: line %d: node count %d < 1", line, t.Nodes)
+	if t.Nodes < 1 || t.Nodes > machine.MaxNodes {
+		return nil, fmt.Errorf("workload: line %d: node count %d outside 1..%d", line, t.Nodes, machine.MaxNodes)
 	}
 
 	var nreq int

@@ -11,7 +11,10 @@
 #      (cache-hit counter visible in /metrics).
 #   5. A cell whose knobs the NIC cannot run (a DU queue of depth 0) is
 #      refused with 400, and the daemon stays healthy.
-#   6. SIGTERM drains the daemon cleanly (exit 0).
+#   6. A cell that panics (the HLRC Barnes-SVM reproducer) fails its
+#      job, the daemon stays healthy, and an ordinary cell job after it
+#      completes.
+#   7. SIGTERM drains the daemon cleanly (exit 0).
 #
 # Used by `make serve-smoke` and the CI "Serve smoke" step.
 set -euo pipefail
@@ -43,15 +46,23 @@ submit_table1() {
         python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
 }
 
-wait_done() {
-    local id=$1 state=queued
+submit_cells() {
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d "{\"cells\":[$1],\"quick\":true}" "$BASE/v1/jobs" |
+        python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
+}
+
+# wait_state ID WANT waits for job ID to end and fails unless it ended
+# in state WANT.
+wait_state() {
+    local id=$1 want=$2 state=queued
     for _ in $(seq 1 600); do
         state=$(curl -fsS "$BASE/v1/jobs/$id" |
             python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
         case $state in
-        done) return 0 ;;
-        failed | canceled)
-            echo "serve-smoke: job $id ended $state" >&2
+        done | failed | canceled)
+            [ "$state" = "$want" ] && return 0
+            echo "serve-smoke: job $id ended $state, want $want" >&2
             cat "$WORK/shrimpd.log" >&2
             return 1
             ;;
@@ -61,6 +72,8 @@ wait_done() {
     echo "serve-smoke: job $id never finished (last state $state)" >&2
     return 1
 }
+
+wait_done() { wait_state "$1" done; }
 
 ID=$(submit_table1)
 wait_done "$ID"
@@ -108,6 +121,16 @@ if [ "$CODE" != 400 ]; then
 fi
 curl -fsS "$BASE/healthz" | grep -q ok
 echo "serve-smoke: out-of-range knob refused with 400, daemon still healthy"
+
+# The HLRC Barnes-SVM cell panics in its own self-check (ROADMAP item 1);
+# replace it with another panicking input once HLRC is fixed.
+ID3=$(submit_cells '{"app":"barnes-svm","nodes":64,"variant":"du"}')
+wait_state "$ID3" failed
+curl -fsS "$BASE/v1/jobs/$ID3" | grep -q 'panic: '
+curl -fsS "$BASE/healthz" | grep -q ok
+ID4=$(submit_cells '{"app":"radix-vmmc","nodes":2}')
+wait_done "$ID4"
+echo "serve-smoke: panicking cell failed its job, daemon still healthy and serving"
 
 kill -TERM "$DPID"
 wait "$DPID"
