@@ -58,12 +58,31 @@ func runSVMTest(t *testing.T, nodes int, proto svm.Protocol) {
 	m := machine.New(machine.DefaultConfig(nodes))
 	defer m.Close()
 	pr := smallParams()
-	regionBytes := 8*pr.Keys + nodes*8192 + 1<<16
-	s := svm.New(vmmc.NewSystem(m), svm.DefaultConfig(proto, regionBytes))
+	s := svm.New(vmmc.NewSystem(m), svm.DefaultConfig(proto, SVMRegionBytes(pr, nodes)))
 	if el := RunSVM(s, pr); el <= 0 {
 		t.Fatal("non-positive elapsed time")
 	}
 	// RunSVM panics on an unsorted or corrupted result.
+}
+
+// TestSVMRegionFitsLayout lays Radix-SVM's shared arrays out in the
+// region SVMRegionBytes sizes, at node counts past the 144 ranks a
+// fixed 512 KB histogram reserve holds. It builds no machine: the
+// layout only needs the region's page count.
+func TestSVMRegionFitsLayout(t *testing.T) {
+	for _, pr := range []Params{smallParams(), DefaultParams()} {
+		for _, nodes := range []int{1, 16, 144, 145, 1024} {
+			s := &svm.System{Pages: (SVMRegionBytes(pr, nodes) + svm.PageSize - 1) / svm.PageSize}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%d keys, %d nodes: %v", pr.Keys, nodes, r)
+					}
+				}()
+				svmLayout(s, pr, nodes)
+			}()
+		}
+	}
 }
 
 func TestRadixSVMSingleNode(t *testing.T) { runSVMTest(t, 1, svm.HLRC) }

@@ -15,11 +15,28 @@ func RunSVM(s *svm.System, pr Params) sim.Time {
 	return StartSVM(s, pr)()
 }
 
-// SVMRegionBytes sizes the shared region a Radix-SVM run needs: the two
-// key arrays StartSVM allocates, a fixed 512 KB for the per-rank
-// histogram rows, and slack for page rounding.
-func SVMRegionBytes(pr Params) int {
-	return 8*pr.Keys + 64*8192 + 1<<16
+// SVMRegionBytes sizes the shared region of a Radix-SVM run on nodes
+// ranks: svmLayout's two key arrays and histogram rows (512 KB of rows
+// at least), and slack for page rounding.
+func SVMRegionBytes(pr Params, nodes int) int {
+	return 8*pr.Keys + max(64*8192, nodes*histRowBytes(pr)) + 1<<16
+}
+
+// histRowBytes is one rank's histogram row, rounded up to whole pages
+// to keep the histogram exchange itself from false sharing.
+func histRowBytes(pr Params) int {
+	return (4*pr.Radix + svm.PageSize - 1) / svm.PageSize * svm.PageSize
+}
+
+// svmLayout reserves two key arrays (ping-pong) and the histogram
+// matrix, one row per rank, returning their offsets and the row size.
+func svmLayout(s *svm.System, pr Params, nprocs int) (offA, offB, offHist, histRow int) {
+	keyPages := (4*pr.Keys + svm.PageSize - 1) / svm.PageSize
+	offA = s.AllocPages(keyPages)
+	offB = s.AllocPages(keyPages)
+	histRow = histRowBytes(pr)
+	offHist = s.AllocPages(histRow / svm.PageSize * nprocs)
+	return offA, offB, offHist, histRow
 }
 
 // StartSVM runs the warmup prefix of Radix-SVM (shared layout, each
@@ -32,13 +49,7 @@ func StartSVM(s *svm.System, pr Params) func() sim.Time {
 	nprocs := s.Nodes()
 	keys := generate(pr)
 
-	// Shared layout: two key arrays (ping-pong) and the histogram
-	// matrix, one page-aligned row per rank to keep the histogram
-	// exchange itself from false sharing.
-	offA := s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
-	offB := s.AllocPages((4*n + svm.PageSize - 1) / svm.PageSize)
-	histRow := (4*pr.Radix + svm.PageSize - 1) / svm.PageSize * svm.PageSize
-	offHist := s.AllocPages(histRow / svm.PageSize * nprocs)
+	offA, offB, offHist, histRow := svmLayout(s, pr, nprocs)
 
 	warm := s.M().RunParallel("radix-svm-init", func(nd *machine.Node, p *sim.Proc) {
 		rt := s.Runtime(int(nd.ID))

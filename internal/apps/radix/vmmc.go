@@ -32,8 +32,9 @@ func (m Mechanism) String() string {
 
 // vmmcRank holds one rank's communication state for Radix-VMMC.
 type vmmcRank struct {
-	nd *machine.Node
-	ep *vmmc.Endpoint
+	rank int
+	nd   *machine.Node
+	ep   *vmmc.Endpoint
 
 	segLo, segHi int // my destination segment [lo,hi) in global key index
 
@@ -75,7 +76,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 	ranks := make([]*vmmcRank, nprocs)
 	for r := 0; r < nprocs; r++ {
 		lo, hi := split(n, nprocs, r)
-		rk := &vmmcRank{nd: sys.M.Nodes[r], ep: sys.EP(r), segLo: lo, segHi: hi}
+		rk := &vmmcRank{rank: r, nd: sys.M.Nodes[r], ep: sys.EP(r), segLo: lo, segHi: hi}
 		rk.dstExp = rk.ep.Export(nil, (4*(hi-lo)+memory.PageSize-1)/memory.PageSize+1)
 		rk.histExp = rk.ep.Export(nil, (4*histRowWords*nprocs+memory.PageSize-1)/memory.PageSize+1)
 		rk.syncExp = rk.ep.Export(nil, 1)
@@ -106,14 +107,12 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 		}
 	}
 	warm := sys.M.RunParallel("radix-vmmc-init", func(nd *machine.Node, p *sim.Proc) {
-		r := int(nd.ID)
-		ranks[r].barrier(p, nprocs, r)
+		ranks[nd.ID].barrier(p, nprocs)
 	})
 	return func() sim.Time {
 		final := make([][]uint32, nprocs)
 		elapsed := sys.M.RunParallel("radix-vmmc", func(nd *machine.Node, p *sim.Proc) {
-			r := int(nd.ID)
-			rk := ranks[r]
+			rk := ranks[nd.ID]
 			cpu := nd.CPUFor(p)
 			mine := append([]uint32(nil), keys[rk.segLo:rk.segHi]...)
 
@@ -125,7 +124,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 					cpu.Charge(pr.KeyCost / 4)
 				}
 				// Exchange histogram rows (each row ends with a flag word).
-				rowOff := r * histRowWords * 4
+				rowOff := rk.rank * histRowWords * 4
 				row := make([]byte, histRowWords*4)
 				for d, c := range hist {
 					binary.LittleEndian.PutUint32(row[4*d:], c)
@@ -134,7 +133,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 				// Stage locally, then deliberate-update to every peer.
 				rk.stage(p, row)
 				for o := 0; o < nprocs; o++ {
-					if o == r {
+					if o == rk.rank {
 						nd.Mem.DMAWrite(rk.histExp.Base+memory.Addr(rowOff), row)
 						continue
 					}
@@ -148,7 +147,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 				pos := 0
 				for d := 0; d < radix; d++ {
 					for o := 0; o < nprocs; o++ {
-						if o == r {
+						if o == rk.rank {
 							offsets[d] = pos
 						}
 						pos += int(allHist[o][d])
@@ -178,9 +177,9 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 					mine = append(mine, nd.Mem.ReadUint32(p, rk.dstExp.Base+memory.Addr(4*i)))
 					cpu.Charge(nd.M.Cfg.Cost.LoadCost)
 				}
-				rk.barrier(p, nprocs, r)
+				rk.barrier(p, nprocs)
 			}
-			final[r] = mine
+			final[rk.rank] = mine
 		})
 
 		// Validate the concatenation.
@@ -213,7 +212,7 @@ func (rk *vmmcRank) distributeAU(p *sim.Proc, mine []uint32, pass, radix int, of
 		o := ownerOf(g, ranks)
 		local := g - ranks[o].segLo
 		cpu.Charge(pr.KeyCost / 2)
-		if o == ownerIndex(rk, ranks) {
+		if o == rk.rank {
 			nd.StoreUint32(p, rk.dstExp.Base+memory.Addr(4*local), k)
 			continue
 		}
@@ -227,7 +226,6 @@ func (rk *vmmcRank) distributeDU(p *sim.Proc, mine []uint32, pass, radix int, of
 	nd := rk.nd
 	cpu := nd.CPUFor(p)
 	nprocs := len(ranks)
-	self := ownerIndex(rk, ranks)
 	bufs := make([][]byte, nprocs)
 	for _, k := range mine {
 		d := digit(k, pass, radix)
@@ -236,7 +234,7 @@ func (rk *vmmcRank) distributeDU(p *sim.Proc, mine []uint32, pass, radix int, of
 		o := ownerOf(g, ranks)
 		local := uint32(g - ranks[o].segLo)
 		cpu.Charge(pr.KeyCost / 2)
-		if o == self {
+		if o == rk.rank {
 			nd.Mem.WriteUint32(p, rk.dstExp.Base+memory.Addr(4*local), k)
 			cpu.Charge(nd.M.Cfg.Cost.StoreCost)
 			continue
@@ -248,7 +246,7 @@ func (rk *vmmcRank) distributeDU(p *sim.Proc, mine []uint32, pass, radix int, of
 		cpu.Charge(nd.M.Cfg.Cost.CopyTime(8)) // gather copy
 	}
 	for o := 0; o < nprocs; o++ {
-		if o == self {
+		if o == rk.rank {
 			continue
 		}
 		// Block layout: [count u32][pairs...]; block index = my rank.
@@ -256,7 +254,7 @@ func (rk *vmmcRank) distributeDU(p *sim.Proc, mine []uint32, pass, radix int, of
 		binary.LittleEndian.PutUint32(blk, uint32(len(bufs[o])/8))
 		copy(blk[4:], bufs[o])
 		rk.stage(p, blk)
-		rk.gatherImp[o].Send(p, rk.scratch, self*gatherBlock, len(blk), vmmc.SendOpts{})
+		rk.gatherImp[o].Send(p, rk.scratch, rk.rank*gatherBlock, len(blk), vmmc.SendOpts{})
 	}
 }
 
@@ -265,9 +263,8 @@ func (rk *vmmcRank) distributeDU(p *sim.Proc, mine []uint32, pass, radix int, of
 func (rk *vmmcRank) scatterDU(p *sim.Proc, nprocs, gatherBlock int, pr Params) {
 	nd := rk.nd
 	cpu := nd.CPUFor(p)
-	self := rk.selfRank(nprocs)
 	for s := 0; s < nprocs; s++ {
-		if s == self {
+		if s == rk.rank {
 			continue
 		}
 		base := rk.gatherExp.Base + memory.Addr(s*gatherBlock)
@@ -300,31 +297,27 @@ func (rk *vmmcRank) flagOff() int { return (rk.dstExp.PageCnt - 1) * memory.Page
 // destination export, on the same source->destination channel as the
 // key data, so the flag arrives strictly after the keys.
 func (rk *vmmcRank) publishDone(p *sim.Proc, nprocs, pass int, ranks []*vmmcRank) {
-	nd := rk.nd
-	self := ownerIndex(rk, ranks)
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], uint32(pass+1))
 	rk.stage(p, buf[:])
 	for o := 0; o < nprocs; o++ {
-		if o == self {
+		if o == rk.rank {
 			continue
 		}
-		off := ranks[o].flagOff() + 4*self
+		off := ranks[o].flagOff() + 4*rk.rank
 		rk.dstImp[o].Send(p, rk.scratch, off, 4, vmmc.SendOpts{})
 	}
-	_ = nd
 }
 
 // waitSenders blocks until every peer's completion flag for this pass
 // has arrived in our destination export.
 func (rk *vmmcRank) waitSenders(p *sim.Proc, nprocs, pass int) {
 	nd := rk.nd
-	self := rk.selfRank(nprocs)
 	var seen int64 = -1
 	for {
 		ready := true
 		for s := 0; s < nprocs; s++ {
-			if s == self {
+			if s == rk.rank {
 				continue
 			}
 			v := nd.Mem.ReadUint32(nil, rk.dstExp.Base+memory.Addr(rk.flagOff()+4*s))
@@ -374,7 +367,7 @@ func (rk *vmmcRank) waitHistRows(p *sim.Proc, nprocs, rowWords, want int) [][]ui
 // into rank 0's sync page; rank 0 releases by writing epochs back. The
 // epoch counter is per-rank and advances identically everywhere, so
 // words are unique across successive barriers.
-func (rk *vmmcRank) barrier(p *sim.Proc, nprocs, rank int) {
+func (rk *vmmcRank) barrier(p *sim.Proc, nprocs int) {
 	if nprocs == 1 {
 		return
 	}
@@ -383,7 +376,7 @@ func (rk *vmmcRank) barrier(p *sim.Proc, nprocs, rank int) {
 	word := uint32(rk.barEpoch)
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], word)
-	if rank == 0 {
+	if rk.rank == 0 {
 		var seen int64 = -1
 		for {
 			ready := true
@@ -405,7 +398,7 @@ func (rk *vmmcRank) barrier(p *sim.Proc, nprocs, rank int) {
 		return
 	}
 	rk.stage(p, buf[:])
-	rk.syncImp[0].Send(p, rk.scratch, 4*rank, 4, vmmc.SendOpts{})
+	rk.syncImp[0].Send(p, rk.scratch, 4*rk.rank, 4, vmmc.SendOpts{})
 	var seen int64 = -1
 	for nd.Mem.ReadUint32(nil, rk.syncExp.Base) != word {
 		seen = rk.syncExp.WaitUpdate(p, seen)
@@ -422,14 +415,3 @@ func ownerOf(g int, ranks []*vmmcRank) int {
 	}
 	panic(fmt.Sprintf("radix: index %d outside all segments", g))
 }
-
-func ownerIndex(rk *vmmcRank, ranks []*vmmcRank) int {
-	for r, cand := range ranks {
-		if cand == rk {
-			return r
-		}
-	}
-	panic("radix: rank not found")
-}
-
-func (rk *vmmcRank) selfRank(nprocs int) int { return int(rk.nd.ID) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,22 +74,14 @@ func Calibrate(cfg Config) CalibrationReport {
 	tp := NewPredictor(&cfg.Workloads)
 	var rep CalibrationReport
 	for _, e := range Experiments() {
-		row := CalibRow{Experiment: e.Name}
-		switch {
-		case e.Name == "latency":
-			row.Pairs = calibrateLatency(tp)
-		case e.Name == "load":
-			row.Pairs = calibrateLoad(tp, cfg)
-		default:
-			row.Pairs = calibrateCells(tp, cfg, e)
-		}
+		row := CalibRow{Experiment: e.Name, Pairs: e.twin.pairs(cfg, tp)}
 		finishRow(&row)
 		rep.Rows = append(rep.Rows, row)
 	}
 	var sum float64
 	for _, r := range rep.Rows {
 		for _, p := range r.Pairs {
-			sum += abs(p.ErrPct)
+			sum += math.Abs(p.ErrPct)
 			rep.Pairs++
 		}
 	}
@@ -99,26 +92,18 @@ func Calibrate(cfg Config) CalibrationReport {
 }
 
 // calibrateLatency pairs the four microbenchmark scalars.
-func calibrateLatency(tp *Predictor) []CalibPair {
-	meas := Latency()
-	pred := tp.PredictLatency()
-	mk := func(label string, t, s sim.Time) CalibPair {
-		return pair(label, usec(t), usec(s))
+func calibrateLatency(_ Config, tp *Predictor) []CalibPair {
+	meas := Latency().scalars()
+	pred := tp.PredictLatency().scalars()
+	pairs := make([]CalibPair, len(pred))
+	for i := range pred {
+		pairs[i] = pair(latencyLabels[i], usec(pred[i]), usec(meas[i]))
 	}
-	return []CalibPair{
-		mk("du-small", pred.DUSmall, meas.DUSmall),
-		mk("au-word", pred.AUWord, meas.AUWord),
-		mk("send-overhead", pred.SendOverhead, meas.SendOverhead),
-		mk("myrinet-like", pred.MyrinetLike, meas.MyrinetLike),
-	}
+	return pairs
 }
 
 // calibrateCells pairs every cell of an experiment grid.
-func calibrateCells(tp *Predictor, cfg Config, e Experiment) []CalibPair {
-	if e.Cells == nil {
-		return nil
-	}
-	cells := e.Cells(cfg)
+func calibrateCells(tp *Predictor, cfg Config, cells []CellSpec) []CalibPair {
 	results := cfg.runCells(cells)
 	pairs := make([]CalibPair, 0, len(cells))
 	for i, c := range cells {
@@ -133,7 +118,7 @@ func calibrateCells(tp *Predictor, cfg Config, e Experiment) []CalibPair {
 }
 
 // calibrateLoad pairs every load cell's per-class mean sojourn.
-func calibrateLoad(tp *Predictor, cfg Config) []CalibPair {
+func calibrateLoad(cfg Config, tp *Predictor) []CalibPair {
 	cells := LoadCells(cfg)
 	perCell := cfg.runLoadCells(cells)
 	var pairs []CalibPair
@@ -143,18 +128,12 @@ func calibrateLoad(tp *Predictor, cfg Config) []CalibPair {
 			panic("harness: invalid load cell: " + err.Error())
 		}
 		for _, mr := range perCell[i] {
-			var tw *TwinLoadRow
-			for j := range pred {
-				if pred[j].Class == mr.Class {
-					tw = &pred[j]
-					break
-				}
-			}
-			if tw == nil || mr.Sojourn == nil || mr.Sojourn.Count() == 0 {
+			j := slices.IndexFunc(pred, func(r TwinLoadRow) bool { return r.Class == mr.Class })
+			if j < 0 || mr.Sojourn == nil || mr.Sojourn.Count() == 0 {
 				continue
 			}
 			label := fmt.Sprintf("%s/%.2gx/%s", c.Config, c.Offered, mr.Class)
-			pairs = append(pairs, pair(label, usec(tw.MeanSojourn), mr.Sojourn.Mean()/1e3))
+			pairs = append(pairs, pair(label, usec(pred[j].MeanSojourn), mr.Sojourn.Mean()/1e3))
 		}
 	}
 	return pairs
@@ -211,7 +190,7 @@ func finishRow(row *CalibRow) {
 	tw := make([]float64, len(row.Pairs))
 	sm := make([]float64, len(row.Pairs))
 	for i, p := range row.Pairs {
-		sum += abs(p.ErrPct)
+		sum += math.Abs(p.ErrPct)
 		tw[i] = p.TwinU
 		sm[i] = p.SimU
 	}
@@ -244,7 +223,7 @@ func spearman(a, b []float64) float64 {
 	if va == 0 || vb == 0 {
 		return 1
 	}
-	return cov / (sqrt(va) * sqrt(vb))
+	return cov / (math.Sqrt(va) * math.Sqrt(vb))
 }
 
 // ranks assigns average ranks (1-based) with ties sharing their mean.
@@ -267,20 +246,6 @@ func ranks(v []float64) []float64 {
 		i = j
 	}
 	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }
 
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }

@@ -14,6 +14,15 @@ type LatencyResult struct {
 	MyrinetLike  sim.Time // paper: slightly under 10 us on faster nodes
 }
 
+// latencyLabels names the four microbenchmarks in report order, the
+// order scalars lists them in.
+var latencyLabels = [4]string{"du-small", "au-word", "send-overhead", "myrinet-like"}
+
+// scalars lists the microbenchmarks in latencyLabels order.
+func (r LatencyResult) scalars() [4]sim.Time {
+	return [4]sim.Time{r.DUSmall, r.AUWord, r.SendOverhead, r.MyrinetLike}
+}
+
 // PaperLatency returns the published values.
 func PaperLatency() LatencyResult {
 	return LatencyResult{

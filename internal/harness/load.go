@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"shrimp/internal/machine"
@@ -80,11 +81,149 @@ func QuickLoadParams() LoadParams {
 	return p
 }
 
-// loadConfigs are the service/dispatch combinations the load family
-// sweeps: the RPC library under both dispatch modes, the sockets bulk
-// service under both transfer mechanisms, and the DFS block service.
-var loadConfigs = []string{
-	"rpc/polling", "rpc/notified", "socket/du", "socket/au", "dfs/du",
+// loadService declares one service configuration of the load family:
+// the traffic its cells generate, the server-side configuration the
+// driver runs them under, and the twin's queueing inputs for them.
+type loadService struct {
+	name string
+	// workload sets the spec's service and client classes; gap is the
+	// per-stream mean interarrival at the cell's offered load (ns).
+	workload func(spec *workload.Spec, p LoadParams, gap float64)
+	// dispatch and mode set the driver's RPC dispatch and socket
+	// transfer mode (zero values: the defaults, polling and DU); the
+	// twin reads them back from that service configuration.
+	dispatch rpc.Dispatch
+	mode     ring.Mode
+	// twin prices the service at the twin's server station: the
+	// effective server count, and every class's server occupancy
+	// moments, interarrival burstiness and rest of the round trip.
+	twin func(lt *loadTwin, spec *workload.Spec) (servers float64, classes []twinClass)
+	// sharing marks a server that spawns a handler per message, which
+	// the twin models as processor sharing rather than a FIFO queue.
+	sharing bool
+}
+
+// loadConfigs declares the service configurations the load family
+// sweeps, in report order: the RPC library under both dispatch modes,
+// the sockets bulk service under both transfer mechanisms, and the DFS
+// block service.
+var loadConfigs = []loadService{
+	{name: "rpc/polling", workload: rpcWorkload, twin: rpcTwin},
+	{name: "rpc/notified", workload: rpcWorkload, dispatch: rpc.Notified, twin: rpcTwin, sharing: true},
+	{name: "socket/du", workload: socketWorkload, twin: socketTwin},
+	{name: "socket/au", workload: socketWorkload, mode: ring.AU, twin: socketTwin},
+	{name: "dfs/du", workload: dfsWorkload, twin: dfsTwin},
+}
+
+// rpcWorkload is a small and a big request class.
+func rpcWorkload(spec *workload.Spec, p LoadParams, gap float64) {
+	big := max(p.Streams/4, 1)
+	small := max(p.Streams-big, 1)
+	spec.Service = workload.RPC
+	spec.Classes = []workload.Class{
+		{
+			Name: "small", Streams: small, Requests: p.Requests,
+			Interarrival: workload.Dist{Kind: workload.DistPoisson, Mean: gap},
+			Size:         workload.Dist{Kind: workload.DistUniform, Mean: float64(p.RPCSmallBytes), Shape: 0.5},
+			RespBytes:    p.RPCRespBytes,
+		},
+		{
+			Name: "big", Streams: big, Requests: p.Requests,
+			Interarrival: workload.Dist{Kind: workload.DistPoisson, Mean: 4 * gap},
+			Size:         workload.Dist{Kind: workload.DistDet, Mean: float64(p.RPCBigBytes)},
+			RespBytes:    p.RPCRespBytes,
+		},
+	}
+}
+
+// rpcTwin reads each class's twin inputs off the workload spec; one
+// server at node 0 takes every request.
+func rpcTwin(lt *loadTwin, spec *workload.Spec) (float64, []twinClass) {
+	m, p := lt.m, lt.c.Params
+	resp := float64(p.RPCRespBytes)
+	base := lt.svc.RPC.ServiceCost.Seconds()
+	if lt.svc.RPC.Dispatch == rpc.Notified {
+		base += lt.cfg.Cost.NotifyDispatchCost.Seconds()
+	}
+	// Server occupancy: service charge CopyTime(args+resp), ring
+	// read copy of args, ring write copy of resp. The occupancy is
+	// affine in the argument size, so it inherits the size variance
+	// E[X^2] = m^2 (1 + cv^2).
+	occ := func(req float64) float64 { return base + lt.copyT(2*req+2*resp) }
+	a, b := base+lt.copyT(2*resp), 2/lt.copyBW
+	s2 := func(m1, m2 float64) float64 { return a*a + 2*a*b*m1 + b*b*m2 }
+	trans := func(req, rsp float64) float64 {
+		return lt.copyT(req) + m.DUMessage(lt.hops, int(req)).Seconds() +
+			m.DUMessage(lt.hops, int(rsp)).Seconds() + lt.copyT(rsp) +
+			p.ClientCost.Seconds()
+	}
+	classes := make([]twinClass, 0, len(spec.Classes))
+	for _, k := range spec.Classes {
+		m1, cv, ca := k.Size.Mean, k.Size.CV(), k.Interarrival.CV()
+		classes = append(classes, twinClass{k.Name, float64(k.Streams),
+			k.Interarrival.Mean / float64(sim.Second),
+			occ(m1), s2(m1, m1*m1*(1+cv*cv)), ca * ca, trans(m1, resp)})
+	}
+	return 1, classes
+}
+
+// socketWorkload is one bulk-transfer class with bursty arrivals.
+func socketWorkload(spec *workload.Spec, p LoadParams, gap float64) {
+	spec.Service = workload.Socket
+	spec.Classes = []workload.Class{{
+		Name: "bulk", Streams: p.Streams, Requests: p.Requests,
+		Interarrival: workload.Dist{Kind: workload.DistGamma, Mean: gap, Shape: 0.5},
+		Size:         workload.Dist{Kind: workload.DistGamma, Mean: float64(p.SocketBlockBytes), Shape: 4},
+	}}
+}
+
+// socketTwin prices the bulk class. Each stream pins the upper-half
+// server its connection dialed; server occupancy is the service charge
+// CopyTime(size) plus the ring write copy of the size-byte response.
+func socketTwin(lt *loadTwin, _ *workload.Spec) (float64, []twinClass) {
+	c, m, p := lt.c, lt.m, lt.c.Params
+	servers := max(min(c.Nodes-c.Nodes/2, p.Streams), 1)
+	sm := float64(p.SocketBlockBytes)
+	b := 2 / lt.copyBW
+	respTransfer := m.DUMessage(lt.hops, p.SocketBlockBytes).Seconds()
+	if lt.svc.Socket.Mode == ring.AU {
+		respTransfer = (m.AUStreamTime(p.SocketBlockBytes) +
+			m.MeshTransit(lt.hops, m.WireSize(int(lt.cfg.NIC.AUWordBytes)))).Seconds()
+	}
+	return float64(servers), []twinClass{{"bulk", float64(p.Streams), lt.gap,
+		b * sm, b * b * 1.25 * sm * sm, 2,
+		m.DUMessage(lt.hops, 16).Seconds() + respTransfer + lt.copyT(sm) +
+			p.ClientCost.Seconds()}}
+}
+
+// dfsWorkload is one class of block reads over a shared file set.
+func dfsWorkload(spec *workload.Spec, p LoadParams, gap float64) {
+	spec.Service = workload.DFS
+	spec.Classes = []workload.Class{{
+		Name: "block", Streams: p.Streams, Requests: p.Requests,
+		Interarrival: workload.Dist{Kind: workload.DistWeibull, Mean: gap, Shape: 0.7},
+		Size:         workload.Dist{Kind: workload.DistDet, Mean: float64(p.DFSBlockBytes)},
+	}}
+	spec.DFSFiles = p.DFSFiles
+	spec.DFSBlocksPerFile = p.DFSBlocksPerFile
+}
+
+// dfsTwin prices the block class. Block homes spread over every node;
+// the remote fraction (n-1)/n crosses a home server, the local fraction
+// is a straight memory copy on the client.
+func dfsTwin(lt *loadTwin, _ *workload.Spec) (float64, []twinClass) {
+	c, m, p := lt.c, lt.m, lt.c.Params
+	sm := float64(p.DFSBlockBytes)
+	remote := 1.0
+	if c.Nodes > 1 {
+		remote = float64(c.Nodes-1) / float64(c.Nodes)
+	}
+	b := 2 / lt.copyBW
+	return float64(c.Nodes), []twinClass{{"block", float64(p.Streams), lt.gap,
+		remote * b * sm, remote * b * b * sm * sm, 2,
+		remote*(m.DUMessage(lt.hops, 8).Seconds()+
+			m.DUMessage(lt.hops, p.DFSBlockBytes).Seconds()+lt.copyT(sm)) +
+			(1-remote)*lt.copyT(sm) + p.ClientCost.Seconds()}}
 }
 
 // LoadCell is one open-loop simulation: a service configuration, a
@@ -102,14 +241,30 @@ type LoadCell struct {
 // whenever generator or driver semantics change a cell's output.
 const loadEncodingVersion = 1
 
-// Canonical returns the deterministic encoding of the cell — the
-// stream-seed root and the identity a result cache would key on.
-func (c LoadCell) Canonical() ([]byte, error) {
+// service checks the cell's machine size and offered load and looks
+// its configuration up in loadConfigs.
+func (c LoadCell) service() (*loadService, error) {
 	if c.Nodes < 1 || c.Nodes > machine.MaxNodes {
 		return nil, fmt.Errorf("harness: load cell nodes must be in 1..%d, got %d", machine.MaxNodes, c.Nodes)
 	}
-	if c.Offered <= 0 {
-		return nil, fmt.Errorf("harness: load cell offered multiplier must be > 0, got %g", c.Offered)
+	if !(c.Offered > 0) || math.IsInf(c.Offered, 1) {
+		return nil, fmt.Errorf("harness: load cell offered multiplier must be finite and > 0, got %g", c.Offered)
+	}
+	names := make([]string, len(loadConfigs))
+	for i := range loadConfigs {
+		if loadConfigs[i].name == c.Config {
+			return &loadConfigs[i], nil
+		}
+		names[i] = loadConfigs[i].name
+	}
+	return nil, fmt.Errorf("harness: unknown load config %q (want one of %v)", c.Config, names)
+}
+
+// Canonical returns the deterministic encoding of the cell — the
+// stream-seed root and the identity a result cache would key on.
+func (c LoadCell) Canonical() ([]byte, error) {
+	if _, err := c.service(); err != nil {
+		return nil, err
 	}
 	return json.Marshal(struct {
 		Version int      `json:"v"`
@@ -118,68 +273,24 @@ func (c LoadCell) Canonical() ([]byte, error) {
 	}{Version: loadEncodingVersion, Kind: "load", Cell: c})
 }
 
-// spec builds the workload spec a cell generates from.
-func (c LoadCell) spec() (*workload.Spec, error) {
-	p := c.Params
-	gap := float64(p.BaseInterarrival) / c.Offered
-	spec := &workload.Spec{Nodes: c.Nodes}
-	switch c.Config {
-	case "rpc/polling", "rpc/notified":
-		big := p.Streams / 4
-		if big < 1 {
-			big = 1
-		}
-		small := p.Streams - big
-		if small < 1 {
-			small = 1
-		}
-		spec.Service = workload.RPC
-		spec.Classes = []workload.Class{
-			{
-				Name: "small", Streams: small, Requests: p.Requests,
-				Interarrival: workload.Dist{Kind: workload.DistPoisson, Mean: gap},
-				Size:         workload.Dist{Kind: workload.DistUniform, Mean: float64(p.RPCSmallBytes), Shape: 0.5},
-				RespBytes:    p.RPCRespBytes,
-			},
-			{
-				Name: "big", Streams: big, Requests: p.Requests,
-				Interarrival: workload.Dist{Kind: workload.DistPoisson, Mean: 4 * gap},
-				Size:         workload.Dist{Kind: workload.DistDet, Mean: float64(p.RPCBigBytes)},
-				RespBytes:    p.RPCRespBytes,
-			},
-		}
-	case "socket/du", "socket/au":
-		spec.Service = workload.Socket
-		spec.Classes = []workload.Class{{
-			Name: "bulk", Streams: p.Streams, Requests: p.Requests,
-			Interarrival: workload.Dist{Kind: workload.DistGamma, Mean: gap, Shape: 0.5},
-			Size:         workload.Dist{Kind: workload.DistGamma, Mean: float64(p.SocketBlockBytes), Shape: 4},
-		}}
-	case "dfs/du":
-		spec.Service = workload.DFS
-		spec.Classes = []workload.Class{{
-			Name: "block", Streams: p.Streams, Requests: p.Requests,
-			Interarrival: workload.Dist{Kind: workload.DistWeibull, Mean: gap, Shape: 0.7},
-			Size:         workload.Dist{Kind: workload.DistDet, Mean: float64(p.DFSBlockBytes)},
-		}}
-		spec.DFSFiles = p.DFSFiles
-		spec.DFSBlocksPerFile = p.DFSBlocksPerFile
-	default:
-		return nil, fmt.Errorf("harness: unknown load config %q (want one of %v)", c.Config, loadConfigs)
+// spec builds the workload spec a cell generates from, and returns it
+// with the service that declares it.
+func (c LoadCell) spec() (*workload.Spec, *loadService, error) {
+	svc, err := c.service()
+	if err != nil {
+		return nil, nil, err
 	}
-	return spec, nil
+	spec := &workload.Spec{Nodes: c.Nodes}
+	svc.workload(spec, c.Params, float64(c.Params.BaseInterarrival)/c.Offered)
+	return spec, svc, nil
 }
 
 // serviceConfig builds the driver's server-side configuration.
-func (c LoadCell) serviceConfig() workload.ServiceConfig {
+func (svc *loadService) serviceConfig(c LoadCell) workload.ServiceConfig {
 	cfg := workload.DefaultServiceConfig()
 	cfg.ClientCost = c.Params.ClientCost
-	switch c.Config {
-	case "rpc/notified":
-		cfg.RPC.Dispatch = rpc.Notified
-	case "socket/au":
-		cfg.Socket.Mode = ring.AU
-	}
+	cfg.RPC.Dispatch = svc.dispatch
+	cfg.Socket.Mode = svc.mode
 	return cfg
 }
 
@@ -188,7 +299,7 @@ func (c LoadCell) serviceConfig() workload.ServiceConfig {
 // the trace — and everything downstream of it — is a pure function of
 // the cell's identity, independent of worker count or host state.
 func (c LoadCell) GenerateTrace() (*workload.Trace, error) {
-	spec, err := c.spec()
+	spec, _, err := c.spec()
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +362,7 @@ func RunLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, error) {
 // runLoadTrace is RunLoadTrace that also returns the engine's dispatch
 // census for the run.
 func runLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, sim.Census, error) {
-	spec, err := c.spec()
+	spec, svc, err := c.spec()
 	if err != nil {
 		return nil, sim.Census{}, err
 	}
@@ -261,7 +372,7 @@ func runLoadTrace(c LoadCell, tr *workload.Trace) ([]LoadRow, sim.Census, error)
 	}
 	m := machine.New(machine.DefaultConfig(tr.Nodes))
 	defer m.Close()
-	rep, err := workload.Run(vmmc.NewSystem(m), c.serviceConfig(), tr)
+	rep, err := workload.Run(vmmc.NewSystem(m), svc.serviceConfig(c), tr)
 	if err != nil {
 		return nil, sim.Census{}, err
 	}
@@ -299,9 +410,9 @@ func RunLoadCell(c LoadCell) ([]LoadRow, error) {
 func LoadCells(cfg Config) []LoadCell {
 	p := cfg.Workloads.Load
 	cells := make([]LoadCell, 0, len(loadConfigs)*len(p.Offered))
-	for _, name := range loadConfigs {
+	for _, svc := range loadConfigs {
 		for _, mult := range p.Offered {
-			cells = append(cells, LoadCell{Config: name, Nodes: cfg.Nodes, Offered: mult, Params: p})
+			cells = append(cells, LoadCell{Config: svc.name, Nodes: cfg.Nodes, Offered: mult, Params: p})
 		}
 	}
 	return cells

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"shrimp/internal/machine"
 	"shrimp/internal/sim"
 	"shrimp/internal/workload"
 )
@@ -17,7 +20,8 @@ func quickLoadCell(config string) LoadCell {
 // trace decodes and replays to the identical report rows, under any
 // config of the recorded service and under no other.
 func TestLoadRecordReplay(t *testing.T) {
-	for _, config := range loadConfigs {
+	for _, svc := range loadConfigs {
+		config := svc.name
 		c := quickLoadCell(config)
 		tr, err := c.GenerateTrace()
 		if err != nil {
@@ -116,18 +120,73 @@ func TestLoadCellSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestLoadCellValidation covers the error paths.
+// TestLoadCellValidation covers the error paths: a cell that cannot
+// run has no canonical encoding either.
 func TestLoadCellValidation(t *testing.T) {
 	bad := []LoadCell{
 		{Config: "telnet/du", Nodes: 4, Offered: 1, Params: QuickLoadParams()},
 		{Config: "rpc/polling", Nodes: 0, Offered: 1, Params: QuickLoadParams()},
 		{Config: "rpc/polling", Nodes: 4, Offered: 0, Params: QuickLoadParams()},
+		{Config: "rpc/polling", Nodes: 4, Offered: math.Inf(1), Params: QuickLoadParams()},
+		{Config: "rpc/polling", Nodes: 4, Offered: math.NaN(), Params: QuickLoadParams()},
 	}
 	for _, c := range bad {
 		if _, err := RunLoadCell(c); err == nil {
 			t.Errorf("RunLoadCell accepted invalid cell %+v", c)
 		}
+		if key, err := c.Canonical(); err == nil {
+			t.Errorf("Canonical encoded invalid cell %+v as %s", c, key)
+		}
 	}
+}
+
+// FuzzLoadCellCanonical drives LoadCell JSON through Canonical and
+// spec, generating no traces. The two must agree on which cells are
+// valid, and a valid cell's encoding must be deterministic and differ
+// on a different machine size.
+func FuzzLoadCellCanonical(f *testing.F) {
+	for _, w := range []Workloads{QuickWorkloads(), DefaultWorkloads()} {
+		cfg := DefaultExperimentConfig()
+		cfg.Workloads = w
+		for _, c := range LoadCells(cfg) {
+			js, err := json.Marshal(c)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(js)
+		}
+	}
+	for _, s := range []string{
+		`{"config":"telnet/du","nodes":4,"offered":1}`,
+		`{"config":"dfs/du","nodes":1025,"offered":1}`,
+		`{"config":"rpc/polling","nodes":4,"offered":-1}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c LoadCell
+		if json.Unmarshal(data, &c) != nil {
+			return
+		}
+		key, err := c.Canonical()
+		if _, _, serr := c.spec(); (err == nil) != (serr == nil) {
+			t.Fatalf("%s: Canonical error %v but spec error %v", data, err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if again, _ := c.Canonical(); !bytes.Equal(again, key) {
+			t.Fatalf("%s: Canonical is not deterministic:\n%s\n%s", data, key, again)
+		}
+		other := c
+		other.Nodes = c.Nodes + 1
+		if c.Nodes == machine.MaxNodes {
+			other.Nodes = c.Nodes - 1
+		}
+		if got, err := other.Canonical(); err != nil || bytes.Equal(got, key) {
+			t.Fatalf("%s on %d nodes: encoding %s (%v), want one differing from %s", data, other.Nodes, got, err, key)
+		}
+	})
 }
 
 // TestLoadClassTotals checks the metric-export aggregation.

@@ -32,21 +32,39 @@ type Experiment struct {
 	// families start hidden so their output is pinned by their own
 	// digests instead of perturbing the long-lived all-sweep ones.
 	Hidden bool
+	// twin evaluates the experiment with the analytical twin.
+	twin twinEval
+}
+
+// twinEval is the twin's counterpart of Run and Print: rows predicts
+// the experiment without simulating (TwinRows), print renders them
+// (PrintTwinRows), and pairs scores them against the simulator
+// (Calibrate).
+type twinEval struct {
+	rows  func(cfg Config, tp *Predictor) (any, error)
+	print func(w io.Writer, rows any)
+	pairs func(cfg Config, tp *Predictor) []CalibPair
 }
 
 // gridExperiment registers a grid experiment. g is its one declaration:
-// it builds the cells and the row builder for their results, so Cells
-// and Run cannot drift apart.
+// it builds the cells and the row builder for their results, so Cells,
+// Run and the twin evaluation cannot drift apart.
 func gridExperiment[R any](name, desc string, g func(Config) ([]CellSpec, func([]Result) R), print func(io.Writer, Config, R)) Experiment {
+	cells := func(cfg Config) []CellSpec {
+		cells, _ := g(cfg)
+		return cells
+	}
 	return Experiment{
-		Name: name,
-		Desc: desc,
-		Cells: func(cfg Config) []CellSpec {
-			cells, _ := g(cfg)
-			return cells
-		},
+		Name:  name,
+		Desc:  desc,
+		Cells: cells,
 		Run:   func(cfg Config) any { return runGrid(cfg, g) },
 		Print: func(w io.Writer, cfg Config, rows any) { print(w, cfg, rows.(R)) },
+		twin: twinEval{
+			rows:  func(cfg Config, tp *Predictor) (any, error) { return predictCells(tp, cells(cfg)) },
+			print: printTwinRows,
+			pairs: func(cfg Config, tp *Predictor) []CalibPair { return calibrateCells(tp, cfg, cells(cfg)) },
+		},
 	}
 }
 
@@ -70,6 +88,7 @@ var experimentList = []Experiment{
 		Print: func(w io.Writer, cfg Config, rows any) {
 			PrintLatency(w, rows.(LatencyResult))
 		},
+		twin: twinEval{rows: predictLatency, print: printTwinRows, pairs: calibrateLatency},
 	},
 	gridExperiment("table1", "Table 1: applications, problem sizes, sequential execution times",
 		table1, func(w io.Writer, cfg Config, rows []Table1Row) {
@@ -105,6 +124,7 @@ var experimentList = []Experiment{
 		Print: func(w io.Writer, cfg Config, rows any) {
 			PrintLoad(w, cfg, rows.([]LoadRow))
 		},
+		twin: twinEval{rows: predictLoad, print: printTwinLoad, pairs: calibrateLoad},
 	},
 	gridExperiment("perpacket", "Extension (§4.4): interrupt per packet vs per message",
 		perPacket, rowsOnly(PrintPerPacket)),

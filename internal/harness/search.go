@@ -49,9 +49,7 @@ func TwinGuidedSearch(cfg Config, cells []CellSpec, k int) (SearchResult, error)
 	if k <= 0 {
 		k = (len(cells) + 3) / 4
 	}
-	if k > len(cells) {
-		k = len(cells)
-	}
+	k = min(k, len(cells))
 	tp := NewPredictor(&cfg.Workloads)
 	type scored struct {
 		idx  int

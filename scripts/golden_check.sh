@@ -40,8 +40,13 @@ for p in 1 4; do
     # its own digests.
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" >"$WORK/calibtext.$p"
     "$BIN/shrimpbench" -quick -calibrate -parallel "$p" -json >"$WORK/calibjson.$p"
+    # Twin-only predictions (no simulation): the instant answers
+    # shrimpd's POST /v1/twin serves, for every experiment and the load
+    # family.
+    "$BIN/shrimpbench" -quick -twin -exp all,load -parallel "$p" >"$WORK/twintext.$p"
+    "$BIN/shrimpbench" -quick -twin -json -exp all,load -parallel "$p" >"$WORK/twinjson.$p"
 done
-for kind in text json loadtext loadjson loaddefaultjson calibtext calibjson; do
+for kind in text json loadtext loadjson loaddefaultjson calibtext calibjson twintext twinjson; do
     if ! cmp -s "$WORK/$kind.1" "$WORK/$kind.4"; then
         echo "golden: $kind output differs between -parallel 1 and -parallel 4" >&2
         exit 1
@@ -49,11 +54,12 @@ for kind in text json loadtext loadjson loaddefaultjson calibtext calibjson; do
 done
 
 digest() { sha256sum "$1" | cut -d' ' -f1; }
-NEW=$(printf 'text %s\njson %s\nloadtext %s\nloadjson %s\ncalibtext %s\ncalibjson %s\nloaddefaultjson %s\n' \
+NEW=$(printf 'text %s\njson %s\nloadtext %s\nloadjson %s\ncalibtext %s\ncalibjson %s\nloaddefaultjson %s\ntwintext %s\ntwinjson %s\n' \
     "$(digest "$WORK/text.1")" "$(digest "$WORK/json.1")" \
     "$(digest "$WORK/loadtext.1")" "$(digest "$WORK/loadjson.1")" \
     "$(digest "$WORK/calibtext.1")" "$(digest "$WORK/calibjson.1")" \
-    "$(digest "$WORK/loaddefaultjson.1")")
+    "$(digest "$WORK/loaddefaultjson.1")" \
+    "$(digest "$WORK/twintext.1")" "$(digest "$WORK/twinjson.1")")
 
 if [ "${1:-}" = "-update" ]; then
     printf '%s\n' "$NEW" >"$GOLDEN"
@@ -76,4 +82,4 @@ if [ "$NEW" != "$(cat "$GOLDEN")" ]; then
     echo "together with an explanation of the behavioral change." >&2
     exit 1
 fi
-echo "golden: output matches $GOLDEN (text+json+load+default-size load+calib, -parallel 1 and 4)"
+echo "golden: output matches $GOLDEN (text+json+load+default-size load+calib+twin, -parallel 1 and 4)"
