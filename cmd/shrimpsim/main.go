@@ -25,10 +25,11 @@
 // Alternatively, -load drives a service with open-loop traffic
 // (internal/workload) instead of running a batch application:
 //
-//	shrimpsim -load rpc/polling|rpc/notified|socket/du|socket/au|dfs/du
-//	          [-offered MULT] [-nodes N] [-quick]
+//	shrimpsim -load CONFIG [-offered MULT] [-nodes N] [-quick] [-twin]
 //	          [-load-record FILE | -load-replay FILE]
 //
+// where CONFIG is one of the load family's service configurations
+// (shrimpsim -h lists them).
 // -load-record writes the generated request trace to FILE before
 // replaying it; -load-replay skips generation and replays a previously
 // recorded artifact (byte-identical report, by construction).
@@ -66,8 +67,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use tiny problem sizes")
 	twinMode := flag.Bool("twin", false,
 		"predict with the analytical twin instead of simulating (closed form, no DES)")
-	loadConfig := flag.String("load", "", "drive a service with open-loop traffic instead of -app "+
-		"(rpc/polling, rpc/notified, socket/du, socket/au, dfs/du)")
+	loadConfig := flag.String("load", "", loadUsage())
 	offered := flag.Float64("offered", 1, "offered-load multiplier for -load")
 	loadRecord := flag.String("load-record", "", "write the generated request trace to this file (-load)")
 	loadReplay := flag.String("load-replay", "", "replay a recorded request trace from this file (-load)")
@@ -174,6 +174,13 @@ func main() {
 
 func ptr[T any](v T) *T { return &v }
 
+// loadUsage is the -load flag's usage text, listing every service
+// configuration the harness declares.
+func loadUsage() string {
+	return "drive a service with open-loop traffic instead of -app (" +
+		strings.Join(harness.LoadConfigs(), ", ") + ")"
+}
+
 // runLoad executes one open-loop load cell: generate (or replay) the
 // request trace, drive the service, print the report.
 func runLoad(config string, nodes int, offered float64, quick, twinMode bool, record, replay string) {
@@ -191,12 +198,7 @@ func runLoad(config string, nodes int, offered float64, quick, twinMode bool, re
 	cell := harness.LoadCell{Config: config, Nodes: nodes, Offered: offered, Params: params}
 
 	if twinMode {
-		wl := harness.DefaultWorkloads()
-		if quick {
-			wl = harness.QuickWorkloads()
-		}
-		tp := harness.NewPredictor(&wl)
-		rows, err := tp.PredictLoad(cell)
+		rows, err := cell.Predict()
 		if err != nil {
 			fail(err)
 		}

@@ -4,8 +4,26 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"shrimp/internal/harness"
 )
+
+// TestLoadUsageListsEveryConfig checks the -load usage text names every
+// service configuration of the load sweep's grid.
+func TestLoadUsageListsEveryConfig(t *testing.T) {
+	usage := loadUsage()
+	cells := harness.LoadCells(harness.DefaultExperimentConfig())
+	if len(cells) == 0 {
+		t.Fatal("the load sweep has no cells")
+	}
+	for _, c := range cells {
+		if !strings.Contains(usage, c.Config) {
+			t.Errorf("-load usage %q does not list config %s", usage, c.Config)
+		}
+	}
+}
 
 // TestLoadModeWritesProfiles runs shrimpsim -load with every profiler
 // flag and checks that each profile file is written: the profilers must

@@ -14,7 +14,8 @@
 // doc comment carries //shrimp:continuation marks its func-typed
 // parameters as continuation entry points (sim.Engine.At/After/
 // NewTimer, Queue.PopFn, Cond.WaitFn, Resource.AcquireFn, Seq.Init,
-// NewSeq, Proc.SleepThen's wakeup step, mesh.Network.Attach), and a
+// NewSeq, the wakeup steps of Proc.SleepThen and Cond.WaitThen,
+// vmmc.Export.WaitFor's ready test, mesh.Network.Attach), and a
 // func-typed struct field carrying the directive marks every value
 // assigned to it as running in continuation context
 // (nic.NIC.RaiseInterrupt/OnDeliver, the NIC engine re-arm hooks,
@@ -75,7 +76,7 @@ const simPath = "shrimp/internal/sim"
 // illegal in continuation context.
 var blockingMethods = map[string]map[string]bool{
 	"Queue":    {"Pop": true},
-	"Cond":     {"Wait": true},
+	"Cond":     {"Wait": true, "WaitThen": true},
 	"Resource": {"Acquire": true},
 	"Proc":     {"Sleep": true, "SleepUntil": true, "SleepThen": true},
 }

@@ -81,20 +81,35 @@ func (d *dev) use() {
 }
 
 // window is a legal SleepThen step: it re-arms without blocking.
-func (d *dev) window() (int64, bool) {
+func (d *dev) window() (int64, sim.Verdict) {
 	d.pump()
-	return 1, true
+	return 1, sim.Again
 }
 
 // badWindow waits on a condition: illegal in a wakeup step.
-func (d *dev) badWindow() (int64, bool) {
+func (d *dev) badWindow() (int64, sim.Verdict) {
 	d.c.Wait(nil)
-	return 0, false
+	return 0, sim.Resume
 }
 
-// stream parks in SleepThen, itself a blocking call, from process
-// context; only its steps run in continuation context.
+// hold is a legal step: it holds its process on the condition and
+// returns Held instead of waiting.
+func (d *dev) hold() (int64, sim.Verdict) {
+	d.c.Hold(nil)
+	return 0, sim.Held
+}
+
+// badHold parks in WaitThen, itself a blocking call: illegal in a step.
+func (d *dev) badHold() (int64, sim.Verdict) {
+	d.c.WaitThen(nil, d.hold)
+	return 0, sim.Resume
+}
+
+// stream parks in SleepThen and WaitThen, themselves blocking calls,
+// from process context; only their steps run in continuation context.
 func (d *dev) stream(p *sim.Proc) {
 	p.SleepThen(1, d.window)
 	p.SleepThen(1, d.badWindow) // want `continuation passed to \(\*sim\.Proc\)\.SleepThen can reach a blocking call: \(\*nic\.dev\)\.badWindow → \(\*sim\.Cond\)\.Wait`
+	d.c.WaitThen(p, d.hold)
+	d.c.WaitThen(p, d.badHold) // want `continuation passed to \(\*sim\.Cond\)\.WaitThen can reach a blocking call: \(\*nic\.dev\)\.badHold → \(\*sim\.Cond\)\.WaitThen`
 }

@@ -10,11 +10,21 @@ type Proc struct{}
 // Sleep parks the process: a blocking primitive.
 func (p *Proc) Sleep(d int64) {}
 
+// Verdict is a step's decision at its wakeup.
+type Verdict uint8
+
+// The verdicts.
+const (
+	Resume Verdict = iota
+	Again
+	Held
+)
+
 // SleepThen parks the process, a blocking primitive, and runs step in
 // engine context at each wakeup.
 //
 //shrimp:continuation
-func (p *Proc) SleepThen(d int64, step func() (int64, bool)) {}
+func (p *Proc) SleepThen(d int64, step func() (int64, Verdict)) {}
 
 // Engine stands in for the event engine.
 type Engine struct{ now int64 }
@@ -47,6 +57,16 @@ type Cond struct{}
 
 // Wait parks the process: a blocking primitive.
 func (c *Cond) Wait(p *Proc) {}
+
+// WaitThen parks the process on the condition, a blocking primitive,
+// and runs step in engine context at each wakeup.
+//
+//shrimp:continuation
+func (c *Cond) WaitThen(p *Proc, step func() (int64, Verdict)) {}
+
+// Hold registers a stepped process as a waiter without parking: legal
+// in a step.
+func (c *Cond) Hold(p *Proc) {}
 
 // WaitFn registers a continuation waiter.
 //

@@ -2,6 +2,7 @@ package radix
 
 import (
 	"shrimp/internal/machine"
+	"shrimp/internal/memory"
 	"shrimp/internal/sim"
 	"shrimp/internal/svm"
 )
@@ -98,13 +99,8 @@ func StartSVM(s *svm.System, pr Params) func() sim.Time {
 
 				// Phase 3: permutation — the scattered, false-sharing-heavy
 				// writes the paper highlights.
-				for i := lo; i < hi; i++ {
-					k := rt.ReadUint32(p, src+4*i)
-					d := digit(k, pass, pr.Radix)
-					rt.WriteUint32(p, dst+4*offsets[d], k)
-					offsets[d]++
-					nd.CPUFor(p).Charge(3 * pr.KeyCost / 4)
-				}
+				nd.StoreWords(p, &permutation{rt: rt, p: p, cpu: nd.CPUFor(p), lo: lo, i: lo, hi: hi,
+					src: src, dst: dst, pass: pass, radix: pr.Radix, offsets: offsets, cost: 3 * pr.KeyCost / 4})
 				rt.Barrier(p)
 				src, dst = dst, src
 			}
@@ -133,6 +129,42 @@ func StartSVM(s *svm.System, pr Params) func() sim.Time {
 		}
 		return warm + elapsed
 	}
+}
+
+// permutation makes Radix-SVM's phase-3 stores, one key at a time, as
+// the per-key loop does: load the key, store it at its digit's next
+// destination slot, then charge the key's compute.
+type permutation struct {
+	rt        *svm.Runtime
+	p         *sim.Proc
+	cpu       *machine.CPU
+	lo, i, hi int // keys [lo, hi) of the source array; i is the next
+	src, dst  int
+	pass      int
+	radix     int
+	offsets   []int
+	cost      sim.Time
+}
+
+// NextWord charges the previous key's compute, loads the next key and
+// returns its store. In a step it stops before a load from a page with
+// no access, whose fault handler fetches the page, and at the end.
+func (s *permutation) NextWord(inline bool) (memory.Addr, uint32, bool) {
+	if inline && (s.i == s.hi || !s.rt.Node().Loadable(s.rt.Addr(s.src+4*s.i))) {
+		return 0, 0, false
+	}
+	if s.i > s.lo {
+		s.cpu.Charge(s.cost)
+	}
+	if s.i == s.hi {
+		return 0, 0, false
+	}
+	k := s.rt.ReadUint32(s.p, s.src+4*s.i)
+	s.i++
+	d := digit(k, s.pass, s.radix)
+	off := s.dst + 4*s.offsets[d]
+	s.offsets[d]++
+	return s.rt.Addr(off), k, true
 }
 
 // countKeys returns an order-independent checksum of a key multiset.

@@ -201,23 +201,45 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 }
 
 // distributeAU writes each key directly into its destination segment
-// through the automatic-update shadow (or locally for own keys).
+// through the automatic-update shadow (or locally for own keys), one
+// StoreUint32 per key, as a word run.
 func (rk *vmmcRank) distributeAU(p *sim.Proc, mine []uint32, pass, radix int, offsets []int, ranks []*vmmcRank, pr Params) {
-	nd := rk.nd
-	cpu := nd.CPUFor(p)
-	for _, k := range mine {
-		d := digit(k, pass, radix)
-		g := offsets[d]
-		offsets[d]++
-		o := ownerOf(g, ranks)
-		local := g - ranks[o].segLo
-		cpu.Charge(pr.KeyCost / 2)
-		if o == rk.rank {
-			nd.StoreUint32(p, rk.dstExp.Base+memory.Addr(4*local), k)
-			continue
-		}
-		nd.StoreUint32(p, rk.auBase[o]+memory.Addr(4*local), k)
+	s := &auScatter{rk: rk, cpu: rk.nd.CPUFor(p), keys: mine, pass: pass, radix: radix,
+		offsets: offsets, ranks: ranks, cost: pr.KeyCost / 2}
+	rk.nd.StoreWords(p, s)
+}
+
+// auScatter makes distributeAU's stores, one key at a time: the key's
+// destination and its compute charge, the body of the per-key loop
+// before its store.
+type auScatter struct {
+	rk          *vmmcRank
+	cpu         *machine.CPU
+	keys        []uint32 // keys not yet placed
+	pass, radix int
+	offsets     []int
+	ranks       []*vmmcRank
+	cost        sim.Time
+}
+
+// NextWord places the next key. It loads nothing, so it never needs the
+// process before the run's end.
+func (s *auScatter) NextWord(inline bool) (memory.Addr, uint32, bool) {
+	if len(s.keys) == 0 {
+		return 0, 0, false
 	}
+	k := s.keys[0]
+	s.keys = s.keys[1:]
+	d := digit(k, s.pass, s.radix)
+	g := s.offsets[d]
+	s.offsets[d]++
+	o := ownerOf(g, s.ranks)
+	local := memory.Addr(4 * (g - s.ranks[o].segLo))
+	s.cpu.Charge(s.cost)
+	if o == s.rk.rank {
+		return s.rk.dstExp.Base + local, k, true
+	}
+	return s.rk.auBase[o] + local, k, true
 }
 
 // distributeDU gathers (index,key) pairs per destination and ships them

@@ -118,12 +118,12 @@ func calibrateCells(tp *Predictor, cfg Config, cells []CellSpec) []CalibPair {
 }
 
 // calibrateLoad pairs every load cell's per-class mean sojourn.
-func calibrateLoad(cfg Config, tp *Predictor) []CalibPair {
+func calibrateLoad(cfg Config, _ *Predictor) []CalibPair {
 	cells := LoadCells(cfg)
 	perCell := cfg.runLoadCells(cells)
 	var pairs []CalibPair
 	for i, c := range cells {
-		pred, err := tp.PredictLoad(c)
+		pred, err := c.Predict()
 		if err != nil {
 			panic("harness: invalid load cell: " + err.Error())
 		}

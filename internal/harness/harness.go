@@ -607,6 +607,13 @@ func collectResult(m *machine.Machine, elapsed sim.Time) Result {
 // every knob at its point of use, so this is equivalent to having built
 // the machine with the knobs, for everything after the warmup.
 func Run(spec Spec, w *Workloads) Result {
+	res, _ := runCensus(spec, w)
+	return res
+}
+
+// runCensus is Run that also returns the engine's dispatch census, taken
+// before the machine closes.
+func runCensus(spec Spec, w *Workloads) (Result, sim.Census) {
 	cfg := machine.DefaultConfig(spec.Nodes)
 	if spec.Trace != nil {
 		cfg.Trace = trace.NewRecorder(*spec.Trace)
@@ -618,7 +625,7 @@ func Run(spec Spec, w *Workloads) Result {
 	for _, nd := range m.Nodes {
 		nd.NIC.SetConfig(m.Cfg.NIC)
 	}
-	return collectResult(m, body())
+	return collectResult(m, body()), m.E.Census()
 }
 
 // DefaultVariant returns the variant with the better speedup for an

@@ -115,6 +115,16 @@ var loadConfigs = []loadService{
 	{name: "dfs/du", workload: dfsWorkload, twin: dfsTwin},
 }
 
+// LoadConfigs lists the load family's service configurations, the
+// names a LoadCell's Config takes, in report order.
+func LoadConfigs() []string {
+	names := make([]string, len(loadConfigs))
+	for i := range loadConfigs {
+		names[i] = loadConfigs[i].name
+	}
+	return names
+}
+
 // rpcWorkload is a small and a big request class.
 func rpcWorkload(spec *workload.Spec, p LoadParams, gap float64) {
 	big := max(p.Streams/4, 1)
@@ -250,14 +260,12 @@ func (c LoadCell) service() (*loadService, error) {
 	if !(c.Offered > 0) || math.IsInf(c.Offered, 1) {
 		return nil, fmt.Errorf("harness: load cell offered multiplier must be finite and > 0, got %g", c.Offered)
 	}
-	names := make([]string, len(loadConfigs))
 	for i := range loadConfigs {
 		if loadConfigs[i].name == c.Config {
 			return &loadConfigs[i], nil
 		}
-		names[i] = loadConfigs[i].name
 	}
-	return nil, fmt.Errorf("harness: unknown load config %q (want one of %v)", c.Config, names)
+	return nil, fmt.Errorf("harness: unknown load config %q (want one of %v)", c.Config, LoadConfigs())
 }
 
 // Canonical returns the deterministic encoding of the cell — the

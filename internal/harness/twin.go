@@ -223,7 +223,7 @@ type twinClass struct {
 	transit    float64 // round trip excluding server occupancy and waits (s)
 }
 
-// PredictLoad estimates a load cell's per-class mean sojourn from a
+// Predict estimates the load cell's per-class mean sojourn from a
 // tandem of two queueing stations, mirroring the open-loop driver's
 // structure (workload.Run):
 //
@@ -244,7 +244,10 @@ type twinClass struct {
 // queueing waits are replaced by the finite-horizon backlog term
 // (rho-1) x T/2 — the average wait when the queue grows linearly over
 // the run. Utilization reports the bottleneck rho either way.
-func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
+//
+// It needs no Predictor: a load cell's twin inputs are its service's
+// loadConfigs entry and the machine configuration alone.
+func (c LoadCell) Predict() ([]TwinLoadRow, error) {
 	spec, svc, err := c.spec()
 	if err != nil {
 		return nil, err

@@ -100,9 +100,8 @@ func TestTwinRenderUsesCellKnobs(t *testing.T) {
 // driver's multi-millisecond sojourns.)
 func TestTwinLoadOracle(t *testing.T) {
 	wl := QuickWorkloads()
-	tp := NewPredictor(&wl)
 	low := LoadCell{Config: "dfs/du", Nodes: 16, Offered: 0.5, Params: wl.Load}
-	rows, err := tp.PredictLoad(low)
+	rows, err := low.Predict()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestTwinLoadOracle(t *testing.T) {
 	// Overload must strictly increase every class's predicted sojourn.
 	high := low
 	high.Offered = 2.0
-	hrows, err := tp.PredictLoad(high)
+	hrows, err := high.Predict()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,10 @@ func predictLatency(_ Config, tp *Predictor) (any, error) {
 }
 
 // predictLoad predicts every class of every load cell.
-func predictLoad(cfg Config, tp *Predictor) (any, error) {
+func predictLoad(cfg Config, _ *Predictor) (any, error) {
 	var rows []TwinLoadRow
 	for _, c := range LoadCells(cfg) {
-		pred, err := tp.PredictLoad(c)
+		pred, err := c.Predict()
 		if err != nil {
 			return nil, err
 		}

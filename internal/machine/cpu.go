@@ -61,15 +61,16 @@ func (c *CPU) Pending() sim.Time { return c.pending + c.stolen }
 // time, crediting the breakdown. Every primitive that interacts with
 // the NIC or another process must flush first.
 func (c *CPU) Flush(p *sim.Proc) {
-	if d := c.settle(); d > 0 {
+	if d := c.Settle(); d > 0 {
 		p.Sleep(d)
 	}
 }
 
-// settle is a flush without its sleep: it credits all accumulated and
-// stolen time to the breakdown, steals it from the shadowed application
-// context, and returns it as the time the flush sleeps.
-func (c *CPU) settle() sim.Time {
+// Settle is a Flush without its sleep, for a step that cannot sleep
+// itself: it credits all accumulated and stolen time to the breakdown,
+// steals it from the shadowed application context, and returns it as
+// the time the caller must sleep.
+func (c *CPU) Settle() sim.Time {
 	d := c.pending + c.stolen
 	if d == 0 {
 		return 0
@@ -103,6 +104,12 @@ func (c *CPU) Steal(d sim.Time) {
 // wait primitive. It returns the wait start time; pass it to EndWait.
 func (c *CPU) BeginWait(p *sim.Proc) sim.Time {
 	c.Flush(p)
+	return c.StartWait(p)
+}
+
+// StartWait is BeginWait once the flush is done: a step that settled
+// and slept its pending time calls it at its next wakeup.
+func (c *CPU) StartWait(p *sim.Proc) sim.Time {
 	c.waiting = true
 	return p.Now()
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shrimp/internal/memory"
@@ -267,31 +268,48 @@ func (nd *Node) StoreUint32(p *sim.Proc, addr memory.Addr, v uint32) {
 // only when the run ends or a store needs it: flow control is stalled,
 // or the page is not read-write and its fault handler may park.
 func (nd *Node) StoreBytes(p *sim.Proc, addr memory.Addr, data []byte) {
-	r := nd.startRun(p, addr, data)
-	for {
-		switch d, stop := r.advance(false); stop {
-		case runFlush:
-			p.SleepThen(d, r.step)
-		case runStalled:
-			nd.NIC.WaitAUReady(p)
-		default:
-			nd.endRun(r)
-			return
-		}
-	}
+	r := nd.startRun(p, nd.NIC.Config().AUWordBytes)
+	r.addr, r.data = addr, data
+	r.finish()
+}
+
+// A WordSource generates the 32-bit stores of a StoreWords run, one at
+// a time and in program order, from state it keeps itself.
+type WordSource interface {
+	// NextWord charges the compute that comes before the next store
+	// (loads included) and returns that store. ok false from the
+	// process (inline false) ends the run, after any compute that
+	// follows its last store. inline says NextWord runs in a SleepThen
+	// step, where nothing may block: before a load that would fault
+	// (Node.Loadable) or at the run's end, it returns ok false with no
+	// side effect, and the process calls it again.
+	NextWord(inline bool) (addr memory.Addr, v uint32, ok bool)
+}
+
+// StoreWords performs the stores src yields, each exactly as
+// StoreUint32 would, with src's compute charged in between. It streams
+// like StoreBytes: after a flush, the step stores words until the next
+// flush, and hands back to the process only on a flow-control stall,
+// a store to a page that is not read-write, or a word src cannot make
+// without the process.
+func (nd *Node) StoreWords(p *sim.Proc, src WordSource) {
+	r := nd.startRun(p, 4)
+	r.src = src
+	r.finish()
 }
 
 // Why storeRun.advance stopped.
 const (
-	runDone    = iota // every byte is stored
+	runDone    = iota // no next chunk; inline, a word run's source may need the process for it
 	runFlush          // a flush settled; sleep for the returned time
 	runStalled        // flow control stalls the next word's store
 	runFault          // the next store's page is not read-write (inline only)
 )
 
-// storeRun is one StoreBytes call in progress. It is per call, not per
-// node, because several processes on a node may store at once; idle
-// runs wait on the node's freelist, so a call allocates nothing.
+// storeRun is one StoreBytes or StoreWords call in progress. It is per
+// call, not per node, because several processes on a node may store at
+// once; idle runs wait on the node's freelist, so a call allocates
+// nothing. A word run stores each word as a 4-byte chunk of its own.
 type storeRun struct {
 	nd   *Node
 	p    *sim.Proc
@@ -299,20 +317,25 @@ type storeRun struct {
 	word int
 	addr memory.Addr // next byte to store
 	data []byte      // bytes left to store, from addr on
-	// n counts the bytes left in the current page's chunk (0: the next
-	// chunk has not started), and au says whether that page is AU-bound.
+	// src, in a word run, makes the next chunk, staged in buf; nil in
+	// a byte run.
+	src WordSource
+	buf [4]byte
+	// n counts the bytes left in the current chunk (0: the next chunk
+	// has not started), and au says whether that chunk's page is
+	// AU-bound.
 	n  int
 	au bool
 	// flushed says the next word's flow-control and flush checks are
 	// done: it is stored right after a flush.
 	flushed bool
 	// step is the bound window method, made once per run object.
-	step func() (sim.Time, bool)
+	step func() (sim.Time, sim.Verdict)
 }
 
 // startRun takes an idle run from the node's freelist, or makes one,
-// and sets it to store data at addr for p.
-func (nd *Node) startRun(p *sim.Proc, addr memory.Addr, data []byte) *storeRun {
+// and sets it to store for p in AU stores of word bytes.
+func (nd *Node) startRun(p *sim.Proc, word int) *storeRun {
 	var r *storeRun
 	if n := len(nd.runs); n > 0 {
 		r = nd.runs[n-1]
@@ -322,23 +345,37 @@ func (nd *Node) startRun(p *sim.Proc, addr memory.Addr, data []byte) *storeRun {
 		r = &storeRun{nd: nd}
 		r.step = r.window
 	}
-	r.p, r.cpu, r.word = p, nd.CPUFor(p), nd.NIC.Config().AUWordBytes
-	r.addr, r.data = addr, data
+	r.p, r.cpu, r.word = p, nd.CPUFor(p), word
 	return r
 }
 
-// endRun returns a finished run to the node's freelist.
-func (nd *Node) endRun(r *storeRun) {
-	r.p, r.cpu, r.data = nil, nil, nil
-	nd.runs = append(nd.runs, r)
+// finish drives the run to its end on the process, which sleeps each
+// flush with the window step and waits out each stall itself, then
+// returns the run to the node's freelist.
+func (r *storeRun) finish() {
+	for {
+		switch d, stop := r.advance(false); stop {
+		case runFlush:
+			r.p.SleepThen(d, r.step)
+		case runStalled:
+			r.nd.NIC.WaitAUReady(r.p)
+		default:
+			nd := r.nd
+			r.p, r.cpu, r.data, r.src = nil, nil, nil, nil
+			nd.runs = append(nd.runs, r)
+			return
+		}
+	}
 }
 
 // window is the flushing process's SleepThen step: it stores the words
 // after a flush, up to the next flush, and keeps the process parked
 // only when the window ends in that flush.
-func (r *storeRun) window() (sim.Time, bool) {
-	d, stop := r.advance(true)
-	return d, stop == runFlush
+func (r *storeRun) window() (sim.Time, sim.Verdict) {
+	if d, stop := r.advance(true); stop == runFlush {
+		return d, sim.Again
+	}
+	return 0, sim.Resume
 }
 
 // advance stores the run's words from where it stopped, in the order a
@@ -347,26 +384,23 @@ func (r *storeRun) window() (sim.Time, bool) {
 // wait. It never blocks: the caller sleeps a flush and waits out a
 // stall. inline says it runs as a wakeup step, where a fault handler
 // could not park, so it also stops before a write to a page that is
-// not read-write; the process then makes that write itself.
+// not read-write, and before a word its source cannot make inline; the
+// process then goes on from there itself.
 func (r *storeRun) advance(inline bool) (sim.Time, int) {
 	nd, cpu := r.nd, r.cpu
 	for {
-		if r.n == 0 {
-			if len(r.data) == 0 {
-				return 0, runDone
-			}
-			r.n = memory.PageSize - r.addr.Offset()
-			if r.n > len(r.data) {
-				r.n = len(r.data)
-			}
-			ent, ok := nd.NIC.Outgoing(r.addr.VPN())
-			r.au = ok && ent.AUEnable
+		if r.n == 0 && !r.next(inline) {
+			return 0, runDone
 		}
 		if !r.au {
-			if inline && !nd.writable(r.addr) {
+			if inline && !r.writable() {
 				return 0, runFault
 			}
-			cpu.Charge(nd.M.Cfg.Cost.CopyTime(r.n))
+			if r.src != nil {
+				cpu.Charge(nd.M.Cfg.Cost.StoreCost)
+			} else {
+				cpu.Charge(nd.M.Cfg.Cost.CopyTime(r.n))
+			}
 			r.store(r.n)
 			continue
 		}
@@ -379,19 +413,41 @@ func (r *storeRun) advance(inline bool) (sim.Time, int) {
 				return 0, runStalled
 			}
 			if cpu.Pending() >= cpu.maxAccum {
-				if d := cpu.settle(); d > 0 {
+				if d := cpu.Settle(); d > 0 {
 					r.flushed = true
 					return d, runFlush
 				}
 			}
 		}
-		if inline && !nd.writable(r.addr) {
+		if inline && !r.writable() {
 			return 0, runFault
 		}
 		r.flushed = false
 		cpu.Charge(nd.M.Cfg.Cost.AUStoreCost)
 		r.store(min(r.word, r.n))
 	}
+}
+
+// next starts the run's next chunk: the rest of the current page in a
+// byte run, the source's next word in a word run. It reports false when
+// there is none, or, inline, when the source needs the process.
+func (r *storeRun) next(inline bool) bool {
+	if r.src != nil {
+		addr, v, ok := r.src.NextWord(inline)
+		if !ok {
+			return false
+		}
+		binary.LittleEndian.PutUint32(r.buf[:], v)
+		r.addr, r.data, r.n = addr, r.buf[:], 4
+	} else {
+		if len(r.data) == 0 {
+			return false
+		}
+		r.n = min(memory.PageSize-r.addr.Offset(), len(r.data))
+	}
+	ent, ok := r.nd.NIC.Outgoing(r.addr.VPN())
+	r.au = ok && ent.AUEnable
+	return true
 }
 
 // store writes the run's next w bytes, all within the current chunk.
@@ -402,9 +458,18 @@ func (r *storeRun) store(w int) {
 	r.n -= w
 }
 
-// writable reports whether a store at addr proceeds without a fault.
-func (nd *Node) writable(addr memory.Addr) bool {
-	return nd.Mem.Prot(addr.VPN()) == memory.ProtReadWrite
+// writable reports whether storing the current chunk's next byte, and
+// a word's last one, proceeds without a fault.
+func (r *storeRun) writable() bool {
+	as, vpn := r.nd.Mem, r.addr.VPN()
+	last := (r.addr + memory.Addr(r.n-1)).VPN()
+	return as.Prot(vpn) == memory.ProtReadWrite && (last == vpn || as.Prot(last) == memory.ProtReadWrite)
+}
+
+// Loadable reports whether a load at addr proceeds without a fault: a
+// WordSource's check before a load in a step.
+func (nd *Node) Loadable(addr memory.Addr) bool {
+	return nd.Mem.Prot(addr.VPN()) != memory.ProtNone
 }
 
 // StoreUint64 performs an application store of a 64-bit word, paying

@@ -45,6 +45,70 @@ func refStoreBytes(nd *Node, p *sim.Proc, addr memory.Addr, data []byte) {
 	}
 }
 
+// storeWord is one word of a test word program: compute charged
+// before it, an optional aligned load it XORs in, its store, and
+// compute charged after the store.
+type storeWord struct {
+	pre, post sim.Time
+	load      memory.Addr // 0: none
+	addr      memory.Addr
+	v         uint32
+}
+
+// wordProg is a test WordSource over a fixed word program, in the
+// shape of Radix-SVM's permutation: each word's post compute is charged
+// when the next word is made, and in a step it stops before a load
+// that would fault.
+type wordProg struct {
+	nd    *Node
+	p     *sim.Proc
+	words []storeWord
+	i     int
+}
+
+func (w *wordProg) NextWord(inline bool) (memory.Addr, uint32, bool) {
+	if inline && (w.i == len(w.words) || (w.words[w.i].load != 0 && !w.nd.Loadable(w.words[w.i].load))) {
+		return 0, 0, false
+	}
+	cpu := w.nd.CPUFor(w.p)
+	if w.i > 0 {
+		cpu.Charge(w.words[w.i-1].post)
+	}
+	if w.i == len(w.words) {
+		return 0, 0, false
+	}
+	x := w.words[w.i]
+	w.i++
+	cpu.Charge(x.pre)
+	v := x.v
+	if x.load != 0 {
+		v ^= w.nd.LoadUint32(w.p, x.load)
+	}
+	return x.addr, v, true
+}
+
+// refStoreWords is the reference word run: the scalar loop of
+// StoreUint32 and LoadUint32 calls a word program stands for.
+func refStoreWords(nd *Node, p *sim.Proc, w *wordProg) {
+	cpu := nd.CPUFor(p)
+	for _, x := range w.words {
+		cpu.Charge(x.pre)
+		v := x.v
+		if x.load != 0 {
+			v ^= nd.LoadUint32(p, x.load)
+		}
+		nd.StoreUint32(p, x.addr, v)
+		cpu.Charge(x.post)
+	}
+}
+
+// storeImpl is the implementation a store scenario runs: byte runs
+// through bytes, or, when words is set, word programs through words.
+type storeImpl struct {
+	bytes func(nd *Node, p *sim.Proc, addr memory.Addr, data []byte)
+	words func(nd *Node, p *sim.Proc, w *wordProg)
+}
+
 // storeOutcome is everything a store scenario leaves observable.
 type storeOutcome struct {
 	end       sim.Time
@@ -60,13 +124,16 @@ const storePages = 4
 
 // runStoreScenario plays seed's random store program on a traced
 // 2-node machine, node 0 storing into a 4-page region whose pages are
-// AU-bound to node 1 (one of them sometimes not), with store performing
-// each store. The program mixes runs of random length and offset, many
-// crossing pages; a tiny FIFO threshold on some seeds, so flow control
-// stalls mid-stream; handlers that steal time from the writers; pages
-// made read-only at random instants and restored by the fault handler;
-// and, on some seeds, a second process streaming on node 0 at once.
-func runStoreScenario(seed int64, store func(*Node, *sim.Proc, memory.Addr, []byte)) storeOutcome {
+// AU-bound to node 1 (one of them sometimes not), with impl performing
+// each store. The byte program mixes runs of random length and offset,
+// many crossing pages. The word program mixes aligned and unaligned
+// words (some crossing pages), loads from the region, and compute
+// before and after each store. Both have a tiny FIFO threshold on some
+// seeds, so flow control stalls mid-stream; handlers that steal time
+// from the writers; pages made read-only or inaccessible at random
+// instants and restored by the fault handler; and, on some seeds, a
+// second process storing on node 0 at once.
+func runStoreScenario(seed int64, impl storeImpl) storeOutcome {
 	r := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig(2)
 	cfg.Trace = trace.NewRecorder(trace.Options{})
@@ -102,7 +169,8 @@ func runStoreScenario(seed int64, store func(*Node, *sim.Proc, memory.Addr, []by
 	const horizon = 400 * sim.Microsecond
 	for i := 0; i < 12; i++ {
 		vpn := src.VPN() + r.Intn(storePages)
-		m.E.At(sim.Time(r.Int63n(int64(horizon))), func() { n0.Mem.SetProt(vpn, memory.ProtRead) })
+		prot := memory.Prot(r.Intn(2)) // ProtNone or ProtRead
+		m.E.At(sim.Time(r.Int63n(int64(horizon))), func() { n0.Mem.SetProt(vpn, prot) })
 	}
 	for i := 0; i < 8; i++ {
 		steal := sim.Time(100 + r.Intn(5000))
@@ -119,17 +187,21 @@ func runStoreScenario(seed int64, store func(*Node, *sim.Proc, memory.Addr, []by
 	writer := func(id int64, p *sim.Proc, c *CPU) {
 		wr := rand.New(rand.NewSource(seed*31 + id))
 		for i := 0; i < 10; i++ {
-			off := wr.Intn(storePages * memory.PageSize)
-			n := 1 + wr.Intn(300)
-			if wr.Intn(2) == 0 {
-				// A run crossing into the next page.
-				off = memory.PageSize*(1+wr.Intn(storePages-1)) - 1 - wr.Intn(200)
-				n = 1 + wr.Intn(700)
+			if impl.words != nil {
+				impl.words(n0, p, randomWords(wr, n0, p, src))
+			} else {
+				off := wr.Intn(storePages * memory.PageSize)
+				n := 1 + wr.Intn(300)
+				if wr.Intn(2) == 0 {
+					// A run crossing into the next page.
+					off = memory.PageSize*(1+wr.Intn(storePages-1)) - 1 - wr.Intn(200)
+					n = 1 + wr.Intn(700)
+				}
+				n = min(n, storePages*memory.PageSize-off)
+				data := make([]byte, n)
+				wr.Read(data)
+				impl.bytes(n0, p, src+memory.Addr(off), data)
 			}
-			n = min(n, storePages*memory.PageSize-off)
-			data := make([]byte, n)
-			wr.Read(data)
-			store(n0, p, src+memory.Addr(off), data)
 			c.Charge(sim.Time(wr.Intn(2000)))
 			if wr.Intn(3) == 0 {
 				c.Flush(p)
@@ -155,6 +227,9 @@ func runStoreScenario(seed int64, store func(*Node, *sim.Proc, memory.Addr, []by
 		out.counters[i] = nd.Acct.Counters
 	}
 	out.src = make([]byte, storePages*memory.PageSize)
+	for i := 0; i < storePages; i++ {
+		n0.Mem.SetProt(src.VPN()+i, memory.ProtReadWrite)
+	}
 	n0.Mem.Read(nil, src, out.src)
 	out.dst = make([]byte, storePages*memory.PageSize)
 	n1.Mem.Read(nil, dst, out.dst)
@@ -166,12 +241,54 @@ func runStoreScenario(seed int64, store func(*Node, *sim.Proc, memory.Addr, []by
 // sequence, both nodes' CPU breakdown and counters (NIC counters
 // included), and the memory bytes of both sides must be identical.
 func TestStoreBytesMatchesReference(t *testing.T) {
+	checkStoreRuns(t, storeImpl{bytes: refStoreBytes}, storeImpl{bytes: (*Node).StoreBytes})
+}
+
+// TestStoreWordsMatchesReference is the same oracle for word runs:
+// random word programs run through StoreWords and through the scalar
+// StoreUint32/LoadUint32 loop.
+func TestStoreWordsMatchesReference(t *testing.T) {
+	checkStoreRuns(t, storeImpl{words: refStoreWords},
+		storeImpl{words: func(nd *Node, p *sim.Proc, w *wordProg) { nd.StoreWords(p, w) }})
+}
+
+// randomWords draws a word program of up to 60 words storing into the
+// storePages-page region at base: mostly aligned words, some unaligned
+// (a few crossing a page boundary), half of them loading an aligned
+// word of the region first.
+func randomWords(wr *rand.Rand, nd *Node, p *sim.Proc, base memory.Addr) *wordProg {
+	w := &wordProg{nd: nd, p: p}
+	for n := 1 + wr.Intn(60); n > 0; n-- {
+		x := storeWord{
+			pre:  sim.Time(wr.Intn(4) * wr.Intn(300)),
+			post: sim.Time(wr.Intn(2) * wr.Intn(500)),
+			v:    wr.Uint32(),
+		}
+		off := 4 * wr.Intn(storePages*memory.PageSize/4)
+		switch wr.Intn(8) {
+		case 0:
+			off = min(off+1+wr.Intn(3), storePages*memory.PageSize-4)
+		case 1:
+			off = memory.PageSize*(1+wr.Intn(storePages-1)) - 1 - wr.Intn(3)
+		}
+		x.addr = base + memory.Addr(off)
+		if wr.Intn(2) == 0 {
+			x.load = base + memory.Addr(4*wr.Intn(storePages*memory.PageSize/4))
+		}
+		w.words = append(w.words, x)
+	}
+	return w
+}
+
+// checkStoreRuns compares seeds 1..36 run with impl against ref.
+func checkStoreRuns(t *testing.T, ref, impl storeImpl) {
+	t.Helper()
 	var steps uint64
 	var stalls int64
 	faults := 0
 	for seed := int64(1); seed <= 36; seed++ {
-		want := runStoreScenario(seed, refStoreBytes)
-		got := runStoreScenario(seed, (*Node).StoreBytes)
+		want := runStoreScenario(seed, ref)
+		got := runStoreScenario(seed, impl)
 		if len(got.events) != len(want.events) {
 			t.Fatalf("seed %d: %d trace events, the reference has %d", seed, len(got.events), len(want.events))
 		}
@@ -207,19 +324,41 @@ func TestStoreBytesMatchesReference(t *testing.T) {
 	t.Logf("%d step wakeups, %d flow stalls, %d faults", steps, stalls, faults)
 }
 
-// TestStoreBytesAllocationFree asserts a streaming StoreBytes call takes
-// its run from the node's freelist: it allocates nothing.
+// TestStoreBytesAllocationFree asserts a streaming StoreBytes or
+// StoreWords call takes its run from the node's freelist: it allocates
+// nothing. Each runs on a machine of its own, so NIC packet buffers
+// grown for one run's packet sizes do not regrow for the other's.
 func TestStoreBytesAllocationFree(t *testing.T) {
+	data := make([]byte, 512)
+	storeAllocs(t, "StoreBytes", func(n0 *Node, p *sim.Proc, au memory.Addr) func() {
+		return func() { n0.StoreBytes(p, au, data) }
+	})
+	storeAllocs(t, "StoreWords", func(n0 *Node, p *sim.Proc, au memory.Addr) func() {
+		words := &wordProg{nd: n0, p: p}
+		for i := 0; i < 128; i++ {
+			words.words = append(words.words, storeWord{pre: 50, post: 20, load: au + memory.Addr(4*i),
+				addr: au + memory.Addr(4*(127-i)), v: uint32(i)})
+		}
+		return func() {
+			words.i = 0
+			n0.StoreWords(p, words)
+		}
+	})
+}
+
+// storeAllocs checks that the call store makes for a process, storing
+// into an AU-bound page, allocates nothing once warm, and streams.
+func storeAllocs(t *testing.T, what string, store func(n0 *Node, p *sim.Proc, au memory.Addr) func()) {
 	m, _, _, dst := pair(t, nil)
 	n0 := m.Nodes[0]
 	au := n0.Mem.Alloc(1)
 	n0.NIC.MapOutgoing(au.VPN(), m.Nodes[1].ID, dst.VPN(), true, true, false)
-	data := make([]byte, 512)
 	resume := sim.NewCond(m.E)
 	m.E.Spawn("writer", func(p *sim.Proc) {
+		call := store(n0, p, au)
 		for {
 			resume.Wait(p)
-			n0.StoreBytes(p, au, data)
+			call()
 		}
 	})
 	m.E.Run()
@@ -228,9 +367,9 @@ func TestStoreBytesAllocationFree(t *testing.T) {
 		m.E.Run()
 	})
 	if avg != 0 {
-		t.Fatalf("StoreBytes allocates %.1f objects per call, want 0", avg)
+		t.Fatalf("%s allocates %.1f objects per call, want 0", what, avg)
 	}
 	if m.E.Census().Steps == 0 {
-		t.Fatalf("StoreBytes never streamed: census %+v", m.E.Census())
+		t.Fatalf("%s never streamed: census %+v", what, m.E.Census())
 	}
 }

@@ -75,6 +75,8 @@ type Ring struct {
 	published uint64 // DU position updates sent; picks the staging word
 
 	scratch memory.Addr // receiver-side staging word for credit DMA
+	// readable is the bound hasData, made once for WaitReadable.
+	readable func(p *sim.Proc) bool
 }
 
 // ctlOffset is where the writer-position word lives, just past the data.
@@ -93,6 +95,7 @@ func New(snd, rcv *vmmc.Endpoint, cfg Config) *Ring {
 	}
 	pages := (cfg.Bytes + memory.PageSize - 1) / memory.PageSize
 	r := &Ring{cfg: cfg, size: pages * memory.PageSize, sndEP: snd, rcvEP: rcv}
+	r.readable = r.hasData
 
 	// Receiver: data pages + 1 control page; sender imports it.
 	r.dataExp = rcv.Export(nil, pages+1)
@@ -238,12 +241,10 @@ func (r *Ring) available(p *sim.Proc) int {
 func (r *Ring) Available(p *sim.Proc) int { return r.available(p) }
 
 // WaitReadable blocks until at least one byte is available.
-func (r *Ring) WaitReadable(p *sim.Proc) {
-	var seen int64 = -1
-	for r.available(p) == 0 {
-		seen = r.dataExp.WaitUpdate(p, seen)
-	}
-}
+func (r *Ring) WaitReadable(p *sim.Proc) { r.dataExp.WaitFor(p, r.readable) }
+
+// hasData is WaitReadable's ready test, bound once into r.readable.
+func (r *Ring) hasData(p *sim.Proc) bool { return r.available(p) > 0 }
 
 // Read consumes up to len(buf) bytes, blocking until at least one is
 // available. It returns the number of bytes read.

@@ -67,34 +67,51 @@ func TestProcSleepAllocationFree(t *testing.T) {
 	e.Shutdown()
 }
 
-// TestSleepThenAllocationFree asserts that a SleepThen step re-arming
-// its process's wakeup, as a streaming store does after every flush,
-// costs no allocation per wakeup.
+// TestSleepThenAllocationFree asserts that steps cost no allocation
+// per wakeup: a SleepThen step re-arming its process's wakeup, as a
+// streaming store does after every flush, and a WaitThen step holding
+// its process on a Cond, as a stepped poll does between deliveries.
 func TestSleepThenAllocationFree(t *testing.T) {
 	e := NewEngine()
-	resume := NewCond(e)
+	resume, poke := NewCond(e), NewCond(e)
+	var streamer *Proc
 	left := 0
-	step := func() (Time, bool) {
+	step := func() (Time, Verdict) {
 		left--
-		return 2, left > 0
+		if left <= 0 {
+			return 0, Resume
+		}
+		if left%2 == 0 {
+			poke.Hold(streamer)
+			return 0, Held
+		}
+		return 2, Again
 	}
-	e.Spawn("streamer", func(p *Proc) {
+	streamer = e.Spawn("streamer", func(p *Proc) {
 		for {
 			resume.Wait(p)
-			left = 5
+			left = 6
 			p.SleepThen(3, step)
+			left = 5
+			poke.WaitThen(p, step)
 		}
 	})
-	e.Run() // park the streamer on the condition
+	e.Spawn("poker", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			poke.Broadcast()
+		}
+	})
+	e.RunUntil(10) // park the streamer on the condition
 	avg := testing.AllocsPerRun(100, func() {
 		resume.Signal()
-		e.Run()
+		e.RunUntil(e.Now() + 50)
 	})
 	if avg != 0 {
-		t.Fatalf("SleepThen cycle allocates %.1f objects per run, want 0", avg)
+		t.Fatalf("step cycle allocates %.1f objects per run, want 0", avg)
 	}
-	if e.Census().Steps == 0 {
-		t.Fatal("the step never kept its process parked")
+	if e.Census().Steps == 0 || e.Blocked() != 1 {
+		t.Fatalf("census %+v, %d blocked: want steps, and the streamer blocked on resume", e.Census(), e.Blocked())
 	}
 	e.Shutdown()
 }

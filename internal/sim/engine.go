@@ -122,8 +122,8 @@ type Census struct {
 	SelfWakeups uint64
 	// FnEvents counts fn events dispatched, wherever the loop ran.
 	FnEvents uint64
-	// Steps counts wakeups a SleepThen step handled while its process
-	// stayed parked.
+	// Steps counts wakeups a SleepThen or WaitThen step handled while
+	// its process stayed parked.
 	Steps uint64
 }
 
@@ -150,7 +150,8 @@ func (e *Engine) Tracer() *trace.Recorder { return e.tr }
 func (e *Engine) Live() int { return e.live }
 
 // Blocked reports the number of processes currently parked with no
-// scheduled wakeup (i.e. waiting on a condition that nobody has signaled).
+// scheduled wakeup (i.e. waiting on a condition that nobody has
+// signaled), whether parked by Wait or held by a step.
 // After Run returns, a nonzero Blocked count indicates a deadlock.
 func (e *Engine) Blocked() int { return e.blocked }
 
@@ -352,24 +353,35 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.push(ev)
 }
 
-// stepped runs the SleepThen step of q, whose wakeup just popped, in
-// place of resuming q. It reports true when the step filed q's next
-// wakeup, so q stays parked, and false when q is to resume at this
-// wakeup. A finished process has no step: its leftover wakeup is
-// dropped by resume.
+// stepped runs the step of q, parked in SleepThen or WaitThen, whose
+// wakeup just popped, in place of resuming q. A held q stops counting
+// as Blocked here, where a process woken from Wait would resume. It
+// reports true when the step keeps q parked, its next wakeup filed
+// (Again) or its hold on a Cond registered (Held), and false when q is
+// to resume at this wakeup. A finished process has no step: its
+// leftover wakeup is dropped by resume.
 //
 //shrimp:hotpath
 func (e *Engine) stepped(q *Proc) bool {
-	next, again := q.step()
-	if !again {
+	if q.held {
+		q.held = false
+		e.blocked--
+	}
+	switch next, v := q.step(); v {
+	case Again:
+		if next < 0 {
+			panic("sim: negative sleep")
+		}
+		e.wake(q, e.now+next)
+	case Held:
+		if !q.held {
+			panic("sim: step returned Held without holding its process on a Cond")
+		}
+	default:
 		q.step = nil
 		return false
 	}
-	if next < 0 {
-		panic("sim: negative sleep")
-	}
 	e.census.Steps++
-	e.wake(q, e.now+next)
 	return true
 }
 

@@ -24,9 +24,12 @@ type Proc struct {
 	// c is the coroutine running body: nil until the process is first
 	// resumed, and again once the body has returned.
 	c *carrier
-	// step, while the process is parked in SleepThen, runs at each of
-	// its wakeups in place of resuming it.
-	step     func() (next Time, again bool)
+	// step, while the process is parked in SleepThen or WaitThen, runs
+	// at each of its wakeups in place of resuming it.
+	step func() (next Time, v Verdict)
+	// held says the process, parked in a step, is held on a Cond (Hold)
+	// and counts as Blocked until that wakeup pops.
+	held     bool
 	finished bool
 	killed   bool
 	ctx      any
@@ -282,19 +285,36 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
+// Verdict is a SleepThen or WaitThen step's decision at the wakeup it
+// just handled.
+type Verdict uint8
+
+const (
+	// Resume resumes the process at this same wakeup, with no event in
+	// between; its SleepThen or WaitThen returns.
+	Resume Verdict = iota
+	// Again keeps the process parked and files its next wakeup next
+	// from now, exactly where Sleep(next) would.
+	Again
+	// Held keeps the process parked with no wakeup filed: the step has
+	// held it on a Cond with Hold, where Wait would have parked it, and
+	// that Cond's signal files the next wakeup.
+	Held
+)
+
 // SleepThen sleeps like Sleep(d), but each wakeup runs step, inline and
 // at that wakeup's (t, seq) calendar position, in place of resuming the
-// process. A step returning (next, true) keeps the process parked and
-// files its next wakeup exactly where Sleep(next) would; one returning
-// false resumes the process at this same wakeup, with no event in
-// between, and SleepThen returns. The step therefore runs code the
-// process would have run at the same calendar position, and costs an
-// inline call where a wakeup by another process would cost a switch.
-// A step runs in continuation context and must not block; a panic in it
-// propagates out of Run like a panic in an fn event.
+// process. The step's Verdict says what happens next: Again and Held
+// keep the process parked until the next wakeup, whose step runs the
+// same way; Resume resumes it at this wakeup and SleepThen returns. The
+// step therefore runs code the process would have run at the same
+// calendar position, and costs an inline call where a wakeup by
+// another process would cost a switch. A step runs in continuation
+// context and must not block; a panic in it propagates out of Run like
+// a panic in an fn event.
 //
 //shrimp:continuation
-func (p *Proc) SleepThen(d Time, step func() (next Time, again bool)) {
+func (p *Proc) SleepThen(d Time, step func() (next Time, v Verdict)) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
@@ -349,6 +369,30 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, condWaiter{p: p})
 	p.block()
+}
+
+// WaitThen waits like Wait, but the wakeup runs step inline in place of
+// resuming the process, exactly as SleepThen's wakeups do; a step that
+// waits again holds the process on a Cond with Hold and returns Held.
+// The process counts as Blocked while it is held, as under Wait.
+//
+//shrimp:continuation
+func (c *Cond) WaitThen(p *Proc, step func() (next Time, v Verdict)) {
+	c.Hold(p)
+	p.step = step
+	p.park()
+}
+
+// Hold registers p, parked in a step, as a waiter on c, at the place in
+// c's FIFO where Wait(p) would: the step then returns Held, and c's
+// Signal or Broadcast files p's next wakeup. p counts as Blocked from
+// here until that wakeup pops.
+//
+//shrimp:hotpath
+func (c *Cond) Hold(p *Proc) {
+	c.waiters = append(c.waiters, condWaiter{p: p})
+	p.held = true
+	c.e.blocked++
 }
 
 // WaitFn registers fn to be scheduled (as a fn event at the signaling

@@ -6,14 +6,17 @@ import (
 	"testing"
 )
 
-// The SleepThen differential oracle: seeded random programs run twice,
-// once with processes that sleep with plain Sleep and do every unit of
-// work themselves, and once with processes whose SleepThen step does
-// the work between sleeps, handing back to the process at random points
-// mid-run. Work units log, schedule fn events (some due now, to tie with
-// wakeups), and signal a shared Cond that processes also wait on. Since
-// a step runs at its wakeup's (t, seq) position, both runs must log the
-// same (t, order, actor) sequence.
+// The step differential oracle: seeded random programs run once with
+// processes that sleep with plain Sleep, wait with Cond.Wait and do
+// every unit of work themselves, and again with processes whose steps
+// do the work, handing back to the process at random points mid-run.
+// In the SleepThen run a step hands back before each wait; in the held
+// run it holds its process on the Cond instead (Cond.Hold), and a
+// process that waits itself parks in WaitThen. Work units log, schedule
+// fn events (some due now, to tie with wakeups), and signal a shared
+// Cond that processes also wait on. Since a step runs at its wakeup's
+// (t, seq) position, every run must log the same (t, order, actor)
+// sequence, and every entry records Blocked() as its event left it.
 
 // Actions a work unit ends with.
 const (
@@ -22,19 +25,32 @@ const (
 	stepDone
 )
 
+// How a run's processes wait.
+const (
+	runPlain = iota // Sleep and Cond.Wait, no steps
+	runSteps        // SleepThen steps; every wait is Cond.Wait
+	runHeld         // SleepThen steps that hold on the Cond; WaitThen
+)
+
 // stepProgram is the shared state of one run of a seeded program.
 type stepProgram struct {
 	e       *Engine
 	c       *Cond
 	seed    int64
+	mode    int
 	fnLeft  int
 	log     []string
 	handed  int // step hand-backs that left the work to the process
 	stepped int // units a step did in place of the process
+	held    int // waits a step or WaitThen held instead of Cond.Wait
 }
 
+// record logs an entry with the time and the number of blocked
+// processes. Every event records at least once, so the entries sample
+// Blocked() after each event that changed it.
 func (g *stepProgram) record(format string, args ...any) {
-	g.log = append(g.log, fmt.Sprintf("%d t=%d ", len(g.log), g.e.Now())+fmt.Sprintf(format, args...))
+	g.log = append(g.log, fmt.Sprintf("%d t=%d blocked=%d ", len(g.log), g.e.Now(), g.e.Blocked())+
+		fmt.Sprintf(format, args...))
 }
 
 // stepActor is one process's script: its work rng depends only on the
@@ -42,6 +58,7 @@ func (g *stepProgram) record(format string, args ...any) {
 // the step run's extra hand-back decisions and touches nothing logged.
 type stepActor struct {
 	g        *stepProgram
+	p        *Proc
 	id       int
 	units    int
 	work     *rand.Rand
@@ -97,14 +114,19 @@ func (a *stepActor) plain(p *Proc) {
 	a.g.record("actor %d done", a.id)
 }
 
-// streamed is the process body of the run under test.
+// streamed is the process body of the runs under test.
 func (a *stepActor) streamed(p *Proc) {
+	a.p = p
 	a.unit()
 	for a.op != stepDone {
 		a.computed = false
-		if a.op == stepSleep {
+		switch {
+		case a.op == stepSleep:
 			p.SleepThen(a.d, a.step)
-		} else {
+		case a.g.mode == runHeld:
+			a.g.held++
+			a.g.c.WaitThen(p, a.step)
+		default:
 			a.g.c.Wait(p)
 		}
 		if !a.computed {
@@ -114,26 +136,31 @@ func (a *stepActor) streamed(p *Proc) {
 	a.g.record("actor %d done", a.id)
 }
 
-// step runs units at the wakeups of a SleepThen.
-func (a *stepActor) step() (Time, bool) {
+// step runs units at the wakeups of a SleepThen or WaitThen.
+func (a *stepActor) step() (Time, Verdict) {
 	if a.handback.Intn(4) == 0 {
 		a.g.handed++
-		return 0, false
+		return 0, Resume
 	}
 	a.g.stepped++
 	a.unit()
-	if a.op == stepSleep {
-		return a.d, true
+	switch {
+	case a.op == stepSleep:
+		return a.d, Again
+	case a.op == stepWait && a.g.mode == runHeld:
+		a.g.held++
+		a.g.c.Hold(a.p)
+		return 0, Held
 	}
 	a.computed = true
-	return 0, false
+	return 0, Resume
 }
 
-// runStepProgram runs seed's program with plain or streamed bodies and
-// returns its log and the engine census before Shutdown.
-func runStepProgram(seed int64, streamed bool) (*stepProgram, Census) {
+// runStepProgram runs seed's program in mode and returns its log and
+// the engine census before Shutdown.
+func runStepProgram(seed int64, mode int) (*stepProgram, Census) {
 	e := NewEngine()
-	g := &stepProgram{e: e, c: NewCond(e), seed: seed, fnLeft: 60}
+	g := &stepProgram{e: e, c: NewCond(e), seed: seed, mode: mode, fnLeft: 60}
 	setup := rand.New(rand.NewSource(seed))
 	for id := 0; id < 2+setup.Intn(4); id++ {
 		a := &stepActor{
@@ -143,7 +170,7 @@ func runStepProgram(seed int64, streamed bool) (*stepProgram, Census) {
 			handback: rand.New(rand.NewSource(seed*104729 + int64(id))),
 		}
 		body := a.plain
-		if streamed {
+		if mode != runPlain {
 			body = a.streamed
 		}
 		e.SpawnAt(Time(setup.Intn(3)), fmt.Sprint("actor", id), body)
@@ -164,10 +191,26 @@ func runStepProgram(seed int64, streamed bool) (*stepProgram, Census) {
 }
 
 func TestSleepThenMatchesSleep(t *testing.T) {
-	var handed, stepped int
+	handed, stepped := checkStepRuns(t, runSteps)
+	t.Logf("%d units done by steps, %d hand-backs", stepped, handed)
+}
+
+// TestHeldStepsMatchWait is the oracle for held steps: with waits held
+// on the Cond by steps and WaitThen, the log, every entry's Blocked()
+// and the census must match the plain run's.
+func TestHeldStepsMatchWait(t *testing.T) {
+	handed, stepped := checkStepRuns(t, runHeld)
+	t.Logf("%d units done by steps, %d hand-backs", stepped, handed)
+}
+
+// checkStepRuns compares seeds 1..60 run in mode against the plain
+// runs and returns the step hand-backs and stepped units in all.
+func checkStepRuns(t *testing.T, mode int) (handed, stepped int) {
+	t.Helper()
+	held := 0
 	for seed := int64(1); seed <= 60; seed++ {
-		want, wantCensus := runStepProgram(seed, false)
-		got, gotCensus := runStepProgram(seed, true)
+		want, wantCensus := runStepProgram(seed, runPlain)
+		got, gotCensus := runStepProgram(seed, mode)
 		for i := 0; i < len(got.log) || i < len(want.log); i++ {
 			var g, w string
 			if i < len(got.log) {
@@ -177,27 +220,29 @@ func TestSleepThenMatchesSleep(t *testing.T) {
 				w = want.log[i]
 			}
 			if g != w {
-				t.Fatalf("seed %d: entry %d is %q, the Sleep run has %q", seed, i, g, w)
+				t.Fatalf("seed %d: entry %d is %q, the plain run has %q", seed, i, g, w)
 			}
 		}
 		// Each step wakeup replaces one process wakeup, resumed by a
 		// switch or by the process's own loop; fn events are the same.
 		wakeups := func(c Census) uint64 { return c.Handoffs + c.SelfWakeups + c.Steps }
 		if gotCensus.FnEvents != wantCensus.FnEvents || wakeups(gotCensus) != wakeups(wantCensus) {
-			t.Fatalf("seed %d: census %+v, the Sleep run's %+v: want equal fn events and wakeups",
+			t.Fatalf("seed %d: census %+v, the plain run's %+v: want equal fn events and wakeups",
 				seed, gotCensus, wantCensus)
 		}
 		if wantCensus.Steps != 0 || gotCensus.Steps == 0 {
-			t.Fatalf("seed %d: steps %d with SleepThen, %d with Sleep; want > 0 and 0",
+			t.Fatalf("seed %d: steps %d with steps, %d without; want > 0 and 0",
 				seed, gotCensus.Steps, wantCensus.Steps)
 		}
 		handed += got.handed
 		stepped += got.stepped
+		held += got.held
 	}
-	if handed == 0 || stepped == 0 {
-		t.Fatalf("%d hand-backs, %d stepped units; want both > 0", handed, stepped)
+	if handed == 0 || stepped == 0 || (mode == runHeld) != (held > 0) {
+		t.Fatalf("%d hand-backs, %d stepped units, %d held waits; want the first two > 0, held only in the held run",
+			handed, stepped, held)
 	}
-	t.Logf("%d units done by steps, %d hand-backs", stepped, handed)
+	return handed, stepped
 }
 
 // A step's wakeup pops in one of three places: the stepping process's
@@ -211,7 +256,7 @@ func TestStepPanicReachesRunCaller(t *testing.T) {
 			unwound := 0
 			e.Spawn("streamer", func(p *Proc) {
 				defer func() { unwound++ }()
-				p.SleepThen(10, func() (Time, bool) { panic("bad step") })
+				p.SleepThen(10, func() (Time, Verdict) { panic("bad step") })
 				t.Error("streamer resumed after its step panicked")
 			})
 			switch where {
@@ -248,7 +293,7 @@ func TestShutdownOfSleepThen(t *testing.T) {
 	steps, unwound := 0, false
 	e.Spawn("streamer", func(p *Proc) {
 		defer func() { unwound = true }()
-		p.SleepThen(10, func() (Time, bool) { steps++; return 1, true })
+		p.SleepThen(10, func() (Time, Verdict) { steps++; return 1, Again })
 	})
 	e.RunUntil(5)
 	e.Shutdown()
@@ -263,7 +308,7 @@ func TestFinishedProcStepIsDropped(t *testing.T) {
 	e := NewEngine()
 	steps := 0
 	e.Spawn("streamer", func(p *Proc) {
-		p.SleepThen(10, func() (Time, bool) { steps++; return 0, false })
+		p.SleepThen(10, func() (Time, Verdict) { steps++; return 0, Resume })
 	})
 	e.At(5, func() { panic("bad event") })
 	if r := runRecovering(e); r != "bad event" {

@@ -55,7 +55,7 @@ func (rt *Runtime) handleFault(p *sim.Proc, vpn int, write bool) {
 			// Bind the page write-through to its home copy: every store
 			// now propagates as automatic update, combined whenever the
 			// NIC's combining knob is on.
-			rt.regionImp[home].BindAU(p, rt.addr(page*memory.PageSize), page, 1,
+			rt.regionImp[home].BindAU(p, rt.Addr(page*memory.PageSize), page, 1,
 				true, false)
 		}
 	}
@@ -88,7 +88,7 @@ func (rt *Runtime) serveFetch(p *sim.Proc, requester, page int) {
 	if rt.s.Home(page) != rt.rank {
 		panic(fmt.Sprintf("svm: fetch of page %d at non-home %d", page, rt.rank))
 	}
-	src := rt.addr(page * memory.PageSize)
+	src := rt.Addr(page * memory.PageSize)
 	rt.regionImp[requester].Send(p, src, page*memory.PageSize, memory.PageSize,
 		vmmc.SendOpts{})
 	rt.sendRep(p, requester, mFetchDone, page, 0, nil)
@@ -157,10 +157,10 @@ func (rt *Runtime) Release(p *sim.Proc) []int {
 				rt.node.Acct.Counters.DiffsCreated++
 				rt.trace(trace.KDiffCreate, int64(page), 0)
 				st.twin = nil
-				rt.regionImp[home].UnbindAU(rt.addr(page*memory.PageSize), 1)
+				rt.regionImp[home].UnbindAU(rt.Addr(page*memory.PageSize), 1)
 			case AURC:
 				// No twins, no diffs: just unbind.
-				rt.regionImp[home].UnbindAU(rt.addr(page*memory.PageSize), 1)
+				rt.regionImp[home].UnbindAU(rt.Addr(page*memory.PageSize), 1)
 			}
 			homesTouched[home] = true
 		}
@@ -206,7 +206,7 @@ func (rt *Runtime) pushDiff(p *sim.Proc, page int, st *pageState) {
 	rt.trace(trace.KDiffCreate, int64(page), 0)
 	base := page * memory.PageSize
 	for i, run := range runs {
-		rt.regionImp[home].Send(p, rt.addr(base+run.off), base+run.off, run.len,
+		rt.regionImp[home].Send(p, rt.Addr(base+run.off), base+run.off, run.len,
 			vmmc.SendOpts{Internal: i > 0})
 	}
 	if len(runs) > 0 {

@@ -14,22 +14,22 @@ import (
 
 // ReadUint32 loads a 32-bit word from region offset off.
 func (rt *Runtime) ReadUint32(p *sim.Proc, off int) uint32 {
-	return rt.node.LoadUint32(p, rt.addr(off))
+	return rt.node.LoadUint32(p, rt.Addr(off))
 }
 
 // WriteUint32 stores a 32-bit word at region offset off.
 func (rt *Runtime) WriteUint32(p *sim.Proc, off int, v uint32) {
-	rt.node.StoreUint32(p, rt.addr(off), v)
+	rt.node.StoreUint32(p, rt.Addr(off), v)
 }
 
 // ReadUint64 loads a 64-bit word from region offset off.
 func (rt *Runtime) ReadUint64(p *sim.Proc, off int) uint64 {
-	return rt.node.LoadUint64(p, rt.addr(off))
+	return rt.node.LoadUint64(p, rt.Addr(off))
 }
 
 // WriteUint64 stores a 64-bit word at region offset off.
 func (rt *Runtime) WriteUint64(p *sim.Proc, off int, v uint64) {
-	rt.node.StoreUint64(p, rt.addr(off), v)
+	rt.node.StoreUint64(p, rt.Addr(off), v)
 }
 
 // ReadFloat64 loads a float64 from region offset off.

@@ -338,5 +338,6 @@ func (rt *Runtime) Node() *machine.Node { return rt.node }
 // pageVPN maps a region page index to the local virtual page number.
 func (rt *Runtime) pageVPN(page int) int { return rt.base.VPN() + page }
 
-// addr maps a region byte offset to the local virtual address.
-func (rt *Runtime) addr(off int) memory.Addr { return rt.base + memory.Addr(off) }
+// Addr maps a region byte offset to the local virtual address: where
+// a word run (machine.Node.StoreWords) stores as WriteUint32 would.
+func (rt *Runtime) Addr(off int) memory.Addr { return rt.base + memory.Addr(off) }

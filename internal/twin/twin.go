@@ -19,7 +19,7 @@
 //     per byte.
 //   - Occupancy terms expose how busy each stage is per unit of
 //     offered traffic, which is what the harness's open-loop queueing
-//     estimates (Predictor.PredictLoad) consume.
+//     estimates (harness.LoadCell.Predict) consume.
 //
 // Everything here is a pure function of the configuration — no clocks,
 // no randomness, no state — so the package is classified sim-side for

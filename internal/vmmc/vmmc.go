@@ -63,6 +63,8 @@ type Endpoint struct {
 
 	deliveries int64
 	recvCond   *sim.Cond
+	// polls is the freelist of idle WaitFor calls.
+	polls []*poll
 
 	// Notification blocking (§2.2): while blocked, notifications queue.
 	notifyBlocked bool
@@ -182,6 +184,106 @@ func (ex *Export) WaitUpdate(p *sim.Proc, already int64) int64 {
 	}
 	cpu.EndWait(p, stats.Comm, since)
 	return ex.deliveries
+}
+
+// WaitFor blocks until ready(p) reports true. It is the stepped form of
+//
+//	seen := int64(-1)
+//	for !ready(p) {
+//		seen = ex.WaitUpdate(p, seen)
+//	}
+//
+// with the same charges, flushes and Cond waits at the same calendar
+// positions, but the loop's flush sleeps and waits park the process in
+// steps (Proc.SleepThen, Cond.WaitThen) that run the loop on inline at
+// each wakeup, so the process is resumed once, when ready holds. ready
+// runs in those steps, in continuation context, and must not block;
+// pass a func value made once, not per call, to keep the call
+// allocation-free.
+//
+//shrimp:continuation
+func (ex *Export) WaitFor(p *sim.Proc, ready func(p *sim.Proc) bool) {
+	ep := ex.ep
+	var w *poll
+	if n := len(ep.polls); n > 0 {
+		w = ep.polls[n-1]
+		ep.polls[n-1] = nil
+		ep.polls = ep.polls[:n-1]
+	} else {
+		w = &poll{}
+		w.step = w.wake
+	}
+	*w = poll{ex: ex, p: p, cpu: ep.Node.CPUFor(p), ready: ready, seen: -1, step: w.step}
+	switch d, v := w.advance(false); v {
+	case sim.Again:
+		p.SleepThen(d, w.step)
+	case sim.Held:
+		ex.recvCond.WaitThen(p, w.step)
+	}
+	*w = poll{step: w.step}
+	ep.polls = append(ep.polls, w)
+}
+
+// Where a poll's loop stands.
+const (
+	pollCheck   = iota // test ready, then poll the delivery count
+	pollFlushed        // BeginWait's flush is done; the wait starts
+	pollWaiting        // waiting on the export's Cond for a delivery
+)
+
+// poll is one WaitFor call in progress. Idle polls wait on the
+// endpoint's freelist, each with its step bound once.
+type poll struct {
+	ex    *Export
+	p     *sim.Proc
+	cpu   *machine.CPU
+	ready func(p *sim.Proc) bool
+	seen  int64 // the delivery count WaitUpdate last returned
+	since sim.Time
+	at    int
+	step  func() (sim.Time, sim.Verdict)
+}
+
+// wake is the poll's step: it runs the loop on from the wakeup.
+func (w *poll) wake() (sim.Time, sim.Verdict) { return w.advance(true) }
+
+// advance runs the WaitFor loop from where it stands until ready holds
+// (Resume), BeginWait's flush must sleep (Again), or the wait must park
+// on the export's Cond (Held). inline says it runs in a step, which
+// holds the process on the Cond itself; from the process, WaitFor
+// parks it there.
+func (w *poll) advance(inline bool) (sim.Time, sim.Verdict) {
+	ex, cpu := w.ex, w.cpu
+	for {
+		switch w.at {
+		case pollCheck:
+			if w.ready(w.p) {
+				return 0, sim.Resume
+			}
+			cpu.Charge(ex.ep.Node.M.Cfg.Cost.LoadCost) // the poll itself
+			if ex.deliveries > w.seen {
+				w.seen = ex.deliveries
+				continue
+			}
+			w.at = pollFlushed
+			if d := cpu.Settle(); d > 0 {
+				return d, sim.Again
+			}
+		case pollFlushed:
+			w.since = cpu.StartWait(w.p)
+			w.at = pollWaiting
+		default:
+			if ex.deliveries <= w.seen {
+				if inline {
+					ex.recvCond.Hold(w.p)
+				}
+				return 0, sim.Held
+			}
+			cpu.EndWait(w.p, stats.Comm, w.since)
+			w.seen = ex.deliveries
+			w.at = pollCheck
+		}
+	}
 }
 
 // Import maps a remote export into this endpoint as a proxy buffer:
