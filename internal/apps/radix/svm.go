@@ -56,9 +56,7 @@ func StartSVM(s *svm.System, pr Params) func() sim.Time {
 		rt := s.Runtime(int(nd.ID))
 		lo, hi := split(n, nprocs, rt.Rank())
 		// Initialization: each rank writes its share of the source keys.
-		for i := lo; i < hi; i++ {
-			rt.WriteUint32(p, offA+4*i, keys[i])
-		}
+		nd.StoreWords(p, 4, &keyInit{rt: rt, keys: keys[lo:hi], off: offA + 4*lo})
 		rt.Barrier(p)
 	})
 	return func() sim.Time {
@@ -99,7 +97,7 @@ func StartSVM(s *svm.System, pr Params) func() sim.Time {
 
 				// Phase 3: permutation — the scattered, false-sharing-heavy
 				// writes the paper highlights.
-				nd.StoreWords(p, &permutation{rt: rt, p: p, cpu: nd.CPUFor(p), lo: lo, i: lo, hi: hi,
+				nd.StoreWords(p, 4, &permutation{rt: rt, p: p, cpu: nd.CPUFor(p), lo: lo, i: lo, hi: hi,
 					src: src, dst: dst, pass: pass, radix: pr.Radix, offsets: offsets, cost: 3 * pr.KeyCost / 4})
 				rt.Barrier(p)
 				src, dst = dst, src
@@ -149,7 +147,7 @@ type permutation struct {
 // NextWord charges the previous key's compute, loads the next key and
 // returns its store. In a step it stops before a load from a page with
 // no access, whose fault handler fetches the page, and at the end.
-func (s *permutation) NextWord(inline bool) (memory.Addr, uint32, bool) {
+func (s *permutation) NextWord(inline bool) (memory.Addr, uint64, bool) {
 	if inline && (s.i == s.hi || !s.rt.Node().Loadable(s.rt.Addr(s.src+4*s.i))) {
 		return 0, 0, false
 	}
@@ -164,7 +162,28 @@ func (s *permutation) NextWord(inline bool) (memory.Addr, uint32, bool) {
 	d := digit(k, s.pass, s.radix)
 	off := s.dst + 4*s.offsets[d]
 	s.offsets[d]++
-	return s.rt.Addr(off), k, true
+	return s.rt.Addr(off), uint64(k), true
+}
+
+// keyInit makes the warmup's stores: each key of a rank's share at its
+// slot of the source array, in order, with no compute in between.
+type keyInit struct {
+	rt   *svm.Runtime
+	keys []uint32 // keys not yet stored
+	off  int      // region offset of the next key's slot
+}
+
+// NextWord stores the next key. It loads nothing, so it never needs the
+// process before the run's end.
+func (s *keyInit) NextWord(inline bool) (memory.Addr, uint64, bool) {
+	if len(s.keys) == 0 {
+		return 0, 0, false
+	}
+	k := s.keys[0]
+	s.keys = s.keys[1:]
+	addr := s.rt.Addr(s.off)
+	s.off += 4
+	return addr, uint64(k), true
 }
 
 // countKeys returns an order-independent checksum of a key multiset.

@@ -50,6 +50,17 @@ type vmmcRank struct {
 	scratch   memory.Addr // local staging for DU sends
 	seen      int64
 	barEpoch  int // monotonic barrier counter (same sequence on all ranks)
+
+	// What the current wait polls for: the peer count, the flag value
+	// wanted, and the histogram row width. The ready tests below read
+	// them and are bound once per rank, so a WaitFor allocates nothing.
+	nprocs        int
+	want          uint32
+	rowWords      int
+	sendersReady  func(*sim.Proc) bool
+	rowsReady     func(*sim.Proc) bool
+	arrivedReady  func(*sim.Proc) bool
+	releasedReady func(*sim.Proc) bool
 }
 
 // RunVMMC executes Radix-VMMC over a machine using the given mechanism
@@ -76,7 +87,11 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 	ranks := make([]*vmmcRank, nprocs)
 	for r := 0; r < nprocs; r++ {
 		lo, hi := split(n, nprocs, r)
-		rk := &vmmcRank{rank: r, nd: sys.M.Nodes[r], ep: sys.EP(r), segLo: lo, segHi: hi}
+		rk := &vmmcRank{rank: r, nd: sys.M.Nodes[r], ep: sys.EP(r), segLo: lo, segHi: hi, nprocs: nprocs}
+		rk.sendersReady = rk.sendersDone
+		rk.rowsReady = rk.rowsArrived
+		rk.arrivedReady = rk.allArrived
+		rk.releasedReady = rk.released
 		rk.dstExp = rk.ep.Export(nil, (4*(hi-lo)+memory.PageSize-1)/memory.PageSize+1)
 		rk.histExp = rk.ep.Export(nil, (4*histRowWords*nprocs+memory.PageSize-1)/memory.PageSize+1)
 		rk.syncExp = rk.ep.Export(nil, 1)
@@ -166,7 +181,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 					rk.distributeDU(p, mine, pass, radix, offsets, ranks, pr, gatherBlock)
 				}
 				rk.publishDone(p, nprocs, pass, ranks)
-				rk.waitSenders(p, nprocs, pass)
+				rk.waitSenders(p, pass)
 				if mech == DU {
 					rk.scatterDU(p, nprocs, gatherBlock, pr)
 				}
@@ -206,7 +221,7 @@ func StartVMMC(sys *vmmc.System, mech Mechanism, pr Params) func() sim.Time {
 func (rk *vmmcRank) distributeAU(p *sim.Proc, mine []uint32, pass, radix int, offsets []int, ranks []*vmmcRank, pr Params) {
 	s := &auScatter{rk: rk, cpu: rk.nd.CPUFor(p), keys: mine, pass: pass, radix: radix,
 		offsets: offsets, ranks: ranks, cost: pr.KeyCost / 2}
-	rk.nd.StoreWords(p, s)
+	rk.nd.StoreWords(p, 4, s)
 }
 
 // auScatter makes distributeAU's stores, one key at a time: the key's
@@ -224,7 +239,7 @@ type auScatter struct {
 
 // NextWord places the next key. It loads nothing, so it never needs the
 // process before the run's end.
-func (s *auScatter) NextWord(inline bool) (memory.Addr, uint32, bool) {
+func (s *auScatter) NextWord(inline bool) (memory.Addr, uint64, bool) {
 	if len(s.keys) == 0 {
 		return 0, 0, false
 	}
@@ -237,9 +252,9 @@ func (s *auScatter) NextWord(inline bool) (memory.Addr, uint32, bool) {
 	local := memory.Addr(4 * (g - s.ranks[o].segLo))
 	s.cpu.Charge(s.cost)
 	if o == s.rk.rank {
-		return s.rk.dstExp.Base + local, k, true
+		return s.rk.dstExp.Base + local, uint64(k), true
 	}
-	return s.rk.auBase[o] + local, k, true
+	return s.rk.auBase[o] + local, uint64(k), true
 }
 
 // distributeDU gathers (index,key) pairs per destination and ships them
@@ -333,47 +348,30 @@ func (rk *vmmcRank) publishDone(p *sim.Proc, nprocs, pass int, ranks []*vmmcRank
 
 // waitSenders blocks until every peer's completion flag for this pass
 // has arrived in our destination export.
-func (rk *vmmcRank) waitSenders(p *sim.Proc, nprocs, pass int) {
-	nd := rk.nd
-	var seen int64 = -1
-	for {
-		ready := true
-		for s := 0; s < nprocs; s++ {
-			if s == rk.rank {
-				continue
-			}
-			v := nd.Mem.ReadUint32(nil, rk.dstExp.Base+memory.Addr(rk.flagOff()+4*s))
-			if v < uint32(pass+1) {
-				ready = false
-				break
-			}
+func (rk *vmmcRank) waitSenders(p *sim.Proc, pass int) {
+	rk.want = uint32(pass + 1)
+	rk.dstExp.WaitFor(p, -1, rk.sendersReady)
+}
+
+// sendersDone is waitSenders' ready test.
+func (rk *vmmcRank) sendersDone(*sim.Proc) bool {
+	for s := 0; s < rk.nprocs; s++ {
+		if s == rk.rank {
+			continue
 		}
-		if ready {
-			return
+		if rk.nd.Mem.ReadUint32(nil, rk.dstExp.Base+memory.Addr(rk.flagOff()+4*s)) < rk.want {
+			return false
 		}
-		seen = rk.dstExp.WaitUpdate(p, seen)
 	}
+	return true
 }
 
 // waitHistRows polls until every rank's histogram row for this pass has
 // arrived, then returns the matrix.
 func (rk *vmmcRank) waitHistRows(p *sim.Proc, nprocs, rowWords, want int) [][]uint32 {
 	nd := rk.nd
-	for {
-		ready := true
-		for o := 0; o < nprocs; o++ {
-			flag := nd.Mem.ReadUint32(nil,
-				rk.histExp.Base+memory.Addr((o*rowWords+rowWords-1)*4))
-			if flag != uint32(want) {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
-		rk.seen = rk.histExp.WaitUpdate(p, rk.seen)
-	}
+	rk.want, rk.rowWords = uint32(want), rowWords
+	rk.seen = rk.histExp.WaitFor(p, rk.seen, rk.rowsReady)
 	rows := make([][]uint32, nprocs)
 	for o := 0; o < nprocs; o++ {
 		rows[o] = make([]uint32, rowWords-1)
@@ -385,6 +383,17 @@ func (rk *vmmcRank) waitHistRows(p *sim.Proc, nprocs, rowWords, want int) [][]ui
 	return rows
 }
 
+// rowsArrived is waitHistRows' ready test: every row's trailing flag
+// word holds the pass wanted.
+func (rk *vmmcRank) rowsArrived(*sim.Proc) bool {
+	for o := 0; o < rk.nprocs; o++ {
+		if rk.nd.Mem.ReadUint32(nil, rk.histExp.Base+memory.Addr((o*rk.rowWords+rk.rowWords-1)*4)) != rk.want {
+			return false
+		}
+	}
+	return true
+}
+
 // barrier is a flag-based VMMC barrier: everyone writes an epoch word
 // into rank 0's sync page; rank 0 releases by writing epochs back. The
 // epoch counter is per-rank and advances identically everywhere, so
@@ -394,25 +403,12 @@ func (rk *vmmcRank) barrier(p *sim.Proc, nprocs int) {
 		return
 	}
 	rk.barEpoch++
-	nd := rk.nd
 	word := uint32(rk.barEpoch)
+	rk.want = word
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], word)
 	if rk.rank == 0 {
-		var seen int64 = -1
-		for {
-			ready := true
-			for o := 1; o < nprocs; o++ {
-				if nd.Mem.ReadUint32(nil, rk.syncExp.Base+memory.Addr(4*o)) != word {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				break
-			}
-			seen = rk.syncExp.WaitUpdate(p, seen)
-		}
+		rk.syncExp.WaitFor(p, -1, rk.arrivedReady)
 		rk.stage(p, buf[:])
 		for o := 1; o < nprocs; o++ {
 			rk.syncImp[o].Send(p, rk.scratch, 0, 4, vmmc.SendOpts{})
@@ -421,10 +417,24 @@ func (rk *vmmcRank) barrier(p *sim.Proc, nprocs int) {
 	}
 	rk.stage(p, buf[:])
 	rk.syncImp[0].Send(p, rk.scratch, 4*rk.rank, 4, vmmc.SendOpts{})
-	var seen int64 = -1
-	for nd.Mem.ReadUint32(nil, rk.syncExp.Base) != word {
-		seen = rk.syncExp.WaitUpdate(p, seen)
+	rk.syncExp.WaitFor(p, -1, rk.releasedReady)
+}
+
+// allArrived is rank 0's barrier ready test: every other rank's word
+// holds this barrier's epoch.
+func (rk *vmmcRank) allArrived(*sim.Proc) bool {
+	for o := 1; o < rk.nprocs; o++ {
+		if rk.nd.Mem.ReadUint32(nil, rk.syncExp.Base+memory.Addr(4*o)) != rk.want {
+			return false
+		}
 	}
+	return true
+}
+
+// released is the other ranks' barrier ready test: rank 0 wrote this
+// barrier's epoch back.
+func (rk *vmmcRank) released(*sim.Proc) bool {
+	return rk.nd.Mem.ReadUint32(nil, rk.syncExp.Base) == rk.want
 }
 
 // ownerOf returns the rank whose destination segment contains global

@@ -213,8 +213,8 @@ func TestLoadClassTotals(t *testing.T) {
 // through SleepThen steps and its ring reads poll through
 // Export.WaitFor steps, so step wakeups must stay well above process
 // handoffs; a change that sends those wakeups back through process
-// switches fails here without any timing. The fn events do not depend
-// on how wakeups run.
+// switches fails here without any timing. The number of wakeups and fn
+// events dispatched does not depend on how wakeups run.
 func TestLoadCellCensus(t *testing.T) {
 	c := LoadCell{Config: "socket/au", Nodes: 16, Offered: 0.5, Params: QuickLoadParams()}
 	tr, err := c.GenerateTrace()
@@ -225,9 +225,12 @@ func TestLoadCellCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Census{Handoffs: 1109, SelfWakeups: 370, FnEvents: 16596, Steps: 18735}
+	want := sim.Census{Handoffs: 1109, SelfWakeups: 363, FnEvents: 15439, Steps: 15985, Skips: 3914}
 	if got != want {
 		t.Errorf("census %+v, want %+v", got, want)
+	}
+	if dispatched(got) != 36810 {
+		t.Errorf("%d wakeups and fn events dispatched, want 36810", dispatched(got))
 	}
 	if got.Steps <= 4*got.Handoffs {
 		t.Errorf("%d step wakeups against %d handoffs: want more than 4x", got.Steps, got.Handoffs)

@@ -273,27 +273,31 @@ func (nd *Node) StoreBytes(p *sim.Proc, addr memory.Addr, data []byte) {
 	r.finish()
 }
 
-// A WordSource generates the 32-bit stores of a StoreWords run, one at
-// a time and in program order, from state it keeps itself.
+// A WordSource generates the stores of a StoreWords run, one word at a
+// time and in program order, from state it keeps itself.
 type WordSource interface {
 	// NextWord charges the compute that comes before the next store
-	// (loads included) and returns that store. ok false from the
-	// process (inline false) ends the run, after any compute that
+	// (loads included) and returns that store: its address and value,
+	// of which the run's word size takes the low bytes. ok false from
+	// the process (inline false) ends the run, after any compute that
 	// follows its last store. inline says NextWord runs in a SleepThen
 	// step, where nothing may block: before a load that would fault
 	// (Node.Loadable) or at the run's end, it returns ok false with no
 	// side effect, and the process calls it again.
-	NextWord(inline bool) (addr memory.Addr, v uint32, ok bool)
+	NextWord(inline bool) (addr memory.Addr, v uint64, ok bool)
 }
 
-// StoreWords performs the stores src yields, each exactly as
-// StoreUint32 would, with src's compute charged in between. It streams
-// like StoreBytes: after a flush, the step stores words until the next
-// flush, and hands back to the process only on a flow-control stall,
-// a store to a page that is not read-write, or a word src cannot make
-// without the process.
-func (nd *Node) StoreWords(p *sim.Proc, src WordSource) {
-	r := nd.startRun(p, 4)
+// StoreWords performs the stores src yields, each of size bytes (4 or
+// 8), exactly as StoreUint32 or StoreUint64 would, with src's compute
+// charged in between. It streams like StoreBytes: after a flush, the
+// step stores words until the next flush, and hands back to the
+// process only on a flow-control stall, a store to a page that is not
+// read-write, or a word src cannot make without the process.
+func (nd *Node) StoreWords(p *sim.Proc, size int, src WordSource) {
+	if size != 4 && size != 8 {
+		panic(fmt.Sprintf("machine: %d-byte word run", size))
+	}
+	r := nd.startRun(p, size)
 	r.src = src
 	r.finish()
 }
@@ -309,7 +313,7 @@ const (
 // storeRun is one StoreBytes or StoreWords call in progress. It is per
 // call, not per node, because several processes on a node may store at
 // once; idle runs wait on the node's freelist, so a call allocates
-// nothing. A word run stores each word as a 4-byte chunk of its own.
+// nothing. A word run stores each word as a chunk of its own.
 type storeRun struct {
 	nd   *Node
 	p    *sim.Proc
@@ -320,7 +324,7 @@ type storeRun struct {
 	// src, in a word run, makes the next chunk, staged in buf; nil in
 	// a byte run.
 	src WordSource
-	buf [4]byte
+	buf [8]byte
 	// n counts the bytes left in the current chunk (0: the next chunk
 	// has not started), and au says whether that chunk's page is
 	// AU-bound.
@@ -437,8 +441,8 @@ func (r *storeRun) next(inline bool) bool {
 		if !ok {
 			return false
 		}
-		binary.LittleEndian.PutUint32(r.buf[:], v)
-		r.addr, r.data, r.n = addr, r.buf[:], 4
+		binary.LittleEndian.PutUint64(r.buf[:], v)
+		r.addr, r.data, r.n = addr, r.buf[:r.word], r.word
 	} else {
 		if len(r.data) == 0 {
 			return false

@@ -52,21 +52,30 @@ type storeWord struct {
 	pre, post sim.Time
 	load      memory.Addr // 0: none
 	addr      memory.Addr
-	v         uint32
+	v         uint64
 }
 
-// wordProg is a test WordSource over a fixed word program, in the
-// shape of Radix-SVM's permutation: each word's post compute is charged
-// when the next word is made, and in a step it stops before a load
-// that would fault.
+// wordProg is a test WordSource over a fixed program of size-byte
+// words, in the shape of Radix-SVM's permutation: each word's post
+// compute is charged when the next word is made, and in a step it
+// stops before a load that would fault.
 type wordProg struct {
 	nd    *Node
 	p     *sim.Proc
+	size  int
 	words []storeWord
 	i     int
 }
 
-func (w *wordProg) NextWord(inline bool) (memory.Addr, uint32, bool) {
+// load is the program's load of one word at addr.
+func (w *wordProg) load(p *sim.Proc, addr memory.Addr) uint64 {
+	if w.size == 8 {
+		return w.nd.LoadUint64(p, addr)
+	}
+	return uint64(w.nd.LoadUint32(p, addr))
+}
+
+func (w *wordProg) NextWord(inline bool) (memory.Addr, uint64, bool) {
 	if inline && (w.i == len(w.words) || (w.words[w.i].load != 0 && !w.nd.Loadable(w.words[w.i].load))) {
 		return 0, 0, false
 	}
@@ -82,22 +91,27 @@ func (w *wordProg) NextWord(inline bool) (memory.Addr, uint32, bool) {
 	cpu.Charge(x.pre)
 	v := x.v
 	if x.load != 0 {
-		v ^= w.nd.LoadUint32(w.p, x.load)
+		v ^= w.load(w.p, x.load)
 	}
 	return x.addr, v, true
 }
 
 // refStoreWords is the reference word run: the scalar loop of
-// StoreUint32 and LoadUint32 calls a word program stands for.
+// StoreUint32 and LoadUint32 calls, or StoreUint64 and LoadUint64
+// calls, a word program stands for.
 func refStoreWords(nd *Node, p *sim.Proc, w *wordProg) {
 	cpu := nd.CPUFor(p)
 	for _, x := range w.words {
 		cpu.Charge(x.pre)
 		v := x.v
 		if x.load != 0 {
-			v ^= nd.LoadUint32(p, x.load)
+			v ^= w.load(p, x.load)
 		}
-		nd.StoreUint32(p, x.addr, v)
+		if w.size == 8 {
+			nd.StoreUint64(p, x.addr, v)
+		} else {
+			nd.StoreUint32(p, x.addr, uint32(v))
+		}
 		cpu.Charge(x.post)
 	}
 }
@@ -245,35 +259,37 @@ func TestStoreBytesMatchesReference(t *testing.T) {
 }
 
 // TestStoreWordsMatchesReference is the same oracle for word runs:
-// random word programs run through StoreWords and through the scalar
-// StoreUint32/LoadUint32 loop.
+// random programs of 4- and 8-byte words run through StoreWords and
+// through the scalar StoreUint32/LoadUint32 or StoreUint64/LoadUint64
+// loop.
 func TestStoreWordsMatchesReference(t *testing.T) {
 	checkStoreRuns(t, storeImpl{words: refStoreWords},
-		storeImpl{words: func(nd *Node, p *sim.Proc, w *wordProg) { nd.StoreWords(p, w) }})
+		storeImpl{words: func(nd *Node, p *sim.Proc, w *wordProg) { nd.StoreWords(p, w.size, w) }})
 }
 
-// randomWords draws a word program of up to 60 words storing into the
-// storePages-page region at base: mostly aligned words, some unaligned
-// (a few crossing a page boundary), half of them loading an aligned
-// word of the region first.
+// randomWords draws a program of up to 60 words, all 4 or all 8 bytes,
+// storing into the storePages-page region at base: mostly aligned
+// words, some unaligned (a few crossing a page boundary), half of them
+// loading an aligned word of the region first.
 func randomWords(wr *rand.Rand, nd *Node, p *sim.Proc, base memory.Addr) *wordProg {
-	w := &wordProg{nd: nd, p: p}
+	size := 4 << wr.Intn(2)
+	w := &wordProg{nd: nd, p: p, size: size}
 	for n := 1 + wr.Intn(60); n > 0; n-- {
 		x := storeWord{
 			pre:  sim.Time(wr.Intn(4) * wr.Intn(300)),
 			post: sim.Time(wr.Intn(2) * wr.Intn(500)),
-			v:    wr.Uint32(),
+			v:    wr.Uint64(),
 		}
-		off := 4 * wr.Intn(storePages*memory.PageSize/4)
+		off := size * wr.Intn(storePages*memory.PageSize/size)
 		switch wr.Intn(8) {
 		case 0:
-			off = min(off+1+wr.Intn(3), storePages*memory.PageSize-4)
+			off = min(off+1+wr.Intn(size-1), storePages*memory.PageSize-size)
 		case 1:
-			off = memory.PageSize*(1+wr.Intn(storePages-1)) - 1 - wr.Intn(3)
+			off = memory.PageSize*(1+wr.Intn(storePages-1)) - 1 - wr.Intn(size-1)
 		}
 		x.addr = base + memory.Addr(off)
 		if wr.Intn(2) == 0 {
-			x.load = base + memory.Addr(4*wr.Intn(storePages*memory.PageSize/4))
+			x.load = base + memory.Addr(size*wr.Intn(storePages*memory.PageSize/size))
 		}
 		w.words = append(w.words, x)
 	}
@@ -324,41 +340,36 @@ func checkStoreRuns(t *testing.T, ref, impl storeImpl) {
 	t.Logf("%d step wakeups, %d flow stalls, %d faults", steps, stalls, faults)
 }
 
-// TestStoreBytesAllocationFree asserts a streaming StoreBytes or
-// StoreWords call takes its run from the node's freelist: it allocates
-// nothing. Each runs on a machine of its own, so NIC packet buffers
-// grown for one run's packet sizes do not regrow for the other's.
+// TestStoreBytesAllocationFree asserts streaming StoreBytes and
+// StoreWords calls take their runs from the node's freelist: a cycle of
+// a byte run, a 4-byte word run and an 8-byte word run on one machine
+// allocates nothing once warm, although the runs make AU packets of
+// different sizes from one packet pool.
 func TestStoreBytesAllocationFree(t *testing.T) {
-	data := make([]byte, 512)
-	storeAllocs(t, "StoreBytes", func(n0 *Node, p *sim.Proc, au memory.Addr) func() {
-		return func() { n0.StoreBytes(p, au, data) }
-	})
-	storeAllocs(t, "StoreWords", func(n0 *Node, p *sim.Proc, au memory.Addr) func() {
-		words := &wordProg{nd: n0, p: p}
-		for i := 0; i < 128; i++ {
-			words.words = append(words.words, storeWord{pre: 50, post: 20, load: au + memory.Addr(4*i),
-				addr: au + memory.Addr(4*(127-i)), v: uint32(i)})
-		}
-		return func() {
-			words.i = 0
-			n0.StoreWords(p, words)
-		}
-	})
-}
-
-// storeAllocs checks that the call store makes for a process, storing
-// into an AU-bound page, allocates nothing once warm, and streams.
-func storeAllocs(t *testing.T, what string, store func(n0 *Node, p *sim.Proc, au memory.Addr) func()) {
 	m, _, _, dst := pair(t, nil)
 	n0 := m.Nodes[0]
 	au := n0.Mem.Alloc(1)
 	n0.NIC.MapOutgoing(au.VPN(), m.Nodes[1].ID, dst.VPN(), true, true, false)
+	data := make([]byte, 512)
 	resume := sim.NewCond(m.E)
 	m.E.Spawn("writer", func(p *sim.Proc) {
-		call := store(n0, p, au)
+		var runs [2]*wordProg
+		for k := range runs {
+			size := 4 << k
+			w := &wordProg{nd: n0, p: p, size: size}
+			for i := 0; i < 128; i++ {
+				w.words = append(w.words, storeWord{pre: 50, post: 20, load: au + memory.Addr(size*(i%64)),
+					addr: au + memory.Addr(size*(127-i)%memory.PageSize), v: uint64(i)})
+			}
+			runs[k] = w
+		}
 		for {
 			resume.Wait(p)
-			call()
+			n0.StoreBytes(p, au, data)
+			for _, w := range runs {
+				w.i = 0
+				n0.StoreWords(p, w.size, w)
+			}
 		}
 	})
 	m.E.Run()
@@ -367,9 +378,9 @@ func storeAllocs(t *testing.T, what string, store func(n0 *Node, p *sim.Proc, au
 		m.E.Run()
 	})
 	if avg != 0 {
-		t.Fatalf("%s allocates %.1f objects per call, want 0", what, avg)
+		t.Fatalf("a store cycle allocates %.1f objects, want 0", avg)
 	}
 	if m.E.Census().Steps == 0 {
-		t.Fatalf("%s never streamed: census %+v", what, m.E.Census())
+		t.Fatalf("the runs never streamed: census %+v", m.E.Census())
 	}
 }

@@ -166,9 +166,16 @@ type NIC struct {
 	ipt    []IPTEntry
 	optGen uint64 // stamp source for OPTEntry.gen
 
-	// pktFree is the Packet freelist; packets are acquired on the emit
-	// paths and released by the receiving NIC's engine.
+	// pktFree and bigFree are the Packet freelists; packets are
+	// acquired on the emit paths and released by the receiving NIC's
+	// engine. bigFree holds packets with room for a combined payload
+	// (CombineLimit bytes), pktFree the rest, which carry single AU
+	// words and small DU transfers. Apart, a word packet is never
+	// reused for a combined payload, which would regrow its buffer, and
+	// only as many packets hold a CombineLimit buffer as carry combined
+	// or bulk payloads at once.
 	pktFree []*Packet
+	bigFree []*Packet
 	// duFree is the duRequest freelist.
 	duFree []*duRequest
 
@@ -315,31 +322,46 @@ func (n *NIC) Start() {
 	n.rxQueue.PopFn(n.rxRecvFn)
 }
 
-// allocPacket takes a packet from the freelist or builds a fresh one
-// with its FIFO thunk bound.
+// allocPacket takes a packet for a payload of size bytes from its
+// freelist, or builds a fresh one with its FIFO thunk bound: a payload
+// larger than one AU word takes a packet with room for a combined
+// payload.
 //
 //shrimp:hotpath
-func (n *NIC) allocPacket() *Packet {
-	if k := len(n.pktFree); k > 0 {
-		pkt := n.pktFree[k-1]
-		n.pktFree[k-1] = nil
-		n.pktFree = n.pktFree[:k-1]
+func (n *NIC) allocPacket(size int) *Packet {
+	free := &n.pktFree
+	if size > n.cfg.AUWordBytes {
+		free = &n.bigFree
+	}
+	if k := len(*free); k > 0 {
+		pkt := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
 		return pkt
 	}
 	//lint:ignore hotpath pool-miss fill: the packet is built once and recycled forever
 	pkt := &Packet{owner: n}
+	if free == &n.bigFree {
+		//lint:ignore hotpath pool-miss fill: the buffer is sized once for any combined payload
+		pkt.Data = make([]byte, 0, n.cfg.CombineLimit)
+	}
 	//lint:ignore hotpath pool-miss fill: the pre-built FIFO thunk keeps the steady-state AU path closure-free
 	pkt.fifoFn = func() { pkt.owner.fifoArrive(pkt, pkt.fifoDst) }
 	return pkt
 }
 
-// releasePacket returns a consumed packet to its owning NIC's freelist.
-// Literal packets (no owner) and pooling-disabled NICs drop it instead.
+// releasePacket returns a consumed packet to its owning NIC's freelist
+// for its buffer size. Literal packets (no owner) and pooling-disabled
+// NICs drop it instead.
 //
 //shrimp:hotpath
 func releasePacket(pkt *Packet) {
 	o := pkt.owner
 	if o == nil || o.cfg.NoPool {
+		return
+	}
+	if cap(pkt.Data) >= o.cfg.CombineLimit {
+		o.bigFree = append(o.bigFree, pkt)
 		return
 	}
 	o.pktFree = append(o.pktFree, pkt)

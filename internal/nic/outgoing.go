@@ -22,6 +22,18 @@ import (
 //
 //shrimp:hotpath
 func (n *NIC) SendDU(p *sim.Proc, src, proxy memory.Addr, size int, interrupt, endOfMsg bool) {
+	for !n.TrySendDU(src, proxy, size, interrupt, endOfMsg) {
+		n.duCond.Wait(p)
+	}
+}
+
+// TrySendDU is SendDU without its wait: it queues the transfer and
+// reports true when a request slot is free, and reports false, with
+// nothing queued, when SendDU would wait on DUCond. A transfer that is
+// malformed panics either way.
+//
+//shrimp:hotpath
+func (n *NIC) TrySendDU(src, proxy memory.Addr, size int, interrupt, endOfMsg bool) bool {
 	if size <= 0 || size > n.cfg.MaxTransfer {
 		panic(fmt.Sprintf("nic: DU transfer size %d out of range", size))
 	}
@@ -35,8 +47,8 @@ func (n *NIC) SendDU(p *sim.Proc, src, proxy memory.Addr, size int, interrupt, e
 	if !ok {
 		panic(fmt.Sprintf("nic: DU through unmapped proxy page %d", proxy.VPN()))
 	}
-	for n.duSlots >= n.cfg.DUQueueDepth {
-		n.duCond.Wait(p)
+	if n.duSlots >= n.cfg.DUQueueDepth {
+		return false
 	}
 	n.duSlots++
 	req := n.allocDU()
@@ -56,14 +68,24 @@ func (n *NIC) SendDU(p *sim.Proc, src, proxy memory.Addr, size int, interrupt, e
 		n.acct.Counters.MessagesSent++
 	}
 	n.acct.Counters.BytesSent += int64(size)
+	return true
 }
 
 // WaitDUIdle blocks until the DU engine has drained all requests.
 func (n *NIC) WaitDUIdle(p *sim.Proc) {
-	for n.duSlots > 0 {
+	for n.DUBusy() {
 		n.duCond.Wait(p)
 	}
 }
+
+// DUBusy reports whether the DU engine holds requests: the condition
+// WaitDUIdle waits out.
+func (n *NIC) DUBusy() bool { return n.duSlots > 0 }
+
+// DUCond is the condition SendDU and WaitDUIdle wait on: the DU engine
+// broadcasts it each time a request slot frees. A step that cannot
+// queue a transfer holds its process on it (Cond.Hold).
+func (n *NIC) DUCond() *sim.Cond { return n.duCond }
 
 // The deliberate-update DMA engine pops transfer requests, arbitrates
 // for the memory bus (which cannot cycle-share with the CPU), reads the
@@ -127,7 +149,7 @@ func (n *NIC) duStepSetup() sim.Ctl {
 //shrimp:hotpath
 func (n *NIC) duStepRead() sim.Ctl {
 	req := n.duReq
-	pkt := n.allocPacket()
+	pkt := n.allocPacket(req.size)
 	pkt.Kind = DU
 	pkt.Src = n.id
 	pkt.DstPage = req.dstPage
@@ -294,7 +316,7 @@ func (n *NIC) flushCombine() {
 //
 //shrimp:hotpath
 func (n *NIC) emitAU(dst mesh.NodeID, dstPage, off int, interrupt bool, data []byte) {
-	pkt := n.allocPacket()
+	pkt := n.allocPacket(len(data))
 	pkt.Kind = AU
 	pkt.Src = n.id
 	pkt.DstPage = dstPage

@@ -77,13 +77,15 @@ type Ring struct {
 	scratch memory.Addr // receiver-side staging word for credit DMA
 	// readable is the bound hasData, made once for WaitReadable.
 	readable func(p *sim.Proc) bool
+	// writes is the freelist of idle Write calls.
+	writes []*writeRun
 }
 
 // ctlOffset is where the writer-position word lives, just past the data.
 func (r *Ring) ctlOffset() int { return r.size }
 
 // ctlWords is the number of position words the mirror's control page
-// stages in DU mode (see publishPos).
+// stages in DU mode (see writeRun.publish).
 const ctlWords = memory.PageSize / 8
 
 // New builds a ring from sender endpoint snd to receiver endpoint rcv.
@@ -140,92 +142,200 @@ func (r *Ring) refreshCredit(p *sim.Proc) {
 // Write appends data to the stream, blocking for credit as needed. The
 // data is published as one user-level message (plus an internal
 // position update).
+//
+// In DU mode the transfers' flushes sleep, and their waits for a DU
+// request slot park, the writer in steps that run the Write on inline
+// at each wakeup, so the writer resumes once per Write unless it runs
+// out of credit.
 func (r *Ring) Write(p *sim.Proc, data []byte) {
-	nd := r.sndEP.Node
-	for len(data) > 0 {
-		r.refreshCredit(p)
-		if r.space() == 0 {
-			// Publish what we have so the receiver can drain, then wait
-			// for credit.
-			r.publishPos(p, false)
+	var w *writeRun
+	if n := len(r.writes); n > 0 {
+		w = r.writes[n-1]
+		r.writes[n-1] = nil
+		r.writes = r.writes[:n-1]
+	} else {
+		w = &writeRun{r: r}
+		w.step = w.wake
+	}
+	w.p, w.data, w.at = p, data, writeCredit
+	w.finish()
+	w.p, w.data = nil, nil
+	r.writes = append(r.writes, w)
+}
+
+// Where a Write stands.
+const (
+	writeCredit  = iota // loop head: refresh the credit, check for space
+	writeCopy           // move the next chunk into the remote ring
+	writeData           // the chunk's DU transfer is queuing
+	writePublish        // publish the writer position
+	writePos            // the position update's DU transfer is queuing
+	writeStalled        // out of credit, with what was written published
+	writeDone
+)
+
+// writeRun is one Write call in progress. Idle runs wait on the ring's
+// freelist, each with its step bound once.
+type writeRun struct {
+	r     *Ring
+	p     *sim.Proc
+	data  []byte // bytes not yet moved
+	chunk int    // the chunk being transferred
+	final bool   // the position being published is the message trailer
+	at    int
+	t     vmmc.Transfer
+	step  func() (sim.Time, sim.Verdict)
+}
+
+// wake is the writer's step: it runs the Write on from the wakeup.
+func (w *writeRun) wake() (sim.Time, sim.Verdict) { return w.advance(true) }
+
+// finish drives the Write to its end on the process, which sleeps each
+// flush and waits for each DU request slot with the step, and waits for
+// credit itself.
+func (w *writeRun) finish() {
+	r := w.r
+	for {
+		switch d, v := w.advance(false); v {
+		case sim.Again:
+			w.p.SleepThen(d, w.step)
+		case sim.Held:
+			r.sndEP.Node.NIC.DUCond().WaitThen(w.p, w.step)
+		default:
+			if w.at == writeDone {
+				return
+			}
 			var seen int64
 			for r.space() == 0 {
-				seen = r.creditExp.WaitUpdate(p, seen)
-				r.refreshCredit(p)
+				seen = r.creditExp.WaitUpdate(w.p, seen)
+				r.refreshCredit(w.p)
 			}
-		}
-		off := int(r.writePos) % r.size
-		chunk := len(data)
-		if chunk > r.space() {
-			chunk = r.space()
-		}
-		if chunk > r.size-off {
-			chunk = r.size - off
-		}
-		r.transfer(p, off, data[:chunk])
-		r.writePos += uint64(chunk)
-		data = data[chunk:]
-	}
-	r.publishPos(p, true)
-	if r.cfg.Mode == AU {
-		// AU streams count messages in the library (the NIC only sees
-		// snooped stores), and a kernel-mediated design would trap here
-		// just the same (§4.3).
-		nd.Acct.Counters.MessagesSent++
-		if nd.M.Cfg.SyscallPerSend {
-			nd.CPUFor(p).ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
-			nd.Acct.Counters.Syscalls++
+			w.at = writeCopy
 		}
 	}
 }
 
-// transfer moves one contiguous chunk into the remote ring at off.
-func (r *Ring) transfer(p *sim.Proc, off int, data []byte) {
+// advance runs the Write from where it stands until it is done or
+// stalled for credit (Resume), a DU transfer's flush must sleep
+// (Again), or a DU transfer or the position rotation must wait on the
+// NIC's DUCond (Held). inline says it runs in a step, which holds the
+// process on that Cond itself; from the process, finish parks it
+// there. In AU mode the stores are the transfer, and the process makes
+// them here itself (inline false).
+func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
+	r := w.r
 	nd := r.sndEP.Node
-	switch r.cfg.Mode {
-	case DU:
-		// Zero-copy send path: user-level DMA straight from the send
-		// buffer — the transfer model VMMC was designed for (the mirror
-		// write below is simulator bookkeeping, not a charged copy).
-		nd.Mem.Write(p, r.mirror+memory.Addr(off), data)
-		r.dataImp.Send(p, r.mirror+memory.Addr(off), off, len(data),
-			vmmc.SendOpts{Internal: true})
-	case AU:
-		// The stores themselves are the transfer.
-		nd.StoreBytes(p, r.mirror+memory.Addr(off), data)
+	for {
+		switch w.at {
+		case writeCredit:
+			if len(w.data) == 0 {
+				w.final, w.at = true, writePublish
+				continue
+			}
+			r.refreshCredit(w.p)
+			w.at = writeCopy
+			if r.space() == 0 {
+				// Publish what we have so the receiver can drain, then
+				// wait for credit.
+				w.final, w.at = false, writePublish
+			}
+		case writeCopy:
+			off := int(r.writePos) % r.size
+			w.chunk = min(len(w.data), r.space(), r.size-off)
+			dst := r.mirror + memory.Addr(off)
+			if r.cfg.Mode == AU {
+				// The stores themselves are the transfer.
+				nd.StoreBytes(w.p, dst, w.data[:w.chunk])
+				w.moved()
+				continue
+			}
+			// Zero-copy send path: user-level DMA straight from the send
+			// buffer — the transfer model VMMC was designed for (the
+			// mirror write is simulator bookkeeping, not a charged copy).
+			nd.Mem.Write(w.p, dst, w.data[:w.chunk])
+			w.t.Start(r.dataImp, w.p, dst, off, w.chunk, vmmc.SendOpts{Internal: true})
+			w.at = writeData
+		case writeData:
+			if d, v := w.t.Advance(inline); v != sim.Resume {
+				return d, v
+			}
+			w.moved()
+		case writePublish:
+			if d, v := w.publish(inline); v != sim.Resume {
+				return d, v
+			}
+		case writePos:
+			if d, v := w.t.Advance(inline); v != sim.Resume {
+				return d, v
+			}
+			w.published()
+		default:
+			return 0, sim.Resume
+		}
 	}
 }
 
-// publishPos makes all written bytes visible to the receiver. A final
+// moved accounts the chunk just transferred.
+func (w *writeRun) moved() {
+	w.r.writePos += uint64(w.chunk)
+	w.data = w.data[w.chunk:]
+	w.at = writeCredit
+}
+
+// publish makes all written bytes visible to the receiver. A final
 // publish is the user-message trailer; intermediate publishes (made
 // while blocked for credit) are internal bookkeeping.
-func (r *Ring) publishPos(p *sim.Proc, final bool) {
+func (w *writeRun) publish(inline bool) (sim.Time, sim.Verdict) {
+	r := w.r
 	nd := r.sndEP.Node
 	ctl := r.mirror + memory.Addr(r.ctlOffset())
-	switch r.cfg.Mode {
-	case DU:
-		// Each update is staged in its own word of the control page.
-		// The DU engine reads a transfer's source when it starts the
-		// transfer, not when the request is queued, so behind a queue
-		// deeper than one an update still waiting must not read a later
-		// position: that would publish data still queued behind it.
-		// Rotating over the page keeps a staged word intact while up to
-		// ctlWords-1 transfers are queued after it; a deeper queue
-		// drains before the rotation wraps (not on the first update,
-		// when no earlier word is staged).
-		slot := r.published % ctlWords
-		if slot == 0 && r.published > 0 && nd.NIC.Config().DUQueueDepth >= ctlWords {
-			nd.NIC.WaitDUIdle(p)
+	if r.cfg.Mode == AU {
+		nd.StoreUint64(w.p, ctl, r.writePos)
+		if w.final {
+			// AU streams count messages in the library (the NIC only
+			// sees snooped stores), and a kernel-mediated design would
+			// trap here just the same (§4.3).
+			nd.Acct.Counters.MessagesSent++
+			if nd.M.Cfg.SyscallPerSend {
+				nd.CPUFor(w.p).ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
+				nd.Acct.Counters.Syscalls++
+			}
 		}
-		r.published++
-		ctl += memory.Addr(8 * slot)
-		nd.Mem.WriteUint64(p, ctl, r.writePos)
-		// The position update is the message trailer: it carries the
-		// user-message boundary and the optional notification bit.
-		r.dataImp.Send(p, ctl, r.ctlOffset(), 8,
-			vmmc.SendOpts{Notify: r.cfg.Notify && final, Internal: !final})
-	case AU:
-		nd.StoreUint64(p, ctl, r.writePos)
+		w.published()
+		return 0, sim.Resume
+	}
+	// Each update is staged in its own word of the control page. The
+	// DU engine reads a transfer's source when it starts the transfer,
+	// not when the request is queued, so behind a queue deeper than one
+	// an update still waiting must not read a later position: that
+	// would publish data still queued behind it. Rotating over the page
+	// keeps a staged word intact while up to ctlWords-1 transfers are
+	// queued after it; a deeper queue drains before the rotation wraps
+	// (not on the first update, when no earlier word is staged).
+	slot := r.published % ctlWords
+	if slot == 0 && r.published > 0 && nd.NIC.Config().DUQueueDepth >= ctlWords && nd.NIC.DUBusy() {
+		if inline {
+			nd.NIC.DUCond().Hold(w.p)
+		}
+		return 0, sim.Held
+	}
+	r.published++
+	ctl += memory.Addr(8 * slot)
+	nd.Mem.WriteUint64(w.p, ctl, r.writePos)
+	// The position update is the message trailer: it carries the
+	// user-message boundary and the optional notification bit.
+	w.t.Start(r.dataImp, w.p, ctl, r.ctlOffset(), 8,
+		vmmc.SendOpts{Notify: r.cfg.Notify && w.final, Internal: !w.final})
+	w.at = writePos
+	return 0, sim.Resume
+}
+
+// published ends a position update: the Write is done after the
+// trailer, and stalled for credit after an intermediate one.
+func (w *writeRun) published() {
+	w.at = writeStalled
+	if w.final {
+		w.at = writeDone
 	}
 }
 
@@ -241,7 +351,7 @@ func (r *Ring) available(p *sim.Proc) int {
 func (r *Ring) Available(p *sim.Proc) int { return r.available(p) }
 
 // WaitReadable blocks until at least one byte is available.
-func (r *Ring) WaitReadable(p *sim.Proc) { r.dataExp.WaitFor(p, r.readable) }
+func (r *Ring) WaitReadable(p *sim.Proc) { r.dataExp.WaitFor(p, -1, r.readable) }
 
 // hasData is WaitReadable's ready test, bound once into r.readable.
 func (r *Ring) hasData(p *sim.Proc) bool { return r.available(p) > 0 }

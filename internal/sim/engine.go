@@ -100,6 +100,9 @@ type Engine struct {
 
 	running bool
 	stopped bool
+	// noSkip makes skipTo refuse, so every wakeup goes through the
+	// calendar: the reference side of sim's skip oracle.
+	noSkip bool
 
 	// tr is the attached trace recorder, or nil when tracing is off.
 	// Hardware and protocol layers cache it at construction; the engine
@@ -125,6 +128,10 @@ type Census struct {
 	// Steps counts wakeups a SleepThen or WaitThen step handled while
 	// its process stayed parked.
 	Steps uint64
+	// Skips counts wakeups taken in place with no calendar round trip
+	// (skipTo): a Sleep that returned at once, an Again step re-run
+	// that kept its process parked, a Seq continued at its next step.
+	Skips uint64
 }
 
 // Census returns the engine's dispatch counters.
@@ -353,13 +360,38 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.push(ev)
 }
 
+// skipTo reports whether a wakeup due at t, filed now, would be the
+// next event to pop, and if so takes it in place: the clock moves to t
+// and the wakeup's seq is spent, so every later event keeps the
+// (t, seq) key it would have had. It holds when Stop has not been
+// called, the same-instant FIFO is drained, the heap's root is due
+// strictly after t (a root due at t has a smaller seq, so it would pop
+// first), and t is within any RunUntil limit. The caller then runs
+// what the popped wakeup would have run, with nothing left to run
+// after it at the old instant, and counts it in Census.Skips.
+//
+//shrimp:hotpath
+func (e *Engine) skipTo(t Time) bool {
+	if e.stopped || e.noSkip || e.nowqAt < len(e.nowq) ||
+		(len(e.events) > 0 && e.events[0].t <= t) || (e.limited && t > e.limit) {
+		return false
+	}
+	e.now = t
+	e.seq++
+	return true
+}
+
 // stepped runs the step of q, parked in SleepThen or WaitThen, whose
 // wakeup just popped, in place of resuming q. A held q stops counting
 // as Blocked here, where a process woken from Wait would resume. It
 // reports true when the step keeps q parked, its next wakeup filed
 // (Again) or its hold on a Cond registered (Held), and false when q is
-// to resume at this wakeup. A finished process has no step: its
-// leftover wakeup is dropped by resume.
+// to resume at this wakeup. An Again whose wakeup would pop next is
+// taken in place (skipTo) and the step runs again at once. Each wakeup
+// the step keeps q parked through counts once: as a step when it
+// popped from the calendar, as a skip when it was taken in place. The
+// wakeup q resumes at is the resume's to count. A finished process has
+// no step: its leftover wakeup is dropped by resume.
 //
 //shrimp:hotpath
 func (e *Engine) stepped(q *Proc) bool {
@@ -367,22 +399,30 @@ func (e *Engine) stepped(q *Proc) bool {
 		q.held = false
 		e.blocked--
 	}
-	switch next, v := q.step(); v {
-	case Again:
-		if next < 0 {
-			panic("sim: negative sleep")
+	count := &e.census.Steps
+	for {
+		switch next, v := q.step(); v {
+		case Again:
+			if next < 0 {
+				panic("sim: negative sleep")
+			}
+			*count++
+			if e.skipTo(e.now + next) {
+				count = &e.census.Skips
+				continue
+			}
+			e.wake(q, e.now+next)
+		case Held:
+			if !q.held {
+				panic("sim: step returned Held without holding its process on a Cond")
+			}
+			*count++
+		default:
+			q.step = nil
+			return false
 		}
-		e.wake(q, e.now+next)
-	case Held:
-		if !q.held {
-			panic("sim: step returned Held without holding its process on a Cond")
-		}
-	default:
-		q.step = nil
-		return false
+		return true
 	}
-	e.census.Steps++
-	return true
 }
 
 // run is the shared Run/RunUntil body, on the caller's goroutine. It is

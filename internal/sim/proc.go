@@ -270,18 +270,20 @@ func (p *Proc) park() {
 }
 
 // Sleep advances this process's local time by d, yielding to the engine.
+// When its wakeup would be the next event to pop, it is taken in place
+// (Engine.skipTo) and Sleep returns at once.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	if d == 0 {
-		// Even a zero sleep is a scheduling point: it lets same-time
-		// events that were scheduled earlier run first.
-		p.e.wake(p, p.e.now)
-		p.park()
+	e := p.e
+	// Even a zero sleep is a scheduling point: it lets same-time events
+	// that were scheduled earlier run first.
+	if e.skipTo(e.now + d) {
+		e.census.Skips++
 		return
 	}
-	p.e.wake(p, p.e.now+d)
+	e.wake(p, e.now+d)
 	p.park()
 }
 

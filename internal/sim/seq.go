@@ -45,6 +45,10 @@ type Seq struct {
 	// resumeFn is the pre-built bound resume method handed to async
 	// primitives, materialized once so arming a wait allocates nothing.
 	resumeFn func()
+	// resumed says the sequence runs from its own resume event, so
+	// nothing else is left to run at the current instant when it
+	// returns: only then may Sleep take its wakeup in place.
+	resumed bool
 }
 
 // NewSeq builds a sequencer over steps, which run on engine e. The
@@ -72,9 +76,14 @@ func (s *Seq) Init(e *Engine, n int, step func(pc int) Ctl) {
 
 // Start runs the sequence beginning at step pc, continuing inline until
 // a step returns Wait or control falls off the end of the step list.
+// Its caller may go on at the current instant after it returns, so the
+// sequence's sleeps all go through the calendar.
 //
 //shrimp:hotpath
-func (s *Seq) Start(pc int) { s.run(pc) }
+func (s *Seq) Start(pc int) {
+	s.resumed = false
+	s.run(pc)
+}
 
 // run is the inline dispatch loop: execute the step at pc, follow its
 // verdict, stop on Wait or on any pc outside the step list.
@@ -91,7 +100,11 @@ func (s *Seq) run(pc int) {
 // the wait. It is the continuation every async helper schedules.
 //
 //shrimp:hotpath
-func (s *Seq) resume() { s.run(s.pc + 1) }
+func (s *Seq) resume() {
+	s.resumed = true
+	s.run(s.pc + 1)
+	s.resumed = false
+}
 
 // Next continues inline at the following step.
 //
@@ -106,11 +119,19 @@ func (s *Seq) Goto(i int) Ctl { return Ctl(i) }
 // Sleep suspends the sequence for d of virtual time, then continues at
 // the next step — the continuation analogue of Proc.Sleep, scheduled at
 // the same calendar position (a zero d still yields, exactly as a zero
-// Proc.Sleep does).
+// Proc.Sleep does). While the sequence runs from its own resume event,
+// a wakeup that would pop next is taken in place (Engine.skipTo) and
+// the sequence continues at the next step inline. A step must return
+// Sleep's verdict at once: the clock may have moved.
 //
 //shrimp:hotpath
 func (s *Seq) Sleep(d Time) Ctl {
-	s.e.After(d, s.resumeFn)
+	e := s.e
+	if s.resumed && e.skipTo(e.now+d) {
+		e.census.Skips++
+		return Ctl(s.pc + 1)
+	}
+	e.After(d, s.resumeFn)
 	return Wait
 }
 

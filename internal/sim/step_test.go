@@ -224,8 +224,9 @@ func checkStepRuns(t *testing.T, mode int) (handed, stepped int) {
 			}
 		}
 		// Each step wakeup replaces one process wakeup, resumed by a
-		// switch or by the process's own loop; fn events are the same.
-		wakeups := func(c Census) uint64 { return c.Handoffs + c.SelfWakeups + c.Steps }
+		// switch or by the process's own loop or taken in place (a skip,
+		// in either run); fn events are the same.
+		wakeups := func(c Census) uint64 { return c.Handoffs + c.SelfWakeups + c.Steps + c.Skips }
 		if gotCensus.FnEvents != wantCensus.FnEvents || wakeups(gotCensus) != wakeups(wantCensus) {
 			t.Fatalf("seed %d: census %+v, the plain run's %+v: want equal fn events and wakeups",
 				seed, gotCensus, wantCensus)
@@ -246,17 +247,32 @@ func checkStepRuns(t *testing.T, mode int) (handed, stepped int) {
 }
 
 // A step's wakeup pops in one of three places: the stepping process's
-// own inline loop, another parked process's loop, or the run loop. A
-// panic in the step reaches Run's caller from each, and Shutdown still
-// unwinds whatever is left.
+// own inline loop, another parked process's loop, or the run loop; or
+// it is taken in place when the step re-arms and nothing else is due
+// first. A panic in the step reaches Run's caller from each, and
+// Shutdown still unwinds whatever is left.
 func TestStepPanicReachesRunCaller(t *testing.T) {
-	for _, where := range []string{"own loop", "other's loop", "run loop"} {
+	for _, where := range []string{"own loop", "other's loop", "run loop", "skipped re-run"} {
 		t.Run(where, func(t *testing.T) {
 			e := NewEngine()
 			unwound := 0
 			e.Spawn("streamer", func(p *Proc) {
 				defer func() { unwound++ }()
-				p.SleepThen(10, func() (Time, Verdict) { panic("bad step") })
+				if where == "skipped re-run" {
+					// The first wakeup pops at 5 and re-arms for 10,
+					// where nothing else is due: the step runs again in
+					// place.
+					rearmed := false
+					p.SleepThen(5, func() (Time, Verdict) {
+						if !rearmed {
+							rearmed = true
+							return 5, Again
+						}
+						panic("bad step")
+					})
+				} else {
+					p.SleepThen(10, func() (Time, Verdict) { panic("bad step") })
+				}
 				t.Error("streamer resumed after its step panicked")
 			})
 			switch where {

@@ -63,8 +63,10 @@ type Endpoint struct {
 
 	deliveries int64
 	recvCond   *sim.Cond
-	// polls is the freelist of idle WaitFor calls.
+	// polls is the freelist of idle WaitFor calls, sends that of idle
+	// Send calls.
 	polls []*poll
+	sends []*Transfer
 
 	// Notification blocking (§2.2): while blocked, notifications queue.
 	notifyBlocked bool
@@ -186,23 +188,24 @@ func (ex *Export) WaitUpdate(p *sim.Proc, already int64) int64 {
 	return ex.deliveries
 }
 
-// WaitFor blocks until ready(p) reports true. It is the stepped form of
+// WaitFor blocks until ready(p) reports true, and returns the delivery
+// count its last WaitUpdate returned. It is the stepped form of
 //
-//	seen := int64(-1)
 //	for !ready(p) {
 //		seen = ex.WaitUpdate(p, seen)
 //	}
+//	return seen
 //
 // with the same charges, flushes and Cond waits at the same calendar
 // positions, but the loop's flush sleeps and waits park the process in
 // steps (Proc.SleepThen, Cond.WaitThen) that run the loop on inline at
-// each wakeup, so the process is resumed once, when ready holds. ready
-// runs in those steps, in continuation context, and must not block;
-// pass a func value made once, not per call, to keep the call
-// allocation-free.
+// each wakeup, so the process is resumed once, when ready holds. A
+// fresh poll passes seen -1. ready runs in those steps, in
+// continuation context, and must not block; pass a func value made
+// once, not per call, to keep the call allocation-free.
 //
 //shrimp:continuation
-func (ex *Export) WaitFor(p *sim.Proc, ready func(p *sim.Proc) bool) {
+func (ex *Export) WaitFor(p *sim.Proc, seen int64, ready func(p *sim.Proc) bool) int64 {
 	ep := ex.ep
 	var w *poll
 	if n := len(ep.polls); n > 0 {
@@ -213,15 +216,17 @@ func (ex *Export) WaitFor(p *sim.Proc, ready func(p *sim.Proc) bool) {
 		w = &poll{}
 		w.step = w.wake
 	}
-	*w = poll{ex: ex, p: p, cpu: ep.Node.CPUFor(p), ready: ready, seen: -1, step: w.step}
+	*w = poll{ex: ex, p: p, cpu: ep.Node.CPUFor(p), ready: ready, seen: seen, step: w.step}
 	switch d, v := w.advance(false); v {
 	case sim.Again:
 		p.SleepThen(d, w.step)
 	case sim.Held:
 		ex.recvCond.WaitThen(p, w.step)
 	}
+	seen = w.seen
 	*w = poll{step: w.step}
 	ep.polls = append(ep.polls, w)
+	return seen
 }
 
 // Where a poll's loop stands.
@@ -330,43 +335,120 @@ type SendOpts struct {
 // separate user-level DMA initiation. The final piece carries the
 // end-of-message mark. Send returns once the last piece is accepted by
 // the NIC (sends are asynchronous).
+//
+// Each piece's flush sleeps, and its wait for a DU request slot parks,
+// the process in steps (Proc.SleepThen, Cond.WaitThen) that queue the
+// pieces on inline at each wakeup, so the process is resumed once, when
+// the last piece is queued.
 func (imp *Import) Send(p *sim.Proc, src memory.Addr, off, size int, opts SendOpts) {
+	ep := imp.ep
+	var t *Transfer
+	if n := len(ep.sends); n > 0 {
+		t = ep.sends[n-1]
+		ep.sends[n-1] = nil
+		ep.sends = ep.sends[:n-1]
+	} else {
+		t = &Transfer{}
+		t.step = t.wake
+	}
+	t.Start(imp, p, src, off, size, opts)
+	switch d, v := t.Advance(false); v {
+	case sim.Again:
+		p.SleepThen(d, t.step)
+	case sim.Held:
+		ep.Node.NIC.DUCond().WaitThen(p, t.step)
+	}
+	*t = Transfer{step: t.step}
+	ep.sends = append(ep.sends, t)
+}
+
+// Transfer is a Send in progress, for a library that sends from steps
+// of its own: Start begins it, and Advance queues its pieces, in a step
+// or on the process, until it must wait. Send drives one on its
+// process.
+type Transfer struct {
+	imp  *Import
+	p    *sim.Proc
+	cpu  *machine.CPU
+	src  memory.Addr
+	off  int
+	size int // bytes not yet queued
+	opts SendOpts
+	// flushed says the next piece's initiation is charged and flushed:
+	// it queues once a DU request slot is free.
+	flushed bool
+	// step is Send's bound wakeup step, made once per Transfer.
+	step func() (sim.Time, sim.Verdict)
+}
+
+// wake is Send's step: it queues the pieces on from the wakeup.
+func (t *Transfer) wake() (sim.Time, sim.Verdict) { return t.Advance(true) }
+
+// Start begins the Send of size bytes at src into imp's remote buffer
+// at off for p, with everything Send does before its first piece: the
+// bounds check, the message trace and the syscall-per-send what-if.
+func (t *Transfer) Start(imp *Import, p *sim.Proc, src memory.Addr, off, size int, opts SendOpts) {
 	if off < 0 || size <= 0 || off+size > imp.Size {
 		panic(fmt.Sprintf("vmmc: send of %d bytes at offset %d exceeds buffer of %d",
 			size, off, imp.Size))
 	}
 	nd := imp.ep.Node
-	cost := nd.M.Cfg.Cost
 	if tr := imp.ep.tr; tr != nil && !opts.Internal {
 		tr.Record(int64(nd.M.E.Now()), trace.KMsgSend, int32(nd.ID),
 			int64(imp.exp.ep.Node.ID), int64(size))
 	}
+	cpu := nd.CPUFor(p)
 	if nd.M.Cfg.SyscallPerSend && !opts.Internal {
 		// §4.3 what-if: a kernel-mediated send path traps once per
 		// message.
-		nd.CPUFor(p).ChargeOverhead(cost.SyscallCost)
+		cpu.ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
 		nd.Acct.Counters.Syscalls++
 		if tr := imp.ep.tr; tr != nil {
 			tr.Record(int64(nd.M.E.Now()), trace.KSyscall, int32(nd.ID), int64(size), 0)
 		}
 	}
-	for size > 0 {
-		chunk := size
-		if max := memory.PageSize - src.Offset(); chunk > max {
+	t.imp, t.p, t.cpu = imp, p, cpu
+	t.src, t.off, t.size, t.opts = src, off, size, opts
+	t.flushed = false
+}
+
+// Advance queues the transfer's pieces from where it stopped, each
+// after its initiation charge and flush, until the last is queued
+// (Resume), a flush must sleep (Again), or the NIC's request queue is
+// full (Held). inline says it runs in a step, which holds the process
+// on the NIC's DUCond itself; from the process, the caller parks it
+// there.
+func (t *Transfer) Advance(inline bool) (sim.Time, sim.Verdict) {
+	nd := t.imp.ep.Node
+	for t.size > 0 {
+		chunk := t.size
+		if max := memory.PageSize - t.src.Offset(); chunk > max {
 			chunk = max
 		}
-		dst := imp.Proxy + memory.Addr(off)
+		dst := t.imp.Proxy + memory.Addr(t.off)
 		if max := memory.PageSize - dst.Offset(); chunk > max {
 			chunk = max
 		}
-		last := chunk == size
-		nd.CPUFor(p).ChargeTo(stats.Comm, cost.SendOverheadDU)
-		nd.CPUFor(p).Flush(p)
-		nd.NIC.SendDU(p, src, dst, chunk, opts.Notify && last, last && !opts.Internal)
-		src += memory.Addr(chunk)
-		off += chunk
-		size -= chunk
+		if !t.flushed {
+			t.cpu.ChargeTo(stats.Comm, nd.M.Cfg.Cost.SendOverheadDU)
+			t.flushed = true
+			if d := t.cpu.Settle(); d > 0 {
+				return d, sim.Again
+			}
+		}
+		last := chunk == t.size
+		if !nd.NIC.TrySendDU(t.src, dst, chunk, t.opts.Notify && last, last && !t.opts.Internal) {
+			if inline {
+				nd.NIC.DUCond().Hold(t.p)
+			}
+			return 0, sim.Held
+		}
+		t.flushed = false
+		t.src += memory.Addr(chunk)
+		t.off += chunk
+		t.size -= chunk
 	}
+	return 0, sim.Resume
 }
 
 // BindAU binds npages of local, page-aligned memory for automatic

@@ -27,7 +27,7 @@ type waitOutcome struct {
 // while one or two processes on node 1 wait, with wait, for the counter
 // to reach each of their targets in turn. Handlers steal time from
 // node 1 at random instants, so flushes before waits carry stolen time.
-func runWaitScenario(t *testing.T, seed int64, wait func(ex *Export, p *sim.Proc, ready func(*sim.Proc) bool)) waitOutcome {
+func runWaitScenario(t *testing.T, seed int64, wait func(ex *Export, p *sim.Proc, seen int64, ready func(*sim.Proc) bool) int64) waitOutcome {
 	r := rand.New(rand.NewSource(seed))
 	rec := trace.NewRecorder(trace.Options{})
 	s, ex, imp := twoNodes(t, func(c *machine.Config) { c.Trace = rec })
@@ -58,10 +58,16 @@ func runWaitScenario(t *testing.T, seed int64, wait func(ex *Export, p *sim.Proc
 			c.Charge(n1.M.Cfg.Cost.LoadCost)
 			return n1.Mem.ReadUint32(p, ex.Base) >= target
 		}
+		// Some waits go on from the count the last one saw, as a
+		// persistent poller does; the rest start afresh.
+		seen := int64(-1)
 		for target < uint32(sends) {
 			target = min(target+uint32(1+wr.Intn(4)), uint32(sends))
-			wait(ex, p, ready)
-			record("waiter %d reached %d", id, target)
+			if wr.Intn(2) == 0 {
+				seen = -1
+			}
+			seen = wait(ex, p, seen, ready)
+			record("waiter %d reached %d, seen %d", id, target, seen)
 			c.Charge(sim.Time(wr.Intn(3000)))
 			if wr.Intn(3) == 0 {
 				c.Flush(p)
@@ -101,11 +107,11 @@ func runWaitScenario(t *testing.T, seed int64, wait func(ex *Export, p *sim.Proc
 }
 
 // waitLoop is the reference: the WaitUpdate loop WaitFor stands for.
-func waitLoop(ex *Export, p *sim.Proc, ready func(*sim.Proc) bool) {
-	seen := int64(-1)
+func waitLoop(ex *Export, p *sim.Proc, seen int64, ready func(*sim.Proc) bool) int64 {
 	for !ready(p) {
 		seen = ex.WaitUpdate(p, seen)
 	}
+	return seen
 }
 
 // TestWaitForMatchesWaitUpdateLoop runs random programs with WaitFor
@@ -156,7 +162,7 @@ func TestWaitForAllocationFree(t *testing.T) {
 		for {
 			resume.Wait(p)
 			target += 3
-			ex.WaitFor(p, ready)
+			ex.WaitFor(p, -1, ready)
 		}
 	})
 	count := uint32(0)
