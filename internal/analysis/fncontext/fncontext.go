@@ -96,10 +96,12 @@ type checker struct {
 	// resolution.
 	assigns map[*types.Var][]ast.Expr
 
-	// imported facts, keyed by full function name / field key.
+	// imported facts, keyed by full function name / field key, and
+	// the packages whose facts are merged in (loadFacts).
 	impBlocking   map[string][]string
 	impRootParams map[string][]int
 	impRootFields map[string]bool
+	loaded        map[string]bool
 
 	// blockMemo caches per-node blocking paths; nil = not blocking.
 	blockMemo  map[any][]string
@@ -119,42 +121,39 @@ func run(pass *analysis.Pass) error {
 		impBlocking:   map[string][]string{},
 		impRootParams: map[string][]int{},
 		impRootFields: map[string]bool{},
+		loaded:        map[string]bool{},
 		blockMemo:     map[any][]string{},
 		inProgress:    map[any]bool{},
 		reported:      map[string]bool{},
 	}
-	c.importFacts()
 	c.index()
 	c.checkRoots()
 	return c.export()
 }
 
-// importFacts merges the fncontext summaries of every module-internal
-// dependency.
-func (c *checker) importFacts() {
-	imps := c.pass.Pkg.Imports()
-	paths := make([]string, 0, len(imps))
-	for _, imp := range imps {
-		paths = append(paths, imp.Path())
+// loadFacts merges, once per package, the fncontext summary of the
+// shrimp package pkg, which declares a callee or field this package
+// uses. That need not be a direct import: ring reaches
+// nic.(*NIC).WaitAUReady through vmmc's and machine's field types
+// (w.r.sndEP.Node.NIC), and only the declaring package's summary says
+// the method blocks.
+func (c *checker) loadFacts(pkg *types.Package) {
+	if pkg == nil || pkg == c.pass.Pkg || c.loaded[pkg.Path()] || !strings.HasPrefix(pkg.Path(), "shrimp/") {
+		return
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if !strings.HasPrefix(path, "shrimp/") {
-			continue
-		}
-		var f pkgFact
-		if !c.pass.ImportPackageFact(path, &f) {
-			continue
-		}
-		for k, v := range f.Blocking {
-			c.impBlocking[k] = v
-		}
-		for k, v := range f.RootParams {
-			c.impRootParams[k] = v
-		}
-		for _, k := range f.RootFields {
-			c.impRootFields[k] = true
-		}
+	c.loaded[pkg.Path()] = true
+	var f pkgFact
+	if !c.pass.ImportPackageFact(pkg.Path(), &f) {
+		return
+	}
+	for k, v := range f.Blocking {
+		c.impBlocking[k] = v
+	}
+	for k, v := range f.RootParams {
+		c.impRootParams[k] = v
+	}
+	for _, k := range f.RootFields {
+		c.impRootFields[k] = true
 	}
 }
 
@@ -285,6 +284,7 @@ func (c *checker) checkRootCall(call *ast.CallExpr, enclosing *types.Func) {
 	}
 	idxs, ok := c.rootParams[fn]
 	if !ok {
+		c.loadFacts(fn.Pkg())
 		idxs, ok = c.impRootParams[fn.FullName()]
 	}
 	if !ok {
@@ -396,6 +396,7 @@ func (c *checker) resolve(e ast.Expr, enclosing *types.Func, visited map[*types.
 // isMarkedField reports whether v (with field key, when derivable) is
 // a //shrimp:continuation field of this or an imported package.
 func (c *checker) isMarkedField(v *types.Var, key string) bool {
+	c.loadFacts(v.Pkg())
 	return c.rootFieldVars[v] || (key != "" && (c.rootFieldKeys[key] || c.impRootFields[key]))
 }
 
@@ -497,6 +498,7 @@ func (c *checker) funcBlockPath(fn *types.Func) []string {
 	if _, ok := c.decls[fn]; ok {
 		return c.blockPath(fn)
 	}
+	c.loadFacts(fn.Pkg())
 	if path, ok := c.impBlocking[fn.FullName()]; ok {
 		return path
 	}
@@ -566,6 +568,7 @@ func (c *checker) blockPath(node any) []string {
 			}
 			return true
 		}
+		c.loadFacts(callee.Pkg())
 		if sub, ok := c.impBlocking[callee.FullName()]; ok {
 			found = append([]string{shortName(callee.FullName())}, sub...)
 		}

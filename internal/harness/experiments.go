@@ -10,40 +10,10 @@ import (
 	"shrimp/internal/trace"
 )
 
-// Paper reference values (from the paper's tables; entries of -1 were
-// illegible in the available text and are reported as "—").
-var (
-	// Table 1: sequential execution time, seconds.
-	paperSeqTime = map[App]float64{
-		BarnesSVM: -1, OceanSVM: -1, RadixSVM: 14.3, RadixVMMC: 10.9,
-		BarnesNX: -1, OceanNX: -1, DFSSockets: 6.9, RenderSockets: -1,
-	}
-	// Table 2: execution-time increase with a system call per send, %.
-	paperSyscall = map[App]float64{
-		BarnesSVM: 23.2, OceanSVM: 17.7, RadixSVM: 2.3, RadixVMMC: 5.9,
-		BarnesNX: 52.2, OceanNX: 10.1, RenderSockets: 6.8,
-	}
-	// Table 3: notifications and total messages at 16 nodes.
-	paperNotify = map[App][2]int64{
-		BarnesSVM:     {779136, 2394690},
-		OceanSVM:      {35000, 430003},
-		RadixSVM:      {161000, 380671},
-		RadixVMMC:     {0, 2160},
-		BarnesNX:      {10623, 1024124},
-		OceanNX:       {11380, 1007342},
-		DFSSockets:    {0, 3931894},
-		RenderSockets: {0, 65015},
-	}
-	// Table 4: execution-time increase with an interrupt per message, %.
-	paperInterrupt = map[App]float64{
-		BarnesSVM: 18.1, OceanSVM: 25.1, RadixSVM: 1.1, RadixVMMC: 0.3,
-		BarnesNX: 6.3, OceanNX: 15.7, DFSSockets: 18.3, RenderSockets: 8.5,
-	}
-	// Figure 4 (left): AURC improvement over HLRC, %.
-	paperAURCGain = map[App]float64{BarnesSVM: 9.1, OceanSVM: 30.2, RadixSVM: 79.3}
-	// Figure 4 (right): AU-over-DU speedup factor for Radix-VMMC.
-	paperRadixAUFactor = 3.4
-)
+// paperRadixAUFactor is Figure 4 (right)'s AU-over-DU speedup factor
+// for Radix-VMMC. The per-app reference values are appDecls' paper
+// fields.
+const paperRadixAUFactor = 3.4
 
 // Config controls an evaluation sweep.
 type Config struct {
@@ -149,7 +119,7 @@ func table1(cfg Config) ([]CellSpec, func([]Result) []Table1Row) {
 		return []CellSpec{defaultCell(a, nodes)}
 	}, func(a App, res []Result) Table1Row {
 		return Table1Row{App: a, API: a.API(), Size: cfg.Workloads.SizeString(a),
-			SeqTime: res[0].Elapsed, PaperSec: paperSeqTime[a]}
+			SeqTime: res[0].Elapsed, PaperSec: appDecls[a].paper.seqTime}
 	})
 }
 
@@ -286,17 +256,13 @@ type WhatIfRow struct {
 
 // whatIf runs each app in its default variant on nodes(a) nodes, as
 // built and with knobs set, and compares the two.
-func whatIf(apps []App, nodes func(App) int, knobs Knobs, paper map[App]float64) ([]CellSpec, func([]Result) []WhatIfRow) {
+func whatIf(apps []App, nodes func(App) int, knobs Knobs, paper func(paperRef) float64) ([]CellSpec, func([]Result) []WhatIfRow) {
 	return appGrid(apps, func(a App) []CellSpec {
 		return knobCells(defaultCell(a, nodes(a)), Knobs{}, knobs)
 	}, func(a App, res []Result) WhatIfRow {
 		base, mod := res[0].Elapsed, res[1].Elapsed
-		p, ok := paper[a]
-		if !ok {
-			p = -1
-		}
 		return WhatIfRow{App: a, Baseline: base, Modified: mod,
-			Percent: percentIncrease(base, mod), Paper: p}
+			Percent: percentIncrease(base, mod), Paper: paper(appDecls[a].paper)}
 	})
 }
 
@@ -309,7 +275,7 @@ func table2(cfg Config) ([]CellSpec, func([]Result) []WhatIfRow) {
 		}
 	}
 	return whatIf(apps, func(App) int { return cfg.Nodes },
-		Knobs{SyscallPerSend: bptr(true)}, paperSyscall)
+		Knobs{SyscallPerSend: bptr(true)}, func(r paperRef) float64 { return r.syscall })
 }
 
 // table4 measures the cost of taking an interrupt on every arriving
@@ -320,7 +286,7 @@ func table4(cfg Config) ([]CellSpec, func([]Result) []WhatIfRow) {
 			return 8
 		}
 		return cfg.Nodes
-	}, Knobs{InterruptPerMessage: bptr(true)}, paperInterrupt)
+	}, Knobs{InterruptPerMessage: bptr(true)}, func(r paperRef) float64 { return r.interrupt })
 }
 
 // ---- Table 3: notification usage ----------------------------------------
@@ -345,10 +311,10 @@ func table3(cfg Config) ([]CellSpec, func([]Result) []Table3Row) {
 		if c.MessagesSent > 0 {
 			pct = float64(c.Notifications) / float64(c.MessagesSent) * 100
 		}
-		ref := paperNotify[a]
+		ref := appDecls[a].paper
 		return Table3Row{App: a, Notifications: c.Notifications,
 			Messages: c.MessagesSent, Percent: pct,
-			PaperNotif: ref[0], PaperMsgs: ref[1]}
+			PaperNotif: ref.notify, PaperMsgs: ref.msgs}
 	})
 }
 

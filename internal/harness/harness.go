@@ -51,6 +51,8 @@ type appDecl struct {
 	api   string // communication API family: SVM, VMMC, NX or Sockets
 	// variant is the shipped configuration (DefaultVariant).
 	variant Variant
+	// paper holds the paper's reference values for the app.
+	paper paperRef
 	// workload returns the problem parameters the app runs under, which
 	// the canonical cell encoding embeds.
 	workload func(w *Workloads) any
@@ -68,6 +70,18 @@ type appDecl struct {
 	overlap [2]float64
 }
 
+// paperRef is one application's reference values from the paper's
+// tables. -1 marks a value the paper does not report or that is
+// illegible in the available text; the reports print it as "—".
+type paperRef struct {
+	seqTime   float64 // Table 1: sequential execution time, seconds
+	syscall   float64 // Table 2: execution-time increase with a system call per send, %
+	notify    int64   // Table 3: notifications at 16 nodes
+	msgs      int64   // Table 3: total messages at 16 nodes
+	interrupt float64 // Table 4: execution-time increase with an interrupt per message, %
+	aurcGain  float64 // Figure 4 (left): AURC improvement over HLRC, % (SVM apps only)
+}
+
 // appDecls declares the paper's eight applications. The shipped
 // variants are Figure 3's annotations: Ocean-NX (AU), Radix-VMMC (AU),
 // Barnes-NX (DU), Radix-SVM (AU), Ocean-SVM (AU), Barnes-SVM (AU); the
@@ -75,6 +89,7 @@ type appDecl struct {
 var appDecls = [NumApps]appDecl{
 	BarnesSVM: {
 		name: "Barnes-SVM", alias: "barnes-svm", api: "SVM", variant: VariantAU,
+		paper:    paperRef{seqTime: -1, syscall: 23.2, notify: 779136, msgs: 2394690, interrupt: 18.1, aurcGain: 9.1},
 		workload: func(w *Workloads) any { return w.BarnesSVM },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%d bodies, %d steps", w.BarnesSVM.Bodies, w.BarnesSVM.Steps)
@@ -112,6 +127,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	OceanSVM: {
 		name: "Ocean-SVM", alias: "ocean-svm", api: "SVM", variant: VariantAU,
+		paper:    paperRef{seqTime: -1, syscall: 17.7, notify: 35000, msgs: 430003, interrupt: 25.1, aurcGain: 30.2},
 		workload: func(w *Workloads) any { return w.OceanSVM },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%dx%d, %d iters", w.OceanSVM.N+2, w.OceanSVM.N+2, w.OceanSVM.Iters)
@@ -149,6 +165,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	RadixSVM: {
 		name: "Radix-SVM", alias: "radix-svm", api: "SVM", variant: VariantAU,
+		paper:    paperRef{seqTime: 14.3, syscall: 2.3, notify: 161000, msgs: 380671, interrupt: 1.1, aurcGain: 79.3},
 		workload: func(w *Workloads) any { return w.Radix },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%dK keys, %d iters", w.Radix.Keys/1024, w.Radix.Iters)
@@ -188,6 +205,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	RadixVMMC: {
 		name: "Radix-VMMC", alias: "radix-vmmc", api: "VMMC", variant: VariantAU,
+		paper:    paperRef{seqTime: 10.9, syscall: 5.9, notify: 0, msgs: 2160, interrupt: 0.3},
 		workload: func(w *Workloads) any { return w.Radix },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%dK keys, %d iters", w.Radix.Keys/1024, w.Radix.Iters)
@@ -236,6 +254,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	BarnesNX: {
 		name: "Barnes-NX", alias: "barnes-nx", api: "NX", variant: VariantDU,
+		paper:    paperRef{seqTime: -1, syscall: 52.2, notify: 10623, msgs: 1024124, interrupt: 6.3},
 		workload: func(w *Workloads) any { return w.BarnesNX },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%d bodies, %d steps", w.BarnesNX.Bodies, w.BarnesNX.Steps)
@@ -273,6 +292,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	OceanNX: {
 		name: "Ocean-NX", alias: "ocean-nx", api: "NX", variant: VariantAU,
+		paper:    paperRef{seqTime: -1, syscall: 10.1, notify: 11380, msgs: 1007342, interrupt: 15.7},
 		workload: func(w *Workloads) any { return w.OceanNX },
 		size: func(w *Workloads) string {
 			return fmt.Sprintf("%dx%d, %d iters", w.OceanNX.N+2, w.OceanNX.N+2, w.OceanNX.Iters)
@@ -312,6 +332,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	DFSSockets: {
 		name: "DFS-sockets", alias: "dfs", api: "Sockets", variant: VariantDU,
+		paper:    paperRef{seqTime: 6.9, syscall: -1, notify: 0, msgs: 3931894, interrupt: 18.3},
 		workload: func(w *Workloads) any { return w.DFS },
 		// Clients run on half the nodes of the paper's 16-node machine.
 		size: func(*Workloads) string { return fmt.Sprintf("%d clients", 16/2) },
@@ -366,6 +387,7 @@ var appDecls = [NumApps]appDecl{
 	},
 	RenderSockets: {
 		name: "Render-sockets", alias: "render", api: "Sockets", variant: VariantDU,
+		paper:    paperRef{seqTime: -1, syscall: 6.8, notify: 0, msgs: 65015, interrupt: 8.5},
 		workload: func(w *Workloads) any { return w.Render },
 		size:     func(w *Workloads) string { return fmt.Sprintf("%d^2 image", w.Render.ImageSize) },
 		start: func(sys *vmmc.System, spec Spec, w *Workloads) func() sim.Time {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"shrimp/internal/machine"
+	"shrimp/internal/memory"
 	"shrimp/internal/sim"
+	"shrimp/internal/vmmc"
 	"shrimp/internal/workload"
 )
 
@@ -234,5 +236,44 @@ func TestLoadCellCensus(t *testing.T) {
 	}
 	if got.Steps <= 4*got.Handoffs {
 		t.Errorf("%d step wakeups against %d handoffs: want more than 4x", got.Steps, got.Handoffs)
+	}
+}
+
+// TestLoadCellSnoops pins how often the memory bus is snooped for the
+// automatic-update words of TestLoadCellCensus's socket/au cell. A
+// byte run stores each flush window with one write, so one snoop
+// carries nearly three AU words; a change that goes back to one snoop
+// per word fails here without any timing.
+func TestLoadCellSnoops(t *testing.T) {
+	c := LoadCell{Config: "socket/au", Nodes: 16, Offered: 0.5, Params: QuickLoadParams()}
+	tr, err := c.GenerateTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, svc, err := c.spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.New(machine.DefaultConfig(tr.Nodes))
+	defer m.Close()
+	var snoops, words int64
+	for _, nd := range m.Nodes {
+		snoop := nd.Mem.Snoop
+		nd.Mem.Snoop = func(addr memory.Addr, size int) {
+			if ent, ok := nd.NIC.Outgoing(addr.VPN()); ok && ent.AUEnable {
+				snoops++
+			}
+			snoop(addr, size)
+		}
+	}
+	if _, err := workload.Run(vmmc.NewSystem(m), svc.serviceConfig(c), tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range m.Nodes {
+		words += nd.Acct.Counters.AUStores
+	}
+	// One snoop per word made 44,375 snoops.
+	if snoops != 15861 || words != 44375 {
+		t.Errorf("%d AU snoops for %d AU words, want 15861 for 44375", snoops, words)
 	}
 }

@@ -76,7 +76,7 @@ func PrintFigure4SVM(w io.Writer, rows []Figure4SVMRow) {
 	gains := AURCGain(rows)
 	for _, a := range []App{BarnesSVM, OceanSVM, RadixSVM} {
 		fmt.Fprintf(w, "AURC gain over HLRC, %-12s: %6.1f%%   (paper: %.1f%%)\n",
-			a, gains[a], paperAURCGain[a])
+			a, gains[a], appDecls[a].paper.aurcGain)
 	}
 }
 

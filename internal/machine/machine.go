@@ -427,8 +427,23 @@ func (r *storeRun) advance(inline bool) (sim.Time, int) {
 			return 0, runFault
 		}
 		r.flushed = false
-		cpu.Charge(nd.M.Cfg.Cost.AUStoreCost)
-		r.store(min(r.word, r.n))
+		cost := nd.M.Cfg.Cost.AUStoreCost
+		cpu.Charge(cost)
+		w := min(r.word, r.n)
+		// A byte run stores the whole window up to its next flush check
+		// in one write and one snoop: in between, no simulated time
+		// passes and no event runs, so only the charges the loop would
+		// make come first. Two things would stop the loop early, so
+		// they keep it per word: a stall raised while the flush slept,
+		// which the first word after a flush does not check, and a
+		// page whose write faults, as the fault handler may park.
+		if r.src == nil && !nd.NIC.AUStalled() && r.writable() {
+			for w < r.n && cpu.Pending() < cpu.maxAccum {
+				cpu.Charge(cost)
+				w += min(r.word, r.n-w)
+			}
+		}
+		r.store(w)
 	}
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,10 +137,12 @@ type storeOutcome struct {
 
 const storePages = 4
 
-// runStoreScenario plays seed's random store program on a traced
-// 2-node machine, node 0 storing into a 4-page region whose pages are
-// AU-bound to node 1 (one of them sometimes not), with impl performing
-// each store. The byte program mixes runs of random length and offset,
+// runStoreScenario plays seed's random store program on a 2-node
+// machine, traced or not, node 0 storing into a 4-page region
+// whose pages are AU-bound to node 1 (one of them sometimes not), with
+// impl performing each store. The NIC's AU word is 4 or 8 bytes and
+// its combine limit 16, 24 or 256 bytes, so stored windows cross the
+// limit and end in partial words. The byte program mixes runs of random length and offset,
 // many crossing pages. The word program mixes aligned and unaligned
 // words (some crossing pages), loads from the region, and compute
 // before and after each store. Both have a tiny FIFO threshold on some
@@ -147,11 +150,15 @@ const storePages = 4
 // from the writers; pages made read-only or inaccessible at random
 // instants and restored by the fault handler; and, on some seeds, a
 // second process storing on node 0 at once.
-func runStoreScenario(seed int64, impl storeImpl) storeOutcome {
+func runStoreScenario(seed int64, traced bool, impl storeImpl) storeOutcome {
 	r := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig(2)
-	cfg.Trace = trace.NewRecorder(trace.Options{})
+	if traced {
+		cfg.Trace = trace.NewRecorder(trace.Options{})
+	}
 	cfg.NIC.Combining = r.Intn(3) != 0
+	cfg.NIC.CombineLimit = []int{16, 24, 256}[r.Intn(3)]
+	cfg.NIC.AUWordBytes = 4 << r.Intn(2)
 	if r.Intn(2) == 0 {
 		cfg.NIC.FIFOThresholdBytes = 32 + r.Intn(200)
 		cfg.NIC.FIFOLowWaterBytes = r.Intn(cfg.NIC.FIFOThresholdBytes)
@@ -233,21 +240,30 @@ func runStoreScenario(seed int64, impl storeImpl) storeOutcome {
 		writer(1, p, nd.CPU)
 	})
 
+	out.collect(m, src, dst, storePages)
+	return out
+}
+
+// collect records what a store scenario on m left observable, with the
+// region of pages pages at src on node 0 and its copy at dst on node 1.
+func (out *storeOutcome) collect(m *Machine, src, dst memory.Addr, pages int) {
 	out.end = m.E.Now()
-	out.events = cfg.Trace.Events()
+	if m.Cfg.Trace != nil {
+		out.events = m.Cfg.Trace.Events()
+	}
 	out.census = m.E.Census()
 	for i, nd := range m.Nodes {
 		out.breakdown[i] = nd.Acct.Breakdown
 		out.counters[i] = nd.Acct.Counters
 	}
-	out.src = make([]byte, storePages*memory.PageSize)
-	for i := 0; i < storePages; i++ {
+	n0, n1 := m.Nodes[0], m.Nodes[1]
+	for i := 0; i < pages; i++ {
 		n0.Mem.SetProt(src.VPN()+i, memory.ProtReadWrite)
 	}
+	out.src = make([]byte, pages*memory.PageSize)
 	n0.Mem.Read(nil, src, out.src)
-	out.dst = make([]byte, storePages*memory.PageSize)
+	out.dst = make([]byte, pages*memory.PageSize)
 	n1.Mem.Read(nil, dst, out.dst)
-	return out
 }
 
 // TestStoreBytesMatchesReference runs random store programs with
@@ -296,48 +312,144 @@ func randomWords(wr *rand.Rand, nd *Node, p *sim.Proc, base memory.Addr) *wordPr
 	return w
 }
 
-// checkStoreRuns compares seeds 1..36 run with impl against ref.
+// checkStoreRuns compares seeds 1..36 run with impl against ref,
+// traced and untraced: the NIC combines words differently without a
+// trace recorder.
 func checkStoreRuns(t *testing.T, ref, impl storeImpl) {
 	t.Helper()
 	var steps uint64
 	var stalls int64
 	faults := 0
 	for seed := int64(1); seed <= 36; seed++ {
-		want := runStoreScenario(seed, ref)
-		got := runStoreScenario(seed, impl)
-		if len(got.events) != len(want.events) {
-			t.Fatalf("seed %d: %d trace events, the reference has %d", seed, len(got.events), len(want.events))
-		}
-		for i := range got.events {
-			if got.events[i] != want.events[i] {
-				t.Fatalf("seed %d: trace event %d is %+v, the reference has %+v", seed, i, got.events[i], want.events[i])
+		for _, traced := range []bool{true, false} {
+			want := runStoreScenario(seed, traced, ref)
+			got := runStoreScenario(seed, traced, impl)
+			if d := diffOutcomes(got, want); d != "" {
+				t.Fatalf("seed %d, traced %v: %s", seed, traced, d)
 			}
+			steps += got.census.Steps
+			stalls += got.counters[0].FlowStalls
+			faults += got.faults
 		}
-		for _, c := range []struct {
-			what      string
-			got, want any
-		}{
-			{"end time", got.end, want.end},
-			{"CPU breakdown", got.breakdown, want.breakdown},
-			{"counters", got.counters, want.counters},
-			{"stored bytes", got.src, want.src},
-			{"received bytes", got.dst, want.dst},
-			{"faults", got.faults, want.faults},
-			{"fn events", got.census.FnEvents, want.census.FnEvents},
-		} {
-			if !reflect.DeepEqual(c.got, c.want) {
-				t.Fatalf("seed %d: %s differ:\n got %v\nwant %v", seed, c.what, c.got, c.want)
-			}
-		}
-		steps += got.census.Steps
-		stalls += got.counters[0].FlowStalls
-		faults += got.faults
 	}
 	// The mix must stream, stall and fault.
 	if steps == 0 || stalls == 0 || faults == 0 {
 		t.Fatalf("%d step wakeups, %d flow stalls, %d faults; want all > 0", steps, stalls, faults)
 	}
 	t.Logf("%d step wakeups, %d flow stalls, %d faults", steps, stalls, faults)
+}
+
+// diffOutcomes describes the first difference between two store
+// outcomes, or returns "" when they are the same.
+func diffOutcomes(got, want storeOutcome) string {
+	if len(got.events) != len(want.events) {
+		return fmt.Sprintf("%d trace events, the reference has %d", len(got.events), len(want.events))
+	}
+	for i := range got.events {
+		if got.events[i] != want.events[i] {
+			return fmt.Sprintf("trace event %d is %+v, the reference has %+v", i, got.events[i], want.events[i])
+		}
+	}
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{
+		{"end time", got.end, want.end},
+		{"CPU breakdown", got.breakdown, want.breakdown},
+		{"counters", got.counters, want.counters},
+		{"stored bytes", got.src, want.src},
+		{"received bytes", got.dst, want.dst},
+		{"faults", got.faults, want.faults},
+		{"fn events", got.census.FnEvents, want.census.FnEvents},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			return fmt.Sprintf("%s differ:\n got %v\nwant %v", c.what, c.got, c.want)
+		}
+	}
+	return ""
+}
+
+// runGuardCase plays one 96-byte run, twelve 8-byte words, from
+// offset 0 of an AU-bound page on a traced 2-node machine, with impl
+// storing it. The writer is a handler, so the flow-control interrupt
+// steals its time from the application, not from the writer, whose
+// flushes stay before every third word (MaxAccum 1 µs, 450 ns per AU
+// store). Its uncombined packets reach the FIFO 1.5 µs after their
+// stores. The link drains one 24-byte packet per 2.4 µs and the FIFO
+// stalls stores above 48 bytes, so the first three packets, arriving
+// at 1.5 µs, stall stores until the FIFO has drained empty, several µs
+// later. protectAt, when set, makes the page read-only at that
+// instant; the fault handler then sleeps 3 µs before restoring it.
+func runGuardCase(impl storeImpl, protectAt sim.Time) storeOutcome {
+	cfg := DefaultConfig(2)
+	cfg.Trace = trace.NewRecorder(trace.Options{})
+	cfg.NIC.Combining = false
+	cfg.NIC.LinkBandwidth = 10e6
+	cfg.NIC.FIFOThresholdBytes = 48
+	cfg.NIC.FIFOLowWaterBytes = 0
+	m := New(cfg)
+	defer m.Close()
+	n0, n1 := m.Nodes[0], m.Nodes[1]
+	dst := n1.Mem.Alloc(1)
+	src := n0.Mem.Alloc(1)
+	n1.NIC.SetIncoming(dst.VPN(), false)
+	n0.NIC.MapOutgoing(src.VPN(), n1.ID, dst.VPN(), true, true, false)
+	var out storeOutcome
+	n0.Mem.Fault = func(p *sim.Proc, vpn int, write bool) {
+		out.faults++
+		p.Sleep(3 * sim.Microsecond)
+		n0.Mem.SetProt(vpn, memory.ProtReadWrite)
+	}
+	if protectAt > 0 {
+		m.E.At(protectAt, func() { n0.Mem.SetProt(src.VPN(), memory.ProtRead) })
+	}
+	data := make([]byte, 96)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	m.RunParallel("store", func(nd *Node, p *sim.Proc) {
+		if nd == n0 {
+			nd.SpawnHandler("writer", func(p *sim.Proc, c *CPU) { impl.bytes(nd, p, src, data) })
+		}
+	})
+	out.collect(m, src, dst, 1)
+	return out
+}
+
+// checkGuardCase runs runGuardCase with StoreBytes and with the
+// reference loop, which must agree, and returns the reference's
+// outcome.
+func checkGuardCase(t *testing.T, protectAt sim.Time) storeOutcome {
+	t.Helper()
+	want := runGuardCase(storeImpl{bytes: refStoreBytes}, protectAt)
+	got := runGuardCase(storeImpl{bytes: (*Node).StoreBytes}, protectAt)
+	if d := diffOutcomes(got, want); d != "" {
+		t.Fatal(d)
+	}
+	if want.counters[0].FlowStalls == 0 {
+		t.Fatal("the FIFO never stalled stores")
+	}
+	return want
+}
+
+// TestStoreBytesStallDuringFlushSleep: the stall the first three
+// packets raise at 1.5 µs falls in the writer's second flush sleep
+// (1.35–2.7 µs). The first word after that flush is stored unchecked,
+// as the per-word loop stores it, but the second waits out the stall:
+// a window stored in one pass must not run past it.
+func TestStoreBytesStallDuringFlushSleep(t *testing.T) {
+	checkGuardCase(t, 0)
+}
+
+// TestStoreBytesFaultMidRun: the page turns read-only at 1 µs, during
+// the writer's first flush sleep, so the step hands the fourth word to
+// the process, whose store faults at 1.35 µs. The stall raised at
+// 1.5 µs, while the fault handler sleeps, must stop the fifth word: a
+// window stored in one pass must not span a write that may fault.
+func TestStoreBytesFaultMidRun(t *testing.T) {
+	if out := checkGuardCase(t, sim.Microsecond); out.faults != 1 {
+		t.Fatalf("%d faults, want 1", out.faults)
+	}
 }
 
 // TestStoreBytesAllocationFree asserts streaming StoreBytes and

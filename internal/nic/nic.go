@@ -146,6 +146,9 @@ type combineState struct {
 	start  int // dst offset of first byte
 	buf    []byte
 	timer  sim.Timer
+	// rekey says words were appended since the timer was armed: the
+	// snoop re-keys it once, after its last word.
+	rekey bool
 }
 
 // NIC is the network interface of one node.

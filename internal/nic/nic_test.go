@@ -20,7 +20,13 @@ type rig struct {
 
 func newRig(t testing.TB, cfg Config) *rig {
 	t.Helper()
-	e := sim.NewEngine()
+	return newRigOn(t, sim.NewEngine(), cfg)
+}
+
+// newRigOn builds the rig on e, whose tracer, if any, must already be
+// attached.
+func newRigOn(t testing.TB, e *sim.Engine, cfg Config) *rig {
+	t.Helper()
 	mc := mesh.DefaultConfig()
 	mc.Width, mc.Height = 2, 1
 	net := mesh.New(e, mc)

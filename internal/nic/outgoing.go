@@ -230,6 +230,15 @@ func grow(buf []byte, n int) []byte {
 // store instant and never blocks: flow-control stalls are enforced
 // before the store by WaitAUReady.
 //
+// The snoop hardware sees individual bus transactions: a contiguous
+// run of bytes arrives as a sequence of word-sized stores, each handled
+// as auStore would handle it alone. Untraced, the words that append to
+// the combining buffer are copied in one pass, and the combining timer
+// is re-keyed once, when the run ends, rather than per word: no event
+// runs and no other event is filed between two appends (every packet a
+// snoop emits follows a flushCombine, which cancels the timer), so the
+// timer lands at the same instant and calendar position either way.
+//
 //shrimp:hotpath
 func (n *NIC) Snoop(addr memory.Addr, size int) {
 	if !n.cfg.AutomaticUpdate {
@@ -240,49 +249,73 @@ func (n *NIC) Snoop(addr memory.Addr, size int) {
 	if !ok || !ent.AUEnable {
 		return // snooped, but not AU-bound: ignored
 	}
-	// The snoop hardware sees individual bus transactions: a contiguous
-	// run of bytes arrives as a sequence of word-sized stores. The word
-	// is handed to auStore as a view into the page itself; auStore
-	// copies it (into the combining buffer or a packet buffer) before
-	// returning, so no intermediate copy is allocated.
+	// Words are handed on as views into the page itself, copied (into
+	// the combining buffer or a packet buffer) before Snoop returns, so
+	// no intermediate copy is allocated.
 	page := n.mem.PageData(vpn)
 	off := addr.Offset()
+	word := n.cfg.AUWordBytes
+	c := &n.combine
 	for size > 0 {
-		w := n.cfg.AUWordBytes
-		if w > size {
-			w = size
+		w := min(word, size)
+		if !n.combines(vpn, ent, off, w) {
+			n.acct.Counters.AUStores++
+			n.auStore(vpn, ent, off, page[off:off+w])
+		} else if n.tr != nil {
+			n.acct.Counters.AUStores++
+			c.buf = append(c.buf, page[off:off+w]...)
+			n.tr.Record(int64(n.e.Now()), trace.KCombineHit, int32(n.id), int64(len(c.buf)), 0)
+		} else {
+			// Every later word that fits appends too: only the last
+			// word of the run can be partial, so a run longer than the
+			// room left takes whole words.
+			room := n.cfg.CombineLimit - len(c.buf)
+			if w = size; w > room {
+				w = room - room%word
+			}
+			n.acct.Counters.AUStores += int64((w + word - 1) / word)
+			c.buf = append(c.buf, page[off:off+w]...)
 		}
-		n.acct.Counters.AUStores++
-		n.auStore(vpn, ent, off, page[off:off+w])
 		off += w
 		size -= w
 	}
+	if c.rekey {
+		c.rekey = false
+		c.timer.Reset(n.cfg.CombineTimeout)
+	}
 }
 
-// auStore handles one snooped word-sized store to an AU-bound page.
+// combines reports whether a snooped w-byte store at off on page vpn
+// appends to the combining buffer: a consecutive store under an
+// unchanged mapping that stays within CombineLimit. If so, it marks
+// the combining timer for its re-key at the end of the snoop.
+//
+//shrimp:hotpath
+func (n *NIC) combines(vpn int, ent *OPTEntry, off, w int) bool {
+	c := &n.combine
+	if !c.active || !n.cfg.Combining || !ent.Combine || c.page != vpn || c.ent != *ent ||
+		c.start+len(c.buf) != off || len(c.buf)+w > n.cfg.CombineLimit {
+		return false
+	}
+	c.rekey = true
+	return true
+}
+
+// auStore handles one snooped word-sized store to an AU-bound page that
+// does not append to the combining buffer: it flushes the buffer and
+// either sends the word alone or starts a new combined packet with it.
 // data is a transient view; it must be consumed before returning.
 //
 //shrimp:hotpath
 func (n *NIC) auStore(vpn int, ent *OPTEntry, off int, data []byte) {
+	n.flushCombine()
 	if !n.cfg.Combining || !ent.Combine {
 		// A non-combinable store must not overtake earlier combined
 		// stores: the snoop path preserves program order.
-		n.flushCombine()
 		n.emitAU(ent.DstNode, ent.DstPage, off, ent.Interrupt, data)
 		return
 	}
 	c := &n.combine
-	if c.active && c.page == vpn && c.ent == *ent &&
-		c.start+len(c.buf) == off && len(c.buf)+len(data) <= n.cfg.CombineLimit {
-		// Consecutive store under an unchanged mapping: accumulate.
-		c.buf = append(c.buf, data...)
-		c.timer.Reset(n.cfg.CombineTimeout)
-		if n.tr != nil {
-			n.tr.Record(int64(n.e.Now()), trace.KCombineHit, int32(n.id), int64(len(c.buf)), 0)
-		}
-		return
-	}
-	n.flushCombine()
 	c.active = true
 	c.ent = *ent
 	c.page = vpn
@@ -302,6 +335,7 @@ func (n *NIC) flushCombine() {
 	c.timer.Cancel()
 	c.timer = sim.Timer{}
 	c.active = false
+	c.rekey = false
 	if n.tr != nil {
 		n.tr.Record(int64(n.e.Now()), trace.KCombineFlush, int32(n.id), int64(len(c.buf)), 0)
 	}

@@ -202,15 +202,23 @@ func (w *writeRun) finish() {
 		case sim.Held:
 			r.sndEP.Node.NIC.DUCond().WaitThen(w.p, w.step)
 		default:
-			if w.at == writeDone {
+			switch w.at {
+			case writeDone:
 				return
+			case writeCopy:
+				// AU mode: the stores themselves are the transfer.
+				r.sndEP.Node.StoreBytes(w.p, r.mirror+memory.Addr(int(r.writePos)%r.size), w.data[:w.chunk])
+				w.moved()
+			case writePublish:
+				w.publishAU()
+			default:
+				var seen int64
+				for r.space() == 0 {
+					seen = r.creditExp.WaitUpdate(w.p, seen)
+					r.refreshCredit(w.p)
+				}
+				w.at = writeCopy
 			}
-			var seen int64
-			for r.space() == 0 {
-				seen = r.creditExp.WaitUpdate(w.p, seen)
-				r.refreshCredit(w.p)
-			}
-			w.at = writeCopy
 		}
 	}
 }
@@ -220,8 +228,9 @@ func (w *writeRun) finish() {
 // (Again), or a DU transfer or the position rotation must wait on the
 // NIC's DUCond (Held). inline says it runs in a step, which holds the
 // process on that Cond itself; from the process, finish parks it
-// there. In AU mode the stores are the transfer, and the process makes
-// them here itself (inline false).
+// there. In AU mode the stores are the transfer, which may park: it
+// stops before each chunk's stores and before the position's store
+// (Resume at writeCopy or writePublish), and finish makes them.
 func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
 	r := w.r
 	nd := r.sndEP.Node
@@ -242,13 +251,10 @@ func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
 		case writeCopy:
 			off := int(r.writePos) % r.size
 			w.chunk = min(len(w.data), r.space(), r.size-off)
-			dst := r.mirror + memory.Addr(off)
 			if r.cfg.Mode == AU {
-				// The stores themselves are the transfer.
-				nd.StoreBytes(w.p, dst, w.data[:w.chunk])
-				w.moved()
-				continue
+				return 0, sim.Resume
 			}
+			dst := r.mirror + memory.Addr(off)
 			// Zero-copy send path: user-level DMA straight from the send
 			// buffer — the transfer model VMMC was designed for (the
 			// mirror write is simulator bookkeeping, not a charged copy).
@@ -261,6 +267,9 @@ func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
 			}
 			w.moved()
 		case writePublish:
+			if r.cfg.Mode == AU {
+				return 0, sim.Resume
+			}
 			if d, v := w.publish(inline); v != sim.Resume {
 				return d, v
 			}
@@ -282,28 +291,14 @@ func (w *writeRun) moved() {
 	w.at = writeCredit
 }
 
-// publish makes all written bytes visible to the receiver. A final
-// publish is the user-message trailer; intermediate publishes (made
-// while blocked for credit) are internal bookkeeping.
+// publish makes all written bytes visible to the receiver, in DU mode
+// (publishAU is AU mode's). A final publish is the user-message
+// trailer; intermediate publishes (made while blocked for credit) are
+// internal bookkeeping.
 func (w *writeRun) publish(inline bool) (sim.Time, sim.Verdict) {
 	r := w.r
 	nd := r.sndEP.Node
 	ctl := r.mirror + memory.Addr(r.ctlOffset())
-	if r.cfg.Mode == AU {
-		nd.StoreUint64(w.p, ctl, r.writePos)
-		if w.final {
-			// AU streams count messages in the library (the NIC only
-			// sees snooped stores), and a kernel-mediated design would
-			// trap here just the same (§4.3).
-			nd.Acct.Counters.MessagesSent++
-			if nd.M.Cfg.SyscallPerSend {
-				nd.CPUFor(w.p).ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
-				nd.Acct.Counters.Syscalls++
-			}
-		}
-		w.published()
-		return 0, sim.Resume
-	}
 	// Each update is staged in its own word of the control page. The
 	// DU engine reads a transfer's source when it starts the transfer,
 	// not when the request is queued, so behind a queue deeper than one
@@ -328,6 +323,25 @@ func (w *writeRun) publish(inline bool) (sim.Time, sim.Verdict) {
 		vmmc.SendOpts{Notify: r.cfg.Notify && w.final, Internal: !w.final})
 	w.at = writePos
 	return 0, sim.Resume
+}
+
+// publishAU is publish in AU mode, where the position's store is the
+// update. It may park, so the process makes it.
+func (w *writeRun) publishAU() {
+	r := w.r
+	nd := r.sndEP.Node
+	nd.StoreUint64(w.p, r.mirror+memory.Addr(r.ctlOffset()), r.writePos)
+	if w.final {
+		// AU streams count messages in the library (the NIC only sees
+		// snooped stores), and a kernel-mediated design would trap here
+		// just the same (§4.3).
+		nd.Acct.Counters.MessagesSent++
+		if nd.M.Cfg.SyscallPerSend {
+			nd.CPUFor(w.p).ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
+			nd.Acct.Counters.Syscalls++
+		}
+	}
+	w.published()
 }
 
 // published ends a position update: the Write is done after the
