@@ -313,8 +313,7 @@ func randomWords(wr *rand.Rand, nd *Node, p *sim.Proc, base memory.Addr) *wordPr
 }
 
 // checkStoreRuns compares seeds 1..36 run with impl against ref,
-// traced and untraced: the NIC combines words differently without a
-// trace recorder.
+// traced and untraced.
 func checkStoreRuns(t *testing.T, ref, impl storeImpl) {
 	t.Helper()
 	var steps uint64

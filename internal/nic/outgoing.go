@@ -232,12 +232,13 @@ func grow(buf []byte, n int) []byte {
 //
 // The snoop hardware sees individual bus transactions: a contiguous
 // run of bytes arrives as a sequence of word-sized stores, each handled
-// as auStore would handle it alone. Untraced, the words that append to
-// the combining buffer are copied in one pass, and the combining timer
-// is re-keyed once, when the run ends, rather than per word: no event
-// runs and no other event is filed between two appends (every packet a
-// snoop emits follows a flushCombine, which cancels the timer), so the
-// timer lands at the same instant and calendar position either way.
+// as auStore would handle it alone. The words that append to the
+// combining buffer are copied in one pass, each still leaving its own
+// combine-hit record, and the combining timer is re-keyed once, when
+// the run ends, rather than per word: no event runs and no other event
+// is filed between two appends (every packet a snoop emits follows a
+// flushCombine, which cancels the timer), so the timer lands at the
+// same instant and calendar position either way.
 //
 //shrimp:hotpath
 func (n *NIC) Snoop(addr memory.Addr, size int) {
@@ -261,10 +262,6 @@ func (n *NIC) Snoop(addr memory.Addr, size int) {
 		if !n.combines(vpn, ent, off, w) {
 			n.acct.Counters.AUStores++
 			n.auStore(vpn, ent, off, page[off:off+w])
-		} else if n.tr != nil {
-			n.acct.Counters.AUStores++
-			c.buf = append(c.buf, page[off:off+w]...)
-			n.tr.Record(int64(n.e.Now()), trace.KCombineHit, int32(n.id), int64(len(c.buf)), 0)
 		} else {
 			// Every later word that fits appends too: only the last
 			// word of the run can be partial, so a run longer than the
@@ -274,7 +271,13 @@ func (n *NIC) Snoop(addr memory.Addr, size int) {
 				w = room - room%word
 			}
 			n.acct.Counters.AUStores += int64((w + word - 1) / word)
+			prev := len(c.buf)
 			c.buf = append(c.buf, page[off:off+w]...)
+			if n.tr != nil {
+				for i := 0; i < w; i += word {
+					n.tr.Record(int64(n.e.Now()), trace.KCombineHit, int32(n.id), int64(prev+min(i+word, w)), 0)
+				}
+			}
 		}
 		off += w
 		size -= w
