@@ -3,7 +3,7 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all lint test bench-smoke fuzz-smoke golden calibrate trace-smoke serve-smoke perf perf-test clean
+.PHONY: all lint test bench-smoke fuzz-smoke golden calibrate trace-smoke serve-smoke perf perf-test loc clean
 
 all: lint test
 
@@ -78,6 +78,12 @@ perf:
 # that breaks the benchmark fails here instead.
 perf-test:
 	cd perfbench && go vet ./... && go test -race ./...
+
+# loc prints the count of non-test Go lines under internal/ and cmd/,
+# leaving out _test.go files and testdata/ trees: the code-size figure
+# the ledger quotes. It is a report, not a gate.
+loc:
+	@find internal cmd -name testdata -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -rf $(GOBIN)

@@ -14,7 +14,7 @@
 // doc comment carries //shrimp:continuation marks its func-typed
 // parameters as continuation entry points (sim.Engine.At/After/
 // NewTimer, Queue.PopFn, Cond.WaitFn, Resource.AcquireFn, Seq.Init,
-// NewSeq, the wakeup steps of Proc.SleepThen and Cond.WaitThen,
+// NewSeq, the wakeup step of Proc.Park,
 // vmmc.Export.WaitFor's ready test, mesh.Network.Attach), and a
 // func-typed struct field carrying the directive marks every value
 // assigned to it as running in continuation context
@@ -76,9 +76,9 @@ const simPath = "shrimp/internal/sim"
 // illegal in continuation context.
 var blockingMethods = map[string]map[string]bool{
 	"Queue":    {"Pop": true},
-	"Cond":     {"Wait": true, "WaitThen": true},
+	"Cond":     {"Wait": true},
 	"Resource": {"Acquire": true},
-	"Proc":     {"Sleep": true, "SleepUntil": true, "SleepThen": true},
+	"Proc":     {"Sleep": true, "SleepUntil": true, "Park": true},
 }
 
 type checker struct {

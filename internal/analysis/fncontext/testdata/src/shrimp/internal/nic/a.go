@@ -80,7 +80,7 @@ func (d *dev) use() {
 	d.register(d.badPump) // want `continuation passed to \(\*nic\.dev\)\.register can reach a blocking call`
 }
 
-// window is a legal SleepThen step: it re-arms without blocking.
+// window is a legal Park step: it re-arms without blocking.
 func (d *dev) window() (int64, sim.Verdict) {
 	d.pump()
 	return 1, sim.Again
@@ -99,17 +99,24 @@ func (d *dev) hold() (int64, sim.Verdict) {
 	return 0, sim.Held
 }
 
-// badHold parks in WaitThen, itself a blocking call: illegal in a step.
+// badHold parks in Park, itself a blocking call: illegal in a step.
 func (d *dev) badHold() (int64, sim.Verdict) {
-	d.c.WaitThen(nil, d.hold)
+	var p *sim.Proc
+	d.c.Hold(p)
+	p.Park(0, sim.Held, d.hold)
 	return 0, sim.Resume
 }
 
-// stream parks in SleepThen and WaitThen, themselves blocking calls,
-// from process context; only their steps run in continuation context.
+// stream parks in Park, itself a blocking call, from process context,
+// after a flush and after a hold; only its steps run in continuation
+// context, whichever verdict parks them.
 func (d *dev) stream(p *sim.Proc) {
-	p.SleepThen(1, d.window)
-	p.SleepThen(1, d.badWindow) // want `continuation passed to \(\*sim\.Proc\)\.SleepThen can reach a blocking call: \(\*nic\.dev\)\.badWindow → \(\*sim\.Cond\)\.Wait`
-	d.c.WaitThen(p, d.hold)
-	d.c.WaitThen(p, d.badHold) // want `continuation passed to \(\*sim\.Cond\)\.WaitThen can reach a blocking call: \(\*nic\.dev\)\.badHold → \(\*sim\.Cond\)\.WaitThen`
+	p.Park(1, sim.Again, d.window)
+	p.Park(1, sim.Again, d.badWindow) // want `continuation passed to \(\*sim\.Proc\)\.Park can reach a blocking call: \(\*nic\.dev\)\.badWindow → \(\*sim\.Cond\)\.Wait`
+	d.c.Hold(p)
+	p.Park(0, sim.Held, d.hold)
+	d.c.Hold(p)
+	p.Park(0, sim.Held, d.badHold) // want `continuation passed to \(\*sim\.Proc\)\.Park can reach a blocking call: \(\*nic\.dev\)\.badHold → \(\*sim\.Proc\)\.Park`
+	d.c.Hold(p)
+	p.Park(0, sim.Held, d.badWindow) // want `\(\*nic\.dev\)\.badWindow → \(\*sim\.Cond\)\.Wait`
 }

@@ -26,6 +26,6 @@ func (w *writeRun) store() (int64, sim.Verdict) {
 }
 
 func (w *writeRun) run() {
-	w.p.SleepThen(1, w.wake)  // want `continuation passed to \(\*sim\.Proc\)\.SleepThen can reach a blocking call: \(\*ring\.writeRun\)\.wake → \(\*nic\.NIC\)\.WaitAUReady → \(\*sim\.Cond\)\.Wait`
-	w.p.SleepThen(1, w.store) // want `\(\*ring\.writeRun\)\.store → \(\*machine\.Node\)\.StoreBytes → \(\*sim\.Proc\)\.Sleep`
+	w.p.Park(1, sim.Again, w.wake)  // want `continuation passed to \(\*sim\.Proc\)\.Park can reach a blocking call: \(\*ring\.writeRun\)\.wake → \(\*nic\.NIC\)\.WaitAUReady → \(\*sim\.Cond\)\.Wait`
+	w.p.Park(1, sim.Again, w.store) // want `\(\*ring\.writeRun\)\.store → \(\*machine\.Node\)\.StoreBytes → \(\*sim\.Proc\)\.Sleep`
 }

@@ -20,11 +20,11 @@ const (
 	Held
 )
 
-// SleepThen parks the process, a blocking primitive, and runs step in
+// Park parks the process, a blocking primitive, and runs step in
 // engine context at each wakeup.
 //
 //shrimp:continuation
-func (p *Proc) SleepThen(d int64, step func() (int64, Verdict)) {}
+func (p *Proc) Park(d int64, v Verdict, step func() (int64, Verdict)) {}
 
 // Engine stands in for the event engine.
 type Engine struct{ now int64 }
@@ -57,12 +57,6 @@ type Cond struct{}
 
 // Wait parks the process: a blocking primitive.
 func (c *Cond) Wait(p *Proc) {}
-
-// WaitThen parks the process on the condition, a blocking primitive,
-// and runs step in engine context at each wakeup.
-//
-//shrimp:continuation
-func (c *Cond) WaitThen(p *Proc, step func() (int64, Verdict)) {}
 
 // Hold registers a stepped process as a waiter without parking: legal
 // in a step.

@@ -212,7 +212,7 @@ func TestLoadClassTotals(t *testing.T) {
 // TestLoadCellCensus pins the engine's dispatch census for the quick
 // socket/au cell at offered load 0.5, as the quick load sweep runs it:
 // a deterministic stand-in for its host cost. Its AU sends stream
-// through SleepThen steps and its ring reads poll through
+// through Park steps and its ring reads poll through
 // Export.WaitFor steps, so step wakeups must stay well above process
 // handoffs; a change that sends those wakeups back through process
 // switches fails here without any timing. The number of wakeups and fn

@@ -143,12 +143,10 @@ func sweepCells() []CellSpec {
 	return append(cells, CellSpec{App: "ocean-nx", Nodes: 4})
 }
 
-// TestForkDeterminismSweep pins Result equality (every field, not just
-// the rendered rows) on a representative knob sweep: RunCellSpecs at 1
-// and 8 workers against a serial loop of Run. Like
-// TestForkDeterminismExperiments it keeps the name it had when cells
-// forked from a shared warmup.
-func TestForkDeterminismSweep(t *testing.T) {
+// TestWorkerCountDeterminismSweep pins Result equality (every field,
+// not just the rendered rows) on a representative knob sweep:
+// RunCellSpecs at 1 and 8 workers against a serial loop of Run.
+func TestWorkerCountDeterminismSweep(t *testing.T) {
 	wl := QuickWorkloads()
 	cells := sweepCells()
 	want := make([]Result, len(cells))

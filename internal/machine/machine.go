@@ -243,18 +243,31 @@ func (nd *Node) raiseInterrupt(kind nic.InterruptKind, pkt *nic.Packet) {
 // StoreUint32 performs an application store, paying the write-through
 // cost and honoring flow control when the page is AU-bound.
 func (nd *Node) StoreUint32(p *sim.Proc, addr memory.Addr, v uint32) {
-	cost := nd.M.Cfg.Cost
+	nd.chargeStore(p, addr)
+	nd.Mem.WriteUint32(p, addr, v)
+}
+
+// StoreUint64 performs an application store of a 64-bit word, paying
+// the write-through cost and honoring flow control on AU-bound pages.
+func (nd *Node) StoreUint64(p *sim.Proc, addr memory.Addr, v uint64) {
+	nd.chargeStore(p, addr)
+	nd.Mem.WriteUint64(p, addr, v)
+}
+
+// chargeStore pays for one word store at addr before its write: on an
+// AU-bound page, after waiting out flow control and flushing a full
+// accumulator, the write-through cost; elsewhere a plain store's.
+func (nd *Node) chargeStore(p *sim.Proc, addr memory.Addr) {
 	cpu := nd.CPUFor(p)
 	if ent, ok := nd.NIC.Outgoing(addr.VPN()); ok && ent.AUEnable {
 		nd.NIC.WaitAUReady(p)
 		if cpu.Pending() >= cpu.maxAccum {
 			cpu.Flush(p)
 		}
-		cpu.Charge(cost.AUStoreCost)
+		cpu.Charge(nd.M.Cfg.Cost.AUStoreCost)
 	} else {
-		cpu.Charge(cost.StoreCost)
+		cpu.Charge(nd.M.Cfg.Cost.StoreCost)
 	}
-	nd.Mem.WriteUint32(p, addr, v)
 }
 
 // StoreBytes performs an application store of a byte run (within or
@@ -262,11 +275,12 @@ func (nd *Node) StoreUint32(p *sim.Proc, addr memory.Addr, v uint32) {
 // checking flow control before each one, exactly as real code behind
 // the snooped memory bus would; elsewhere it is a bulk copy.
 //
-// A streaming writer flushes every few words. Each flush sleeps with
-// SleepThen, whose step stores the next window of words inline at the
-// wakeup, wherever the calendar pops it, so the process is resumed
-// only when the run ends or a store needs it: flow control is stalled,
-// or the page is not read-write and its fault handler may park.
+// A streaming writer flushes every few words. Each flush parks the
+// process in a step (Proc.Park) that stores the next window of words
+// inline at the wakeup, wherever the calendar pops it, so the process
+// is resumed only when the run ends or a store needs it: flow control
+// is stalled, or the page is not read-write and its fault handler may
+// park.
 func (nd *Node) StoreBytes(p *sim.Proc, addr memory.Addr, data []byte) {
 	r := nd.startRun(p, nd.NIC.Config().AUWordBytes)
 	r.addr, r.data = addr, data
@@ -280,7 +294,7 @@ type WordSource interface {
 	// (loads included) and returns that store: its address and value,
 	// of which the run's word size takes the low bytes. ok false from
 	// the process (inline false) ends the run, after any compute that
-	// follows its last store. inline says NextWord runs in a SleepThen
+	// follows its last store. inline says NextWord runs in a Park
 	// step, where nothing may block: before a load that would fault
 	// (Node.Loadable) or at the run's end, it returns ok false with no
 	// side effect, and the process calls it again.
@@ -360,7 +374,7 @@ func (r *storeRun) finish() {
 	for {
 		switch d, stop := r.advance(false); stop {
 		case runFlush:
-			r.p.SleepThen(d, r.step)
+			r.p.Park(d, sim.Again, r.step)
 		case runStalled:
 			r.nd.NIC.WaitAUReady(r.p)
 		default:
@@ -372,7 +386,7 @@ func (r *storeRun) finish() {
 	}
 }
 
-// window is the flushing process's SleepThen step: it stores the words
+// window is the flushing process's Park step: it stores the words
 // after a flush, up to the next flush, and keeps the process parked
 // only when the window ends in that flush.
 func (r *storeRun) window() (sim.Time, sim.Verdict) {
@@ -489,23 +503,6 @@ func (r *storeRun) writable() bool {
 // WordSource's check before a load in a step.
 func (nd *Node) Loadable(addr memory.Addr) bool {
 	return nd.Mem.Prot(addr.VPN()) != memory.ProtNone
-}
-
-// StoreUint64 performs an application store of a 64-bit word, paying
-// the write-through cost and honoring flow control on AU-bound pages.
-func (nd *Node) StoreUint64(p *sim.Proc, addr memory.Addr, v uint64) {
-	cost := nd.M.Cfg.Cost
-	cpu := nd.CPUFor(p)
-	if ent, ok := nd.NIC.Outgoing(addr.VPN()); ok && ent.AUEnable {
-		nd.NIC.WaitAUReady(p)
-		if cpu.Pending() >= cpu.maxAccum {
-			cpu.Flush(p)
-		}
-		cpu.Charge(cost.AUStoreCost)
-	} else {
-		cpu.Charge(cost.StoreCost)
-	}
-	nd.Mem.WriteUint64(p, addr, v)
 }
 
 // LoadUint32 performs an application load.

@@ -155,7 +155,7 @@ func (r *Ring) Write(p *sim.Proc, data []byte) {
 		r.writes = r.writes[:n-1]
 	} else {
 		w = &writeRun{r: r}
-		w.step = w.wake
+		w.step = w.advance
 	}
 	w.p, w.data, w.at = p, data, writeCredit
 	w.finish()
@@ -187,51 +187,42 @@ type writeRun struct {
 	step  func() (sim.Time, sim.Verdict)
 }
 
-// wake is the writer's step: it runs the Write on from the wakeup.
-func (w *writeRun) wake() (sim.Time, sim.Verdict) { return w.advance(true) }
-
-// finish drives the Write to its end on the process, which sleeps each
-// flush and waits for each DU request slot with the step, and waits for
-// credit itself.
+// finish drives the Write to its end on the process, which parks in
+// the step through each flush and each wait for a DU request slot, and
+// makes the AU stores and waits for credit itself.
 func (w *writeRun) finish() {
 	r := w.r
 	for {
-		switch d, v := w.advance(false); v {
-		case sim.Again:
-			w.p.SleepThen(d, w.step)
-		case sim.Held:
-			r.sndEP.Node.NIC.DUCond().WaitThen(w.p, w.step)
+		d, v := w.advance()
+		w.p.Park(d, v, w.step)
+		switch w.at {
+		case writeDone:
+			return
+		case writeCopy:
+			// AU mode: the stores themselves are the transfer.
+			r.sndEP.Node.StoreBytes(w.p, r.mirror+memory.Addr(int(r.writePos)%r.size), w.data[:w.chunk])
+			w.moved()
+		case writePublish:
+			w.publishAU()
 		default:
-			switch w.at {
-			case writeDone:
-				return
-			case writeCopy:
-				// AU mode: the stores themselves are the transfer.
-				r.sndEP.Node.StoreBytes(w.p, r.mirror+memory.Addr(int(r.writePos)%r.size), w.data[:w.chunk])
-				w.moved()
-			case writePublish:
-				w.publishAU()
-			default:
-				var seen int64
-				for r.space() == 0 {
-					seen = r.creditExp.WaitUpdate(w.p, seen)
-					r.refreshCredit(w.p)
-				}
-				w.at = writeCopy
+			var seen int64
+			for r.space() == 0 {
+				seen = r.creditExp.WaitUpdate(w.p, seen)
+				r.refreshCredit(w.p)
 			}
+			w.at = writeCopy
 		}
 	}
 }
 
 // advance runs the Write from where it stands until it is done or
 // stalled for credit (Resume), a DU transfer's flush must sleep
-// (Again), or a DU transfer or the position rotation must wait on the
-// NIC's DUCond (Held). inline says it runs in a step, which holds the
-// process on that Cond itself; from the process, finish parks it
-// there. In AU mode the stores are the transfer, which may park: it
-// stops before each chunk's stores and before the position's store
-// (Resume at writeCopy or writePublish), and finish makes them.
-func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
+// (Again), or a DU transfer or the position rotation must hold the
+// process on the NIC's DUCond (Held). It is the writer's step. In AU
+// mode the stores are the transfer, which may park: it stops before
+// each chunk's stores and before the position's store (Resume at
+// writeCopy or writePublish), and finish makes them.
+func (w *writeRun) advance() (sim.Time, sim.Verdict) {
 	r := w.r
 	nd := r.sndEP.Node
 	for {
@@ -262,7 +253,7 @@ func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
 			w.t.Start(r.dataImp, w.p, dst, off, w.chunk, vmmc.SendOpts{Internal: true})
 			w.at = writeData
 		case writeData:
-			if d, v := w.t.Advance(inline); v != sim.Resume {
+			if d, v := w.t.Advance(); v != sim.Resume {
 				return d, v
 			}
 			w.moved()
@@ -270,11 +261,11 @@ func (w *writeRun) advance(inline bool) (sim.Time, sim.Verdict) {
 			if r.cfg.Mode == AU {
 				return 0, sim.Resume
 			}
-			if d, v := w.publish(inline); v != sim.Resume {
+			if d, v := w.publish(); v != sim.Resume {
 				return d, v
 			}
 		case writePos:
-			if d, v := w.t.Advance(inline); v != sim.Resume {
+			if d, v := w.t.Advance(); v != sim.Resume {
 				return d, v
 			}
 			w.published()
@@ -295,7 +286,7 @@ func (w *writeRun) moved() {
 // (publishAU is AU mode's). A final publish is the user-message
 // trailer; intermediate publishes (made while blocked for credit) are
 // internal bookkeeping.
-func (w *writeRun) publish(inline bool) (sim.Time, sim.Verdict) {
+func (w *writeRun) publish() (sim.Time, sim.Verdict) {
 	r := w.r
 	nd := r.sndEP.Node
 	ctl := r.mirror + memory.Addr(r.ctlOffset())
@@ -309,9 +300,7 @@ func (w *writeRun) publish(inline bool) (sim.Time, sim.Verdict) {
 	// (not on the first update, when no earlier word is staged).
 	slot := r.published % ctlWords
 	if slot == 0 && r.published > 0 && nd.NIC.Config().DUQueueDepth >= ctlWords && nd.NIC.DUBusy() {
-		if inline {
-			nd.NIC.DUCond().Hold(w.p)
-		}
+		nd.NIC.DUCond().Hold(w.p)
 		return 0, sim.Held
 	}
 	r.published++

@@ -67,11 +67,11 @@ func TestProcSleepAllocationFree(t *testing.T) {
 	e.Shutdown()
 }
 
-// TestSleepThenAllocationFree asserts that steps cost no allocation
-// per wakeup: a SleepThen step re-arming its process's wakeup, as a
-// streaming store does after every flush, and a WaitThen step holding
-// its process on a Cond, as a stepped poll does between deliveries.
-func TestSleepThenAllocationFree(t *testing.T) {
+// TestParkAllocationFree asserts that steps cost no allocation per
+// wakeup: a Park step re-arming its process's wakeup, as a streaming
+// store does after every flush, and a Park step holding its process on
+// a Cond, as a stepped poll does between deliveries.
+func TestParkAllocationFree(t *testing.T) {
 	e := NewEngine()
 	resume, poke := NewCond(e), NewCond(e)
 	var streamer *Proc
@@ -91,9 +91,10 @@ func TestSleepThenAllocationFree(t *testing.T) {
 		for {
 			resume.Wait(p)
 			left = 6
-			p.SleepThen(3, step)
+			p.Park(3, Again, step)
 			left = 5
-			poke.WaitThen(p, step)
+			poke.Hold(p)
+			p.Park(0, Held, step)
 		}
 	})
 	e.Spawn("poker", func(p *Proc) {

@@ -125,8 +125,8 @@ type Census struct {
 	SelfWakeups uint64
 	// FnEvents counts fn events dispatched, wherever the loop ran.
 	FnEvents uint64
-	// Steps counts wakeups a SleepThen or WaitThen step handled while
-	// its process stayed parked.
+	// Steps counts wakeups a Park step handled while its process stayed
+	// parked.
 	Steps uint64
 	// Skips counts wakeups taken in place with no calendar round trip
 	// (skipTo): a Sleep that returned at once, an Again step re-run
@@ -381,9 +381,9 @@ func (e *Engine) skipTo(t Time) bool {
 	return true
 }
 
-// stepped runs the step of q, parked in SleepThen or WaitThen, whose
-// wakeup just popped, in place of resuming q. A held q stops counting
-// as Blocked here, where a process woken from Wait would resume. It
+// stepped runs the step of q, parked in Park, whose wakeup just
+// popped, in place of resuming q. A held q stops counting as Blocked
+// here, where a process woken from Wait would resume. It
 // reports true when the step keeps q parked, its next wakeup filed
 // (Again) or its hold on a Cond registered (Held), and false when q is
 // to resume at this wakeup. An Again whose wakeup would pop next is
@@ -413,9 +413,7 @@ func (e *Engine) stepped(q *Proc) bool {
 			}
 			e.wake(q, e.now+next)
 		case Held:
-			if !q.held {
-				panic("sim: step returned Held without holding its process on a Cond")
-			}
+			q.mustBeHeld()
 			*count++
 		default:
 			q.step = nil
@@ -428,7 +426,7 @@ func (e *Engine) stepped(q *Proc) bool {
 // run is the shared Run/RunUntil body, on the caller's goroutine. It is
 // the only place a process is resumed: it pops events like a parked
 // process does, and when a process's event pops it resumes that process
-// (or runs its SleepThen step in place), then whichever process the
+// (or runs its Park step in place), then whichever process the
 // parked one handed off to, until one yields with no handoff (drain or
 // Stop) or returns from its body.
 func (e *Engine) run() {

@@ -24,8 +24,8 @@ type Proc struct {
 	// c is the coroutine running body: nil until the process is first
 	// resumed, and again once the body has returned.
 	c *carrier
-	// step, while the process is parked in SleepThen or WaitThen, runs
-	// at each of its wakeups in place of resuming it.
+	// step, while the process is parked in Park, runs at each of its
+	// wakeups in place of resuming it.
 	step func() (next Time, v Verdict)
 	// held says the process, parked in a step, is held on a Cond (Hold)
 	// and counts as Blocked until that wakeup pops.
@@ -234,7 +234,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // own wakeup is next it continues with no switch at all. When another
 // process's event pops, park names that process in Engine.handoff and
 // yields to the run loop, which resumes it; on drain or Stop it yields
-// with no handoff. A wakeup of a process parked in SleepThen, this one
+// with no handoff. A wakeup of a process parked in Park, this one
 // included, runs that process's step here first.
 func (p *Proc) park() {
 	e := p.e
@@ -287,13 +287,13 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Verdict is a SleepThen or WaitThen step's decision at the wakeup it
-// just handled.
+// Verdict is a step's decision at the wakeup it just handled, and
+// Park's at the point the process parks.
 type Verdict uint8
 
 const (
 	// Resume resumes the process at this same wakeup, with no event in
-	// between; its SleepThen or WaitThen returns.
+	// between; its Park returns.
 	Resume Verdict = iota
 	// Again keeps the process parked and files its next wakeup next
 	// from now, exactly where Sleep(next) would.
@@ -304,25 +304,45 @@ const (
 	Held
 )
 
-// SleepThen sleeps like Sleep(d), but each wakeup runs step, inline and
-// at that wakeup's (t, seq) calendar position, in place of resuming the
-// process. The step's Verdict says what happens next: Again and Held
-// keep the process parked until the next wakeup, whose step runs the
-// same way; Resume resumes it at this wakeup and SleepThen returns. The
-// step therefore runs code the process would have run at the same
-// calendar position, and costs an inline call where a wakeup by
-// another process would cost a switch. A step runs in continuation
-// context and must not block; a panic in it propagates out of Run like
-// a panic in an fn event.
+// Park parks the process in step. v is the verdict of the work the
+// process did itself before parking: Again sleeps d, always filing the
+// wakeup on the calendar (one taken in place would resume the process
+// without running step); Held needs the process already held on a Cond
+// (Hold); Resume returns at once. Each wakeup then runs step, inline
+// and at that wakeup's (t, seq) calendar position, in place of resuming
+// the process. The step's Verdict says what happens next: Again and
+// Held keep the process parked until the next wakeup, whose step runs
+// the same way; Resume resumes it at this wakeup and Park returns. A
+// step that returns Held has held its own process, whether it runs on
+// the process or inline. The step therefore runs code the process
+// would have run at the same calendar position, and costs an inline
+// call where a wakeup by another process would cost a switch. A step
+// runs in continuation context and must not block; a panic in it
+// propagates out of Run like a panic in an fn event.
 //
 //shrimp:continuation
-func (p *Proc) SleepThen(d Time, step func() (next Time, v Verdict)) {
-	if d < 0 {
-		panic("sim: negative sleep")
+func (p *Proc) Park(d Time, v Verdict, step func() (next Time, v Verdict)) {
+	switch v {
+	case Again:
+		if d < 0 {
+			panic("sim: negative sleep")
+		}
+		p.e.wake(p, p.e.now+d)
+	case Held:
+		p.mustBeHeld()
+	default:
+		return
 	}
 	p.step = step
-	p.e.wake(p, p.e.now+d)
 	p.park()
+}
+
+// mustBeHeld panics unless p, whose step or work returned Held, is held
+// on a Cond: with no hold, nothing would ever wake it.
+func (p *Proc) mustBeHeld() {
+	if !p.held {
+		panic("sim: step returned Held without holding its process on a Cond")
+	}
 }
 
 // SleepUntil parks until virtual time t (no-op if t is in the past).
@@ -342,12 +362,36 @@ func (p *Proc) block() {
 	p.e.blocked--
 }
 
-// condWaiter is one entry in a Cond's FIFO: either a parked process or a
-// registered continuation callback. Exactly one of p and fn is set.
-type condWaiter struct {
+// waiter is one entry in a Cond's or a Resource's FIFO: a parked
+// process or a registered continuation callback. Exactly one of p and
+// fn is set.
+type waiter struct {
 	p *Proc
 	//shrimp:continuation
 	fn func()
+}
+
+// wake files w's wakeup at the current instant: the process's wakeup
+// event, or the callback as an fn event.
+//
+//shrimp:hotpath
+func (w waiter) wake(e *Engine) {
+	if w.fn != nil {
+		e.At(e.now, w.fn)
+		return
+	}
+	e.wake(w.p, e.now)
+}
+
+// wakeFirst pops the head of the non-empty FIFO q and wakes it.
+//
+//shrimp:hotpath
+func wakeFirst(e *Engine, q *[]waiter) {
+	w := (*q)[0]
+	copy(*q, (*q)[1:])
+	(*q)[len(*q)-1] = waiter{}
+	*q = (*q)[:len(*q)-1]
+	w.wake(e)
 }
 
 // Cond is a simulation-time condition variable. Processes Wait on it;
@@ -359,7 +403,7 @@ type condWaiter struct {
 // at the same (t, seq) calendar position either way.
 type Cond struct {
 	e       *Engine
-	waiters []condWaiter
+	waiters []waiter
 }
 
 // NewCond returns a condition bound to engine e.
@@ -369,30 +413,18 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 // As with sync.Cond, the surrounding predicate must be re-checked in a
 // loop by the caller when multiple waiters compete.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, condWaiter{p: p})
+	c.waiters = append(c.waiters, waiter{p: p})
 	p.block()
 }
 
-// WaitThen waits like Wait, but the wakeup runs step inline in place of
-// resuming the process, exactly as SleepThen's wakeups do; a step that
-// waits again holds the process on a Cond with Hold and returns Held.
-// The process counts as Blocked while it is held, as under Wait.
-//
-//shrimp:continuation
-func (c *Cond) WaitThen(p *Proc, step func() (next Time, v Verdict)) {
-	c.Hold(p)
-	p.step = step
-	p.park()
-}
-
-// Hold registers p, parked in a step, as a waiter on c, at the place in
-// c's FIFO where Wait(p) would: the step then returns Held, and c's
-// Signal or Broadcast files p's next wakeup. p counts as Blocked from
-// here until that wakeup pops.
+// Hold registers p, parked in a step or about to Park, as a waiter on
+// c, at the place in c's FIFO where Wait(p) would: the step then
+// returns Held, and c's Signal or Broadcast files p's next wakeup. p
+// counts as Blocked from here until that wakeup pops.
 //
 //shrimp:hotpath
 func (c *Cond) Hold(p *Proc) {
-	c.waiters = append(c.waiters, condWaiter{p: p})
+	c.waiters = append(c.waiters, waiter{p: p})
 	p.held = true
 	c.e.blocked++
 }
@@ -407,7 +439,7 @@ func (c *Cond) Hold(p *Proc) {
 //shrimp:hotpath
 //shrimp:continuation
 func (c *Cond) WaitFn(fn func()) {
-	c.waiters = append(c.waiters, condWaiter{fn: fn})
+	c.waiters = append(c.waiters, waiter{fn: fn})
 }
 
 // Waiters reports how many processes or callbacks are currently waiting.
@@ -420,15 +452,7 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	w := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters[len(c.waiters)-1] = condWaiter{}
-	c.waiters = c.waiters[:len(c.waiters)-1]
-	if w.fn != nil {
-		c.e.At(c.e.now, w.fn)
-		return
-	}
-	c.e.wake(w.p, c.e.now)
+	wakeFirst(c.e, &c.waiters)
 }
 
 // Broadcast wakes every waiting process and callback.
@@ -436,22 +460,10 @@ func (c *Cond) Signal() {
 //shrimp:hotpath
 func (c *Cond) Broadcast() {
 	for i, w := range c.waiters {
-		if w.fn != nil {
-			c.e.At(c.e.now, w.fn)
-		} else {
-			c.e.wake(w.p, c.e.now)
-		}
-		c.waiters[i] = condWaiter{}
+		w.wake(c.e)
+		c.waiters[i] = waiter{}
 	}
 	c.waiters = c.waiters[:0]
-}
-
-// resWaiter is one entry in a Resource's FIFO queue: a parked process or
-// an acquisition callback. Exactly one of p and fn is set.
-type resWaiter struct {
-	p *Proc
-	//shrimp:continuation
-	fn func()
 }
 
 // Resource is a non-preemptive, FIFO-queued exclusive resource: the model
@@ -462,7 +474,7 @@ type resWaiter struct {
 type Resource struct {
 	e     *Engine
 	held  bool
-	queue []resWaiter
+	queue []waiter
 }
 
 // NewResource returns an idle resource bound to engine e.
@@ -474,7 +486,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.held = true
 		return
 	}
-	r.queue = append(r.queue, resWaiter{p: p})
+	r.queue = append(r.queue, waiter{p: p})
 	// Ownership is transferred directly by Release, so on wake the
 	// resource is already held on this process's behalf.
 	p.block()
@@ -493,7 +505,7 @@ func (r *Resource) AcquireFn(fn func()) bool {
 		r.held = true
 		return true
 	}
-	r.queue = append(r.queue, resWaiter{fn: fn})
+	r.queue = append(r.queue, waiter{fn: fn})
 	return false
 }
 
@@ -519,15 +531,7 @@ func (r *Resource) Release() {
 		r.held = false
 		return
 	}
-	w := r.queue[0]
-	copy(r.queue, r.queue[1:])
-	r.queue[len(r.queue)-1] = resWaiter{}
-	r.queue = r.queue[:len(r.queue)-1]
-	if w.fn != nil {
-		r.e.At(r.e.now, w.fn)
-		return
-	}
-	r.e.wake(w.p, r.e.now)
+	wakeFirst(r.e, &r.queue)
 }
 
 // Busy reports whether the resource is currently held.

@@ -10,7 +10,7 @@ import (
 // shipped, where a wakeup that would pop next is taken in place
 // (skipTo), and once with skipping disabled, where every wakeup goes
 // through the calendar. The program mixes processes that Sleep (zero
-// sleeps included), Cond.Wait, SleepThen and WaitThen with steps that
+// sleeps included), Cond.Wait, and Park after a sleep or a hold with steps that
 // re-arm, hold and resume; Seq machines that sleep, take a shared
 // Resource and restart from a Queue's PopFn; fn events due now and
 // soon, some of which Stop the engine; and a top loop that alternates
@@ -95,9 +95,10 @@ func (a *skipActor) body(p *Proc) {
 		case 2:
 			a.g.c.Wait(p)
 		case 3:
-			p.SleepThen(d, a.step)
+			p.Park(d, Again, a.step)
 		case 4:
-			a.g.c.WaitThen(p, a.step)
+			a.g.c.Hold(p)
+			p.Park(0, Held, a.step)
 		default:
 			p.Sleep(0)
 		}

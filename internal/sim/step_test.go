@@ -10,9 +10,9 @@ import (
 // processes that sleep with plain Sleep, wait with Cond.Wait and do
 // every unit of work themselves, and again with processes whose steps
 // do the work, handing back to the process at random points mid-run.
-// In the SleepThen run a step hands back before each wait; in the held
-// run it holds its process on the Cond instead (Cond.Hold), and a
-// process that waits itself parks in WaitThen. Work units log, schedule
+// In the steps run a step hands back before each wait; in the held run
+// it holds its process on the Cond instead (Cond.Hold), and a process
+// that waits itself holds and parks in Park with Held. Work units log, schedule
 // fn events (some due now, to tie with wakeups), and signal a shared
 // Cond that processes also wait on. Since a step runs at its wakeup's
 // (t, seq) position, every run must log the same (t, order, actor)
@@ -28,8 +28,8 @@ const (
 // How a run's processes wait.
 const (
 	runPlain = iota // Sleep and Cond.Wait, no steps
-	runSteps        // SleepThen steps; every wait is Cond.Wait
-	runHeld         // SleepThen steps that hold on the Cond; WaitThen
+	runSteps        // Park steps; every wait is Cond.Wait
+	runHeld         // Park steps that hold on the Cond; held Park
 )
 
 // stepProgram is the shared state of one run of a seeded program.
@@ -42,7 +42,7 @@ type stepProgram struct {
 	log     []string
 	handed  int // step hand-backs that left the work to the process
 	stepped int // units a step did in place of the process
-	held    int // waits a step or WaitThen held instead of Cond.Wait
+	held    int // waits a step or a held Park held instead of Cond.Wait
 }
 
 // record logs an entry with the time and the number of blocked
@@ -122,10 +122,11 @@ func (a *stepActor) streamed(p *Proc) {
 		a.computed = false
 		switch {
 		case a.op == stepSleep:
-			p.SleepThen(a.d, a.step)
+			p.Park(a.d, Again, a.step)
 		case a.g.mode == runHeld:
 			a.g.held++
-			a.g.c.WaitThen(p, a.step)
+			a.g.c.Hold(p)
+			p.Park(0, Held, a.step)
 		default:
 			a.g.c.Wait(p)
 		}
@@ -136,7 +137,7 @@ func (a *stepActor) streamed(p *Proc) {
 	a.g.record("actor %d done", a.id)
 }
 
-// step runs units at the wakeups of a SleepThen or WaitThen.
+// step runs units at the wakeups of a Park.
 func (a *stepActor) step() (Time, Verdict) {
 	if a.handback.Intn(4) == 0 {
 		a.g.handed++
@@ -190,13 +191,13 @@ func runStepProgram(seed int64, mode int) (*stepProgram, Census) {
 	return g, census
 }
 
-func TestSleepThenMatchesSleep(t *testing.T) {
+func TestParkMatchesSleep(t *testing.T) {
 	handed, stepped := checkStepRuns(t, runSteps)
 	t.Logf("%d units done by steps, %d hand-backs", stepped, handed)
 }
 
 // TestHeldStepsMatchWait is the oracle for held steps: with waits held
-// on the Cond by steps and WaitThen, the log, every entry's Blocked()
+// on the Cond by steps and held Parks, the log, every entry's Blocked()
 // and the census must match the plain run's.
 func TestHeldStepsMatchWait(t *testing.T) {
 	handed, stepped := checkStepRuns(t, runHeld)
@@ -263,7 +264,7 @@ func TestStepPanicReachesRunCaller(t *testing.T) {
 					// where nothing else is due: the step runs again in
 					// place.
 					rearmed := false
-					p.SleepThen(5, func() (Time, Verdict) {
+					p.Park(5, Again, func() (Time, Verdict) {
 						if !rearmed {
 							rearmed = true
 							return 5, Again
@@ -271,7 +272,7 @@ func TestStepPanicReachesRunCaller(t *testing.T) {
 						panic("bad step")
 					})
 				} else {
-					p.SleepThen(10, func() (Time, Verdict) { panic("bad step") })
+					p.Park(10, Again, func() (Time, Verdict) { panic("bad step") })
 				}
 				t.Error("streamer resumed after its step panicked")
 			})
@@ -302,14 +303,13 @@ func TestStepPanicReachesRunCaller(t *testing.T) {
 	}
 }
 
-// Shutdown unwinds a process parked in SleepThen without running its
-// step.
-func TestShutdownOfSleepThen(t *testing.T) {
+// Shutdown unwinds a process parked in Park without running its step.
+func TestShutdownOfParkedStep(t *testing.T) {
 	e := NewEngine()
 	steps, unwound := 0, false
 	e.Spawn("streamer", func(p *Proc) {
 		defer func() { unwound = true }()
-		p.SleepThen(10, func() (Time, Verdict) { steps++; return 1, Again })
+		p.Park(10, Again, func() (Time, Verdict) { steps++; return 1, Again })
 	})
 	e.RunUntil(5)
 	e.Shutdown()
@@ -318,13 +318,13 @@ func TestShutdownOfSleepThen(t *testing.T) {
 	}
 }
 
-// A process that ended in a panic while parked in SleepThen leaves its
+// A process that ended in a panic while parked in Park leaves its
 // wakeup on the calendar; a later Run drops it without running the step.
 func TestFinishedProcStepIsDropped(t *testing.T) {
 	e := NewEngine()
 	steps := 0
 	e.Spawn("streamer", func(p *Proc) {
-		p.SleepThen(10, func() (Time, Verdict) { steps++; return 0, Resume })
+		p.Park(10, Again, func() (Time, Verdict) { steps++; return 0, Resume })
 	})
 	e.At(5, func() { panic("bad event") })
 	if r := runRecovering(e); r != "bad event" {
@@ -337,4 +337,43 @@ func TestFinishedProcStepIsDropped(t *testing.T) {
 		t.Fatalf("the finished process's step ran %d times, want 0", steps)
 	}
 	e.Shutdown()
+}
+
+// TestParkContract pins Park's edges: with Resume it returns at once,
+// filing no event and moving neither the clock nor the census; Held
+// with no Hold panics as a step's Held does; and Again with a negative
+// sleep panics.
+func TestParkContract(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		d     Time
+		v     Verdict
+		panic any
+	}{
+		{"resume", 5, Resume, nil},
+		{"held without hold", 0, Held, "sim: step returned Held without holding its process on a Cond"},
+		{"negative again", -1, Again, "sim: negative sleep"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			stepped, returned := false, false
+			e.Spawn("parker", func(p *Proc) {
+				p.Sleep(3)
+				now, seq, census := e.Now(), e.seq, e.Census()
+				p.Park(c.d, c.v, func() (Time, Verdict) { stepped = true; return 0, Resume })
+				returned = true
+				if e.Now() != now || e.seq != seq || e.Census() != census {
+					t.Errorf("Park(%v, Resume) moved now %v→%v, seq %d→%d, census %+v→%+v",
+						c.d, now, e.Now(), seq, e.seq, census, e.Census())
+				}
+			})
+			if r := runRecovering(e); r != c.panic {
+				t.Fatalf("Run panicked with %v, want %v", r, c.panic)
+			}
+			if stepped || returned != (c.panic == nil) {
+				t.Fatalf("step ran %v, Park returned %v; want false, %v", stepped, returned, c.panic == nil)
+			}
+			e.Shutdown()
+		})
+	}
 }

@@ -76,26 +76,39 @@ type Endpoint struct {
 	tr *trace.Recorder
 }
 
-// Deliveries reports packets delivered to any export on this endpoint.
-func (ep *Endpoint) Deliveries() int64 { return ep.deliveries }
-
 // WaitAnyUpdate blocks until the endpoint-wide delivery count exceeds
 // already, charging the blocked interval as communication wait. It is
 // the multi-buffer analogue of Export.WaitUpdate, used by libraries
 // that poll several receive buffers (e.g. NX message reception from
 // every peer).
 func (ep *Endpoint) WaitAnyUpdate(p *sim.Proc, already int64) int64 {
+	return ep.waitUpdate(p, &ep.deliveries, ep.recvCond, already)
+}
+
+// waitUpdate is WaitUpdate over the delivery count *count, which
+// signals c when it grows.
+func (ep *Endpoint) waitUpdate(p *sim.Proc, count *int64, c *sim.Cond, already int64) int64 {
 	cpu := ep.Node.CPUFor(p)
-	cpu.Charge(ep.Node.M.Cfg.Cost.LoadCost)
-	if ep.deliveries > already {
-		return ep.deliveries
+	cpu.Charge(ep.Node.M.Cfg.Cost.LoadCost) // the poll itself
+	if *count > already {
+		return *count
 	}
 	since := cpu.BeginWait(p)
-	for ep.deliveries <= already {
-		ep.recvCond.Wait(p)
+	for *count <= already {
+		c.Wait(p)
 	}
 	cpu.EndWait(p, stats.Comm, since)
-	return ep.deliveries
+	return *count
+}
+
+// syscall charges a kernel operation on the endpoint's node and, in
+// process context (p non-nil), flushes it.
+func (ep *Endpoint) syscall(p *sim.Proc) {
+	cpu := ep.Node.CPUFor(p)
+	cpu.ChargeOverhead(ep.Node.M.Cfg.Cost.SyscallCost)
+	if p != nil {
+		cpu.Flush(p)
+	}
 }
 
 // Export is an exported receive buffer: a run of pinned, contiguous
@@ -146,10 +159,7 @@ func (ep *Endpoint) Export(p *sim.Proc, npages int) *Export {
 		ep.pageToExport[vpn] = ex
 	}
 	// Export is a kernel operation: page pinning and IPT setup.
-	ep.Node.CPUFor(p).ChargeOverhead(ep.Node.M.Cfg.Cost.SyscallCost)
-	if p != nil {
-		ep.Node.CPUFor(p).Flush(p)
-	}
+	ep.syscall(p)
 	return ex
 }
 
@@ -175,17 +185,7 @@ func (ex *Export) Deliveries() int64 { return ex.deliveries }
 // communication wait. It returns the new delivery count. Receivers use
 // it as an efficient stand-in for polling a flag word.
 func (ex *Export) WaitUpdate(p *sim.Proc, already int64) int64 {
-	cpu := ex.ep.Node.CPUFor(p)
-	cpu.Charge(ex.ep.Node.M.Cfg.Cost.LoadCost) // the poll itself
-	if ex.deliveries > already {
-		return ex.deliveries
-	}
-	since := cpu.BeginWait(p)
-	for ex.deliveries <= already {
-		ex.recvCond.Wait(p)
-	}
-	cpu.EndWait(p, stats.Comm, since)
-	return ex.deliveries
+	return ex.ep.waitUpdate(p, &ex.deliveries, ex.recvCond, already)
 }
 
 // WaitFor blocks until ready(p) reports true, and returns the delivery
@@ -198,11 +198,11 @@ func (ex *Export) WaitUpdate(p *sim.Proc, already int64) int64 {
 //
 // with the same charges, flushes and Cond waits at the same calendar
 // positions, but the loop's flush sleeps and waits park the process in
-// steps (Proc.SleepThen, Cond.WaitThen) that run the loop on inline at
-// each wakeup, so the process is resumed once, when ready holds. A
-// fresh poll passes seen -1. ready runs in those steps, in
-// continuation context, and must not block; pass a func value made
-// once, not per call, to keep the call allocation-free.
+// a step (Proc.Park) that runs the loop on inline at each wakeup, so
+// the process is resumed once, when ready holds. A fresh poll passes
+// seen -1. ready runs in the step, in continuation context, and must
+// not block; pass a func value made once, not per call, to keep the
+// call allocation-free.
 //
 //shrimp:continuation
 func (ex *Export) WaitFor(p *sim.Proc, seen int64, ready func(p *sim.Proc) bool) int64 {
@@ -214,15 +214,11 @@ func (ex *Export) WaitFor(p *sim.Proc, seen int64, ready func(p *sim.Proc) bool)
 		ep.polls = ep.polls[:n-1]
 	} else {
 		w = &poll{}
-		w.step = w.wake
+		w.step = w.advance
 	}
 	*w = poll{ex: ex, p: p, cpu: ep.Node.CPUFor(p), ready: ready, seen: seen, step: w.step}
-	switch d, v := w.advance(false); v {
-	case sim.Again:
-		p.SleepThen(d, w.step)
-	case sim.Held:
-		ex.recvCond.WaitThen(p, w.step)
-	}
+	d, v := w.advance()
+	p.Park(d, v, w.step)
 	seen = w.seen
 	*w = poll{step: w.step}
 	ep.polls = append(ep.polls, w)
@@ -249,15 +245,10 @@ type poll struct {
 	step  func() (sim.Time, sim.Verdict)
 }
 
-// wake is the poll's step: it runs the loop on from the wakeup.
-func (w *poll) wake() (sim.Time, sim.Verdict) { return w.advance(true) }
-
 // advance runs the WaitFor loop from where it stands until ready holds
-// (Resume), BeginWait's flush must sleep (Again), or the wait must park
-// on the export's Cond (Held). inline says it runs in a step, which
-// holds the process on the Cond itself; from the process, WaitFor
-// parks it there.
-func (w *poll) advance(inline bool) (sim.Time, sim.Verdict) {
+// (Resume), BeginWait's flush must sleep (Again), or the wait must hold
+// the process on the export's Cond (Held). It is the poll's step.
+func (w *poll) advance() (sim.Time, sim.Verdict) {
 	ex, cpu := w.ex, w.cpu
 	for {
 		switch w.at {
@@ -279,9 +270,7 @@ func (w *poll) advance(inline bool) (sim.Time, sim.Verdict) {
 			w.at = pollWaiting
 		default:
 			if ex.deliveries <= w.seen {
-				if inline {
-					ex.recvCond.Hold(w.p)
-				}
+				ex.recvCond.Hold(w.p)
 				return 0, sim.Held
 			}
 			cpu.EndWait(w.p, stats.Comm, w.since)
@@ -302,10 +291,7 @@ func (ep *Endpoint) Import(p *sim.Proc, exp *Export) *Import {
 		ep.Node.NIC.MapOutgoing(proxy.VPN()+i, exp.ep.Node.ID, exp.Base.VPN()+i,
 			false, false, false)
 	}
-	ep.Node.CPUFor(p).ChargeOverhead(ep.Node.M.Cfg.Cost.SyscallCost)
-	if p != nil {
-		ep.Node.CPUFor(p).Flush(p)
-	}
+	ep.syscall(p)
 	return &Import{
 		ep:      ep,
 		exp:     exp,
@@ -337,9 +323,9 @@ type SendOpts struct {
 // the NIC (sends are asynchronous).
 //
 // Each piece's flush sleeps, and its wait for a DU request slot parks,
-// the process in steps (Proc.SleepThen, Cond.WaitThen) that queue the
-// pieces on inline at each wakeup, so the process is resumed once, when
-// the last piece is queued.
+// the process in a step (Proc.Park) that queues the pieces on inline at
+// each wakeup, so the process is resumed once, when the last piece is
+// queued.
 func (imp *Import) Send(p *sim.Proc, src memory.Addr, off, size int, opts SendOpts) {
 	ep := imp.ep
 	var t *Transfer
@@ -349,15 +335,11 @@ func (imp *Import) Send(p *sim.Proc, src memory.Addr, off, size int, opts SendOp
 		ep.sends = ep.sends[:n-1]
 	} else {
 		t = &Transfer{}
-		t.step = t.wake
+		t.step = t.Advance
 	}
 	t.Start(imp, p, src, off, size, opts)
-	switch d, v := t.Advance(false); v {
-	case sim.Again:
-		p.SleepThen(d, t.step)
-	case sim.Held:
-		ep.Node.NIC.DUCond().WaitThen(p, t.step)
-	}
+	d, v := t.Advance()
+	p.Park(d, v, t.step)
 	*t = Transfer{step: t.step}
 	ep.sends = append(ep.sends, t)
 }
@@ -380,9 +362,6 @@ type Transfer struct {
 	// step is Send's bound wakeup step, made once per Transfer.
 	step func() (sim.Time, sim.Verdict)
 }
-
-// wake is Send's step: it queues the pieces on from the wakeup.
-func (t *Transfer) wake() (sim.Time, sim.Verdict) { return t.Advance(true) }
 
 // Start begins the Send of size bytes at src into imp's remote buffer
 // at off for p, with everything Send does before its first piece: the
@@ -415,10 +394,9 @@ func (t *Transfer) Start(imp *Import, p *sim.Proc, src memory.Addr, off, size in
 // Advance queues the transfer's pieces from where it stopped, each
 // after its initiation charge and flush, until the last is queued
 // (Resume), a flush must sleep (Again), or the NIC's request queue is
-// full (Held). inline says it runs in a step, which holds the process
-// on the NIC's DUCond itself; from the process, the caller parks it
-// there.
-func (t *Transfer) Advance(inline bool) (sim.Time, sim.Verdict) {
+// full (Held), when it holds the process on the NIC's DUCond. It is
+// Send's step, and runs the same on the process or in a step.
+func (t *Transfer) Advance() (sim.Time, sim.Verdict) {
 	nd := t.imp.ep.Node
 	for t.size > 0 {
 		chunk := t.size
@@ -438,9 +416,7 @@ func (t *Transfer) Advance(inline bool) (sim.Time, sim.Verdict) {
 		}
 		last := chunk == t.size
 		if !nd.NIC.TrySendDU(t.src, dst, chunk, t.opts.Notify && last, last && !t.opts.Internal) {
-			if inline {
-				nd.NIC.DUCond().Hold(t.p)
-			}
+			nd.NIC.DUCond().Hold(t.p)
 			return 0, sim.Held
 		}
 		t.flushed = false
@@ -468,10 +444,7 @@ func (imp *Import) BindAU(p *sim.Proc, local memory.Addr, pageOff, npages int, c
 		nd.NIC.MapOutgoing(local.VPN()+i, imp.exp.ep.Node.ID,
 			imp.exp.Base.VPN()+pageOff+i, true, combine, notify)
 	}
-	nd.CPUFor(p).ChargeOverhead(nd.M.Cfg.Cost.SyscallCost)
-	if p != nil {
-		nd.CPUFor(p).Flush(p)
-	}
+	imp.ep.syscall(p)
 }
 
 // UnbindAU removes automatic-update bindings installed by BindAU.
